@@ -61,6 +61,31 @@ def _arbiter(value: str) -> str:
     return value
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type`` for integers no smaller than ``minimum``, so bad
+    counts are usage errors (exit 2), not tracebacks from deep inside a
+    run."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive = _int_at_least(1)
+_non_negative = _int_at_least(0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -84,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro monitor PATH --follow`",
     )
     run.add_argument(
-        "--sample-interval", type=int, default=1_000, metavar="CYCLES",
+        "--sample-interval", type=_positive, default=1_000, metavar="CYCLES",
         help="cycles per telemetry sample window (default: 1000)",
     )
     run.add_argument(
@@ -100,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bit-identically with --resume PATH",
     )
     run.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="CYCLES",
+        "--checkpoint-every", type=_positive, default=None, metavar="CYCLES",
         help="cycles between periodic snapshots (implies --checkpoint "
         "with a label-derived default path under .repro-cache/)",
     )
@@ -149,8 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform fault rates to sweep (default: 0 1e-4 1e-3 1e-2)",
     )
     faults.add_argument("--app", default="single_dtv")
-    faults.add_argument("--cycles", type=int, default=None)
-    faults.add_argument("--warmup", type=int, default=None)
+    faults.add_argument("--cycles", type=_positive, default=None)
+    faults.add_argument("--warmup", type=_non_negative, default=None)
     faults.add_argument("--seed", type=int, default=2010)
 
     trace = sub.add_parser(
@@ -168,11 +193,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump raw events as JSON Lines",
     )
     trace.add_argument(
-        "--limit", type=int, default=None, metavar="N",
+        "--limit", type=_non_negative, default=None, metavar="N",
         help="cap recorded events (overflow is counted, not silent)",
     )
     trace.add_argument(
-        "--slowest", type=int, default=8, metavar="N",
+        "--slowest", type=_non_negative, default=8, metavar="N",
         help="slowest requests listed in the latency breakdown",
     )
 
@@ -182,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_args(profile, default_cycles=20_000, default_warmup=0)
     profile.add_argument(
-        "--window", type=int, default=1_000, metavar="CYCLES",
+        "--window", type=_positive, default=1_000, metavar="CYCLES",
         help="profiling window size in cycles",
     )
     profile.add_argument(
-        "--windows", type=int, default=3, metavar="N",
+        "--windows", type=_positive, default=3, metavar="N",
         help="most expensive windows to list",
     )
 
@@ -194,18 +219,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("table1", table1), ("table2", table2), ("table3", table3),
     ]:
         exhibit = sub.add_parser(name, help=f"regenerate {name}")
-        exhibit.add_argument("--cycles", type=int, default=None)
-        exhibit.add_argument("--warmup", type=int, default=None)
+        exhibit.add_argument("--cycles", type=_positive, default=None)
+        exhibit.add_argument("--warmup", type=_non_negative, default=None)
         exhibit.add_argument("--seeds", type=int, nargs="+", default=None)
 
     sub.add_parser("table4", help="regenerate Table IV (gate counts)")
     sub.add_parser("table5", help="regenerate Table V (power)")
 
     fig = sub.add_parser("fig8", help="regenerate Fig. 8 (GSS router sweep)")
-    fig.add_argument("--cycles", type=int, default=None)
-    fig.add_argument("--warmup", type=int, default=None)
+    fig.add_argument("--cycles", type=_positive, default=None)
+    fig.add_argument("--warmup", type=_non_negative, default=None)
     fig.add_argument("--seeds", type=int, nargs="+", default=None)
-    fig.add_argument("--max-routers", type=int, default=None)
+    fig.add_argument("--max-routers", type=_non_negative, default=None)
 
     arbiters_cmd = sub.add_parser(
         "arbiters",
@@ -227,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--apps", nargs="+", default=None, metavar="APP",
         help="restrict the application rows (default: all three)",
     )
-    arbiters_cmd.add_argument("--cycles", type=int, default=None)
-    arbiters_cmd.add_argument("--warmup", type=int, default=None)
+    arbiters_cmd.add_argument("--cycles", type=_positive, default=None)
+    arbiters_cmd.add_argument("--warmup", type=_non_negative, default=None)
     arbiters_cmd.add_argument("--seeds", type=int, nargs="+", default=None)
     arbiters_cmd.add_argument(
         "--store", default=None, metavar="PATH",
@@ -237,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     everything = sub.add_parser("all", help="regenerate every exhibit")
-    everything.add_argument("--cycles", type=int, default=None)
-    everything.add_argument("--warmup", type=int, default=None)
+    everything.add_argument("--cycles", type=_positive, default=None)
+    everything.add_argument("--warmup", type=_non_negative, default=None)
     everything.add_argument("--seeds", type=int, nargs="+", default=None)
     everything.add_argument(
         "--store", default=DEFAULT_STORE_PATH, metavar="PATH",
@@ -269,19 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_fault.add_argument("--seeds", type=int, nargs="+", default=[2010])
     sweep_fault.add_argument("--app", default="single_dtv")
-    sweep_fault.add_argument("--cycles", type=int, default=None)
-    sweep_fault.add_argument("--warmup", type=int, default=None)
-    sweep_fault.add_argument("--drain-cycles", type=int, default=None)
+    sweep_fault.add_argument("--cycles", type=_positive, default=None)
+    sweep_fault.add_argument("--warmup", type=_non_negative, default=None)
+    sweep_fault.add_argument("--drain-cycles", type=_non_negative, default=None)
     _add_sweep_args(sweep_fault)
 
     sweep_fig8 = grids_sub.add_parser(
         "fig8", help="Fig. 8 GSS-router-count grid, one job per "
         "(operating point, router count, seed)",
     )
-    sweep_fig8.add_argument("--cycles", type=int, default=None)
-    sweep_fig8.add_argument("--warmup", type=int, default=None)
+    sweep_fig8.add_argument("--cycles", type=_positive, default=None)
+    sweep_fig8.add_argument("--warmup", type=_non_negative, default=None)
     sweep_fig8.add_argument("--seeds", type=int, nargs="+", default=None)
-    sweep_fig8.add_argument("--max-routers", type=int, default=None)
+    sweep_fig8.add_argument("--max-routers", type=_non_negative, default=None)
     _add_sweep_args(sweep_fig8)
 
     sweep_grid = grids_sub.add_parser(
@@ -298,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="pins", help="pinned field override (repeatable)",
     )
     sweep_grid.add_argument(
-        "--replicates", type=int, default=1, metavar="N",
+        "--replicates", type=_positive, default=1, metavar="N",
         help="derived-seed replicates per grid point",
     )
     sweep_grid.add_argument("--root-seed", type=int, default=2010)
@@ -309,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
         "export", help="run every exhibit and write results as JSON"
     )
     export.add_argument("output", help="path of the JSON document to write")
-    export.add_argument("--cycles", type=int, default=None)
-    export.add_argument("--warmup", type=int, default=None)
+    export.add_argument("--cycles", type=_positive, default=None)
+    export.add_argument("--warmup", type=_non_negative, default=None)
     export.add_argument("--seeds", type=int, nargs="+", default=None)
 
     bench_cmd = sub.add_parser(
         "bench", help="run the standing simulator benchmarks"
     )
-    bench_cmd.add_argument("--cycles", type=int, default=None)
-    bench_cmd.add_argument("--reps", type=int, default=None)
+    bench_cmd.add_argument("--cycles", type=_positive, default=None)
+    bench_cmd.add_argument("--reps", type=_positive, default=None)
     bench_cmd.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the measured point as a trajectory JSON file",
@@ -344,7 +369,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     import os
 
     parser.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
+        "--jobs", type=_positive, default=os.cpu_count() or 1, metavar="N",
         help="worker processes (default: all cores); 1 runs in-process",
     )
     parser.add_argument(
@@ -391,7 +416,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "fails (and is retried under --job-retries)",
     )
     parser.add_argument(
-        "--job-retries", type=int, default=0, metavar="N",
+        "--job-retries", type=_non_negative, default=0, metavar="N",
         help="re-executions allowed after a timeout or unexpected "
         "exception, with deterministic jittered backoff between "
         "attempts (domain failures are never retried)",
@@ -403,7 +428,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "continues from its snapshot bit-identically",
     )
     parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="CYCLES",
+        "--checkpoint-every", type=_positive, default=None, metavar="CYCLES",
         help="cycles between mid-job snapshots (default: a quarter of "
         "each job's run)",
     )
@@ -423,11 +448,11 @@ def _add_config_args(
     parser.add_argument("--app", default="single_dtv")
     parser.add_argument("--design", type=_design, default=NocDesign.GSS_SAGM)
     parser.add_argument("--ddr", type=_ddr, default=DdrGeneration.DDR2)
-    parser.add_argument("--clock", type=int, default=333, metavar="MHZ")
-    parser.add_argument("--cycles", type=int, default=default_cycles)
-    parser.add_argument("--warmup", type=int, default=default_warmup)
+    parser.add_argument("--clock", type=_positive, default=333, metavar="MHZ")
+    parser.add_argument("--cycles", type=_positive, default=default_cycles)
+    parser.add_argument("--warmup", type=_non_negative, default=default_warmup)
     parser.add_argument("--seed", type=int, default=2010)
-    parser.add_argument("--pct", type=int, default=5)
+    parser.add_argument("--pct", type=int, choices=range(1, 7), default=5)
     parser.add_argument(
         "--arbiter", type=_arbiter, default=None, metavar="BACKEND",
         help="memory-arbiter backend (engine | memmax | databahn | dpq | "
@@ -436,13 +461,13 @@ def _add_config_args(
     parser.add_argument("--priority", action="store_true")
     parser.add_argument("--sti", action="store_true")
     parser.add_argument("--adaptive", action="store_true")
-    parser.add_argument("--gss-routers", type=int, default=None)
+    parser.add_argument("--gss-routers", type=_non_negative, default=None)
     parser.add_argument(
-        "--vcs", type=int, default=1,
+        "--vcs", type=int, choices=range(1, 5), default=1,
         help="virtual channels per link (2 adds a priority lane)",
     )
     parser.add_argument(
-        "--link-buffers", type=int, default=12, metavar="FLITS"
+        "--link-buffers", type=_positive, default=12, metavar="FLITS"
     )
     parser.add_argument(
         "--fault-rate", type=float, default=0.0, metavar="RATE",
@@ -536,8 +561,6 @@ def _cmd_run(args) -> int:
     if telemetry_path is not None:
         from .obs.stream import TelemetryWriter, run_manifest
 
-        if args.sample_interval < 1:
-            raise SystemExit("--sample-interval must be >= 1")
         writer = TelemetryWriter(telemetry_path)
         writer.emit(
             "run_start", **run_manifest(config, args.sample_interval)
@@ -554,8 +577,6 @@ def _cmd_run(args) -> int:
     # Checkpoint policy: an explicit path, a label-derived default when
     # only a cadence (or a resume source) is given, or none at all.
     ckpt_every = getattr(args, "checkpoint_every", None)
-    if ckpt_every is not None and ckpt_every < 1:
-        raise SystemExit("--checkpoint-every must be >= 1")
     ckpt_path = getattr(args, "checkpoint", None)
     if ckpt_path is None and (ckpt_every is not None or resume_path):
         ckpt_path = resume_path or _default_checkpoint_path(config.label)
@@ -1094,7 +1115,17 @@ def _cmd_all(args) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    cycles = getattr(args, "cycles", None)
+    warmup = getattr(args, "warmup", None)
+    if (
+        cycles is not None and warmup is not None
+        and warmup >= cycles and not getattr(args, "resume", None)
+    ):
+        parser.error(
+            f"--warmup ({warmup}) must be smaller than --cycles ({cycles})"
+        )
     if args.command == "run":
         return _cmd_run(args)
     elif args.command == "faults":

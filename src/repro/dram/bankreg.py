@@ -83,7 +83,12 @@ class BankRegulatedScheduler(SchedulerSeam):
         self._epoch = 0
         self.accepted = 0
         self.releases = 0
+        #: Requests whose release the budget held back, each counted once
+        #: however often it was polled, so the count does not depend on
+        #: the dispatch tier.
         self.throttled_releases = 0
+        #: master -> id of its head request last counted as throttled.
+        self._throttled: Dict[int, int] = {}
         self._init_seam()
 
     # --- request admission ------------------------------------------- #
@@ -143,7 +148,9 @@ class BankRegulatedScheduler(SchedulerSeam):
                 continue
             head = queue[0]
             if not self._within_budget(head):
-                self.throttled_releases += 1
+                if self._throttled.get(master) != head.request_id:
+                    self._throttled[master] = head.request_id
+                    self.throttled_releases += 1
                 continue
             queue.popleft()
             key = (head.master, head.bank)

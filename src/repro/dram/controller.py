@@ -34,7 +34,6 @@ from .commands import CommandKind, DramCommand
 from .device import SdramDevice
 from .refresh import RefreshTimer
 from .request import MemoryRequest
-from .vectorized import make_gate
 
 
 class PagePolicy(enum.Enum):
@@ -102,9 +101,6 @@ class CommandEngine:
         self.finished: List[FinishedRequest] = []
         self.demand_precharges = 0
         self.tracer = tracer
-        # Optional numpy datapath for the per-bank timing checks (None =
-        # scalar path; see repro.dram.vectorized for the feature flag).
-        self._vector_gate = make_gate(device)
 
     # ------------------------------------------------------------------ #
 
@@ -154,8 +150,9 @@ class CommandEngine:
             return None
         command = self._choose_command(cycle)
         if command is not None:
-            # Every chooser only returns a command can_issue just accepted
-            # at this cycle, so the vetted path skips the re-check.
+            # Every chooser returns a command only after the same checks
+            # SdramDevice.can_issue makes at this cycle, so the vetted
+            # path skips the re-check.
             completion = self.device.issue_vetted(cycle, command)
             tracer = self.tracer
             if tracer:
@@ -168,8 +165,9 @@ class CommandEngine:
                     row=command.row,
                 )
             if command.kind.is_cas:
-                entry = self._entry_for(command.request_id)
-                assert entry is not None and completion is not None
+                # In-order data: the CAS always serves the oldest entry.
+                entry = self.entries[0]
+                assert completion is not None
                 if entry.bursts_issued == 0 and self.device.stats is not None:
                     self.device.stats.record_row_outcome(
                         cycle, hit=not entry.required_act, bank=command.bank
@@ -182,7 +180,7 @@ class CommandEngine:
                     self.finished.append(
                         FinishedRequest(entry.request, entry.last_data_end)
                     )
-                    self.entries.remove(entry)
+                    del self.entries[0]
         return command
 
     # ------------------------------------------------------------------ #
@@ -220,6 +218,8 @@ class CommandEngine:
     # ------------------------------------------------------------------ #
 
     def _choose_command(self, cycle: int) -> Optional[DramCommand]:
+        if cycle <= self.device._last_command_cycle:
+            return None  # one command per cycle on the shared command bus
         cas = self._cas_command(cycle)
         if cas is not None:
             return cas
@@ -228,32 +228,38 @@ class CommandEngine:
             return act
         return self._precharge_command(cycle)
 
+    # Each chooser checks the bank and device timing registers first and
+    # builds a DramCommand only for a command that is legal this cycle:
+    # most ticks end in a timing stall, and building and vetting commands
+    # that cannot issue would dominate them.
+
     def _cas_command(self, cycle: int) -> Optional[DramCommand]:
         """CAS for the oldest entry whose row is open (in-order data)."""
-        if not self.entries:
-            return None
-        if cycle < self.device.next_cas_ok:
-            # Device-global tCCD gate: can_issue would reject any CAS this
-            # cycle, so skip building and vetting the command.
+        device = self.device
+        if cycle < device._next_cas_ok:
+            # Device-global tCCD gate, checked before touching the bank.
             return None
         entry = self.entries[0]
         request = entry.request
-        if not self.device.banks[request.bank].row_is_open(request.row, cycle):
+        bank = device.banks[request.bank]
+        if (
+            not bank.row_is_open(request.row, cycle)
+            or cycle < bank.cas_ready_at
+            or not device.cas_bus_ready(cycle, request.is_write)
+        ):
             return None
         burst = self._burst_for(entry)
-        useful = min(entry.beats_remaining, burst)
         last_burst = entry.beats_remaining <= burst
-        command = DramCommand(
+        return DramCommand(
             kind=CommandKind.WRITE if request.is_write else CommandKind.READ,
             bank=request.bank,
             row=request.row,
             column=entry.next_column,
             burst_beats=burst,
             auto_precharge=last_burst and self._wants_auto_precharge(request),
-            useful_beats=useful,
+            useful_beats=min(entry.beats_remaining, burst),
             request_id=request.request_id,
         )
-        return command if self.device.can_issue(cycle, command) else None
 
     def _burst_for(self, entry: WindowEntry) -> int:
         if self.otf and entry.beats_remaining <= 4:
@@ -269,26 +275,26 @@ class CommandEngine:
 
     def _activate_command(self, cycle: int) -> Optional[DramCommand]:
         """ACT for the first entry whose bank is idle (bank-prep overlap)."""
-        if cycle < self.device.next_act_ok:
-            # Device-global tRRD gate: can_issue would reject any ACT this
-            # cycle, so skip the window scan.
+        if cycle < self.device._next_act_ok:
+            # Device-global tRRD gate: no ACT can issue this cycle.
             return None
-        prepared = set()
         banks = self.device.banks
+        prepared = 0  # bitmask of banks already considered
         for entry in self.entries:
             request = entry.request
-            key = request.bank
-            if key in prepared:
+            bit = 1 << request.bank
+            if prepared & bit:
                 continue
-            prepared.add(key)
-            if banks[key].row_is_open(request.row, cycle):
+            prepared |= bit
+            bank = banks[request.bank]
+            if bank.row_is_open(request.row, cycle):
                 continue
-            command = DramCommand(
-                kind=CommandKind.ACTIVATE, bank=request.bank, row=request.row
-            )
-            if self.device.can_issue(cycle, command):
+            if bank.can_activate(cycle):
                 entry.required_act = True
-                return command
+                return DramCommand(
+                    kind=CommandKind.ACTIVATE, bank=request.bank,
+                    row=request.row,
+                )
         return None
 
     def _precharge_command(self, cycle: int) -> Optional[DramCommand]:
@@ -297,21 +303,22 @@ class CommandEngine:
         A bank may not be precharged while an older un-served entry still
         needs its currently-open row.
         """
-        handled = set()
+        banks = self.device.banks
+        handled = 0  # bitmask of banks already considered
         for index, entry in enumerate(self.entries):
             request = entry.request
-            if request.bank in handled:
+            bit = 1 << request.bank
+            if handled & bit:
                 continue
-            handled.add(request.bank)
-            bank = self.device.banks[request.bank]
+            handled |= bit
+            bank = banks[request.bank]
             if not bank.is_active or bank.open_row == request.row:
                 continue
             if self._older_entry_needs_row(index, request.bank, bank.open_row):
                 continue
-            command = DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
-            if self.device.can_issue(cycle, command):
+            if bank.can_precharge(cycle):
                 self.demand_precharges += 1
-                return command
+                return DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
         return None
 
     def next_attempt_cycle(self, cycle: int) -> int:
@@ -370,59 +377,29 @@ class CommandEngine:
                 )
             bound = cas_at
         # ACT / PRE: first entry per bank, as the choosers scan.
-        gate = self._vector_gate
-        if gate is not None:
-            # Vector datapath: gather the first-entry-per-bank scan set
-            # (order logic stays scalar), evaluate every per-bank timing
-            # candidate in one array pass.
-            gate.refresh()
-            seen = set()
-            bank_ids: List[int] = []
-            rows: List[int] = []
-            order_blocked: List[bool] = []
-            for index, entry in enumerate(entries):
-                request = entry.request
-                key = request.bank
-                if key in seen:
-                    continue
-                seen.add(key)
-                bank = banks[key]
-                bank_ids.append(key)
-                rows.append(request.row)
-                order_blocked.append(
-                    bank.auto_precharge_at is None
-                    and bank.state is BankState.ACTIVE
-                    and bank.open_row != request.row
-                    and self._older_entry_needs_row(index, key, bank.open_row)
-                )
-            candidate = gate.min_act_pre_bound(bank_ids, rows, order_blocked)
-            if candidate is not None and (bound is None or candidate < bound):
+        seen = 0
+        for index, entry in enumerate(entries):
+            request = entry.request
+            key = request.bank
+            bit = 1 << key
+            if seen & bit:
+                continue
+            seen |= bit
+            bank = banks[key]
+            if bank.auto_precharge_at is not None:
+                # Bank self-closes at the AP window's end, then an ACT
+                # for this entry's row becomes the pending command.
+                candidate = max(device._next_act_ok, bank.auto_precharge_at)
+            elif bank.state is BankState.ACTIVE:
+                if bank.open_row == request.row:
+                    continue  # row already open: nothing to prepare
+                if self._older_entry_needs_row(index, key, bank.open_row):
+                    continue  # unblocked by retirement, not by time
+                candidate = bank.precharge_ok_at
+            else:
+                candidate = max(device._next_act_ok, bank.idle_at)
+            if bound is None or candidate < bound:
                 bound = candidate
-        else:
-            seen = set()
-            for index, entry in enumerate(entries):
-                request = entry.request
-                key = request.bank
-                if key in seen:
-                    continue
-                seen.add(key)
-                bank = banks[key]
-                if bank.auto_precharge_at is not None:
-                    # Bank self-closes at the AP window's end, then an ACT
-                    # for this entry's row becomes the pending command.
-                    candidate = max(
-                        device._next_act_ok, bank.auto_precharge_at
-                    )
-                elif bank.state is BankState.ACTIVE:
-                    if bank.open_row == request.row:
-                        continue  # row already open: nothing to prepare
-                    if self._older_entry_needs_row(index, key, bank.open_row):
-                        continue  # unblocked by retirement, not by time
-                    candidate = bank.precharge_ok_at
-                else:
-                    candidate = max(device._next_act_ok, bank.idle_at)
-                if bound is None or candidate < bound:
-                    bound = candidate
         if bound is None:
             # Every bank is order-blocked; retirement (an engine activity)
             # unblocks them, so any wake cycle is safe.
@@ -434,9 +411,3 @@ class CommandEngine:
             if other.request.bank == bank and other.request.row == open_row:
                 return True
         return False
-
-    def _entry_for(self, request_id) -> Optional[WindowEntry]:
-        for entry in self.entries:
-            if entry.request.request_id == request_id:
-                return entry
-        return None

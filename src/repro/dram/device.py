@@ -90,23 +90,27 @@ class SdramDevice:
         row = command.row if command.row is not None else bank.open_row
         if row is None or not bank.can_cas(cycle, row):
             return False
+        return self.cas_bus_ready(cycle, command.is_write)
+
+    def cas_bus_ready(self, cycle: int, is_write: bool) -> bool:
+        """The device-global half of CAS legality at ``cycle``: tCCD, a
+        free data bus, and the bus-turnaround gaps (the per-bank half is
+        :meth:`Bank.can_cas`)."""
         if cycle < self._next_cas_ok:
             return False
-        data_start = cycle + (
-            self.timing.write_latency if command.is_write
-            else self.timing.cas_latency
-        )
-        if data_start < self._bus_free_at:
-            return False
-        if command.is_read and self._last_write_data_end >= 0:
-            # write -> read turnaround (tWTR from last write data beat)
-            if cycle <= self._last_write_data_end + self.timing.t_wtr:
+        timing = self.timing
+        if is_write:
+            data_start = cycle + timing.write_latency
+            if data_start < self._bus_free_at:
                 return False
-        if command.is_write and self._last_read_data_end >= 0:
             # read -> write bus turnaround (data contention gap)
-            if data_start <= self._last_read_data_end + self.timing.t_rtw:
-                return False
-        return True
+            last_read = self._last_read_data_end
+            return last_read < 0 or data_start > last_read + timing.t_rtw
+        if cycle + timing.cas_latency < self._bus_free_at:
+            return False
+        # write -> read turnaround (tWTR from last write data beat)
+        last_write = self._last_write_data_end
+        return last_write < 0 or cycle > last_write + timing.t_wtr
 
     # ------------------------------------------------------------------ #
     # Issue

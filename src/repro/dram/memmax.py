@@ -103,6 +103,7 @@ class MemMaxScheduler:
         self.tracer = tracer
         #: Arbitration wins per thread index (telemetry).
         self.thread_wins: List[int] = [0] * threads
+        self._pending = 0  # requests queued over all threads
 
     # ------------------------------------------------------------------ #
     # Thread assignment / admission
@@ -116,10 +117,11 @@ class MemMaxScheduler:
 
     def push(self, request: MemoryRequest) -> None:
         self.thread_for(request).push(request)
+        self._pending += 1
 
     @property
     def pending(self) -> int:
-        return sum(len(thread) for thread in self.threads)
+        return self._pending
 
     # ------------------------------------------------------------------ #
     # Arbitration
@@ -127,13 +129,14 @@ class MemMaxScheduler:
 
     def pop_next(self, cycle: int = 0) -> Optional[MemoryRequest]:
         """Select and dequeue the next request for the command engine."""
-        candidates = [t for t in self.threads if t.head() is not None]
-        if not candidates:
+        if not self._pending:
             return None
+        candidates = [t for t in self.threads if t.queue]
         winner = self._select(candidates)
         for thread in candidates:
             thread.age = 0 if thread is winner else thread.age + 1
         request = winner.pop()
+        self._pending -= 1
         self._last_scheduled = request
         self._rr_pointer = (winner.index + 1) % len(self.threads)
         self.thread_wins[winner.index] += 1

@@ -7,7 +7,8 @@ arXiv 1207.1187, and the per-bank bandwidth regulator of Sullivan et
 al., arXiv 2603.26054) — presents the same surface to the memory-side
 network interface:
 
-* **request admission** — ``can_accept`` / ``enqueue`` with backpressure;
+* **request admission** — ``can_accept`` / ``enqueue`` with backpressure,
+  under the admission contract stated on :class:`Scheduler`;
 * **per-cycle command selection** — ``tick`` issues at most one SDRAM
   command per cycle and ``drain_finished`` reports requests whose final
   data beat has a known bus cycle;
@@ -45,7 +46,15 @@ from .request import MemoryRequest
 
 @runtime_checkable
 class Scheduler(Protocol):
-    """What the memory-side NI (and every harness) may rely on."""
+    """What the memory-side NI (and every harness) may rely on.
+
+    Admission contract: ``can_accept`` changes only through ``enqueue``
+    and ``tick`` — never through the passage of time alone — and
+    ``next_event_cycle(cycle)`` is a conservative-early bound on the next
+    ``tick`` that can change any state (``None`` = only an ``enqueue``
+    can).  The memory NI relies on both to sleep while its sink head is
+    refused: room can appear only inside a ``tick`` that bound covers.
+    """
 
     # --- request admission ------------------------------------------- #
     def can_accept(self, request: MemoryRequest) -> bool: ...

@@ -212,8 +212,11 @@ class ConvMemorySubsystem(SchedulerSeam):
         self.device.tick(cycle)
 
     def drain_finished(self) -> List[FinishedRequest]:
+        done = self.engine.drain_finished()
+        if not done:
+            return done
         finished = []
-        for item in self.engine.drain_finished():
+        for item in done:
             # request/response data staged through the thread data buffers
             staging = (item.request.beats + 1) // 2
             finished.append(
@@ -258,11 +261,12 @@ class ConvMemorySubsystem(SchedulerSeam):
         return stats
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event-dispatch bound for the CONV pipeline.  MemMax arbitration
-        is cycle-dependent (per-thread service accounting), so any queued
-        front-end work polls per cycle; a back-end stalled purely on SDRAM
-        timing uses the engine's next-attempt bound, like the thin
-        subsystem."""
+        """Event-dispatch bound for the CONV pipeline.  MemMax hands a
+        request over whenever the Databahn window has space (``pop_next``
+        uses ``cycle`` only for its trace event), so queued front-end
+        work with window space is due next cycle; a back-end stalled
+        purely on SDRAM timing uses the engine's next-attempt bound, like
+        the thin subsystem."""
         refresh = self.engine.refresh
         if refresh is not None and refresh.enabled:
             if refresh.due(cycle) or refresh.in_progress(cycle):

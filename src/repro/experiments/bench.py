@@ -317,9 +317,9 @@ def _speedups(
 
 
 #: Host-manifest fields whose change makes raw trajectory comparison
-#: suspect even after calibration scaling (numpy toggles vectorized
-#: paths on/off; interpreter and host shift the bytecode-vs-simulation
-#: cost mix).
+#: suspect even after calibration scaling (the interpreter and host
+#: shift the bytecode-vs-simulation cost mix; an installed numpy marks
+#: a different environment).
 _HOST_COMPARE_FIELDS = ("python", "implementation", "numpy", "hostname")
 
 

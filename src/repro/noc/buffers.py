@@ -83,7 +83,9 @@ class InputBuffer:
         self.highwater_flits = 0
         #: Event-dispatch hooks (installed by the owning components, None
         #: when unused): ``wake_consumer`` fires when new data lands here
-        #: (a flit commits or an entry opens); ``wake_credit`` fires when
+        #: (a flit commits or an entry opens; the router's commit loop
+        #: fires an NI sink's hook only on a packet's tail flit, since
+        #: NIs consume complete packets only); ``wake_credit`` fires when
         #: room frees up (a flit leaves or a packet slot is released).
         #: Call sites in the router hot path invoke them inline.
         self.wake_consumer = None

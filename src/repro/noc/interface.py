@@ -186,7 +186,12 @@ class CoreInterface:
         return state
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
-        if self._pending or self.sink.entries:
+        if self._pending:
+            return cycle + 1
+        entries = self.sink.entries
+        if entries and entries[0].fully_received:
+            # Only complete packets are consumed; a partial head's tail
+            # flit wakes this NI when it lands.
             return cycle + 1
         if self.draining:
             return None
@@ -555,24 +560,36 @@ class MemoryInterface:
         return state
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
-        """Next cycle with possible work.  Buffered stages poll per cycle
-        (they make progress most cycles at the paper's operating point);
-        a subsystem stalled purely on SDRAM timing sleeps until the
-        controller's earliest possible command (the big event-dispatch
-        win: no ticks during tRC/tRP/tRCD/refresh stalls)."""
+        """Next cycle with possible work.
+
+        * A fully received sink head that :meth:`_admit` can act on now
+          (the subsystem accepts it, or it is a corrupted packet to
+          discard) and queued ECC re-reads poll the next cycle.
+        * Anything else sleeps until the earlier of the ready-heap head
+          and the subsystem's :meth:`next_event_cycle`.  A head blocked
+          on admission needs room, and the subsystem frees room only
+          inside its own ``tick`` (the ``Scheduler`` admission contract),
+          which that bound covers; a partially received head is woken by
+          its tail flit.  A subsystem stalled purely on SDRAM timing
+          sleeps until the controller's earliest possible command: no
+          ticks during tRC/tRP/tRCD/refresh stalls.
+        """
+        resilience = self.resilience
+        if resilience is not None and resilience.dram_retries:
+            return cycle + 1
+        entries = self.sink.entries
+        if entries:
+            head = entries[0]
+            if head.fully_received:
+                packet = head.packet
+                if (
+                    resilience is not None and packet.corrupted
+                ) or self.subsystem.can_accept(packet.request):
+                    return cycle + 1
         nxt = None
-        if self.sink.entries:
-            nxt = cycle + 1
-        else:
-            resilience = self.resilience
-            if resilience is not None and resilience.dram_retries:
-                nxt = cycle + 1
         if self._ready:
             ready = self._ready[0][0]
-            if ready <= cycle:
-                ready = cycle + 1
-            if nxt is None or ready < nxt:
-                nxt = ready
+            nxt = ready if ready > cycle else cycle + 1
         if nxt != cycle + 1:
             sub = self.subsystem.next_event_cycle(cycle)
             if sub is not None:

@@ -434,11 +434,12 @@ class Router:
             # engine re-arms the network from event_wake_at right after
             # this tick, which sees the now-awake router.  NI-facing
             # buffers (local sinks) take the full hook so the NI's own
-            # engine wake still fires.
+            # engine wake still fires, but only on the tail flit: both
+            # NIs consume complete packets only.
             target = dst_buffer.consumer_router
             if target is not None:
                 target._asleep = False
-            else:
+            elif dst_entry.received >= entry.packet.size_flits:
                 wake = dst_buffer.wake_consumer
                 if wake is not None:
                     wake()

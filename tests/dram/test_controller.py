@@ -180,3 +180,65 @@ def test_accept_validates_bank_range(ddr1_timing):
     engine = CommandEngine(device, burst_beats=8)
     with pytest.raises(ValueError, match="bank"):
         engine.accept(make_request(bank=7), 0)  # DDR I has 4 banks
+
+
+class TestChosenCommandsAreLegal:
+    """The choosers check timing registers themselves and hand the device
+    pre-vetted commands; every command they choose must still pass the
+    public legality predicate, ``SdramDevice.can_issue``."""
+
+    @staticmethod
+    def _audited(device):
+        chosen = []
+        apply = device.issue_vetted
+
+        def issue_vetted(cycle, command):
+            assert device.can_issue(cycle, command), (cycle, str(command))
+            chosen.append(command.kind)
+            return apply(cycle, command)
+
+        device.issue_vetted = issue_vetted
+        return chosen
+
+    @pytest.mark.parametrize("policy", list(PagePolicy))
+    @pytest.mark.parametrize("generation", ["ddr2", "ddr3"])
+    def test_random_streams(self, policy, generation, ddr2_timing,
+                            ddr3_timing):
+        import random
+
+        timing = ddr2_timing if generation == "ddr2" else ddr3_timing
+        device = SdramDevice(timing, stats=StatsCollector())
+        chosen = self._audited(device)
+        engine = CommandEngine(
+            device, burst_beats=8 if generation == "ddr3" else 4,
+            page_policy=policy, window=6, otf=generation == "ddr3",
+        )
+        rng = random.Random(2010)
+        requests = [
+            make_request(
+                bank=rng.randrange(timing.banks), row=rng.randrange(3),
+                beats=rng.choice((2, 4, 8, 12, 16, 32)),
+                is_read=rng.random() < 0.6, ap_tag=rng.random() < 0.5,
+            )
+            for _ in range(120)
+        ]
+        finished, _, _ = run_engine(engine, requests, max_cycles=20_000)
+        assert len(finished) == len(requests)
+        assert set(chosen) >= {
+            CommandKind.ACTIVATE, CommandKind.READ, CommandKind.WRITE,
+        }
+
+    @pytest.mark.parametrize(
+        "arbiter", ["engine", "memmax", "databahn", "dpq", "bank-reg"]
+    )
+    def test_full_system_backends(self, arbiter):
+        from repro.core.system import build_system
+        from repro.sim.config import SystemConfig
+
+        system = build_system(SystemConfig(
+            app="single_dtv", cycles=1_500, warmup=200, seed=2010,
+            arbiter=arbiter,
+        ))
+        chosen = self._audited(system.subsystem.device)
+        system.run(1_500)
+        assert CommandKind.READ in chosen

@@ -113,6 +113,51 @@ class TestConformance:
         wake = backend.next_event_cycle(0)
         assert wake is not None and wake >= 1
 
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_admission_contract(self, name):
+        """``can_accept`` changes only through ``enqueue`` and ``tick``, and
+        no tick before ``next_event_cycle`` changes anything: a memory NI
+        whose head request is refused may sleep until that cycle."""
+        import random
+
+        backend = build_backend(name)
+        rng = random.Random(7)
+        total = 200
+        pending = [
+            make_request(
+                master=rng.randrange(2), bank=rng.randrange(8),
+                row=rng.randrange(4), beats=rng.choice((8, 16, 32)),
+                is_read=rng.random() < 0.6,
+            )
+            for _ in range(total)
+        ]
+
+        def observed():
+            return (
+                backend.pending, backend.device.issued_commands,
+                bool(pending) and backend.can_accept(pending[0]),
+            )
+
+        cycle = finished = refused = 0
+        while (pending or not backend.idle) and cycle < 100_000:
+            while pending and backend.can_accept(pending[0]):
+                backend.enqueue(pending.pop(0), cycle)
+            refused += bool(pending)
+            backend.tick(cycle)
+            finished += len(backend.drain_finished())
+            wake = backend.next_event_cycle(cycle)
+            if pending and backend.can_accept(pending[0]):
+                wake = cycle + 1
+            stop = cycle + 1 if wake is None or wake <= cycle else wake
+            for quiet in range(cycle + 1, stop):
+                before = observed()
+                backend.tick(quiet)
+                assert observed() == before, f"tick at {quiet} < {stop}"
+                assert not backend.drain_finished()
+            cycle = stop
+        assert finished == total
+        assert refused > 0  # the queue did fill and refuse requests
+
     def test_only_dpq_has_a_bound(self):
         for name in ALL_BACKENDS:
             backend = build_backend(name)

@@ -178,3 +178,55 @@ class TestMemoryInterface:
             ni.tick(cycle)
         injection.pop_complete()
         assert ni.idle
+
+
+def _wasted_tick_share(monkeypatch, config) -> float:
+    """Share of memory-NI ticks under event dispatch that change none of:
+    admissions, responses sent, engine window size, subsystem queue
+    length, commands issued."""
+    from repro.core.system import build_system
+
+    counts = {"ticks": 0, "wasted": 0}
+    tick = MemoryInterface.tick
+
+    def observed(ni):
+        subsystem = ni.subsystem
+        return (
+            ni.admitted, ni.responses_sent, len(subsystem.engine.entries),
+            subsystem.pending, subsystem.device.issued_commands,
+        )
+
+    def counting_tick(ni, cycle):
+        before = observed(ni)
+        tick(ni, cycle)
+        counts["ticks"] += 1
+        counts["wasted"] += observed(ni) == before
+
+    monkeypatch.setattr(MemoryInterface, "tick", counting_tick)
+    system = build_system(config)
+    system.simulator.run(config.cycles)
+    assert system.simulator.last_dispatch_mode == "event"
+    assert counts["ticks"] > 1_000
+    return counts["wasted"] / counts["ticks"]
+
+
+@pytest.mark.parametrize("workload", ["conv_dual_dtv", "gss_sti_bluray_ddr3"])
+def test_memory_ni_ticks_are_rarely_wasted(monkeypatch, workload):
+    """Event dispatch ticks the memory NI only when its state can change:
+    an admission-blocked sink head sleeps until the subsystem can free
+    room, and sink wakes fire on tail flits.  Polling a blocked head
+    every cycle wasted 45-57% of these ticks."""
+    from repro.sim.config import NocDesign, SystemConfig
+
+    if workload == "conv_dual_dtv":
+        config = SystemConfig(
+            app="dual_dtv", design=NocDesign.CONV, ddr=DdrGeneration.DDR2,
+            clock_mhz=400, cycles=6_000, warmup=500, seed=2010,
+        )
+    else:
+        config = SystemConfig(
+            app="bluray", design=NocDesign.GSS_SAGM, ddr=DdrGeneration.DDR3,
+            clock_mhz=533, priority_enabled=True, sti=True,
+            num_gss_routers=3, cycles=6_000, warmup=500, seed=2010,
+        )
+    assert _wasted_tick_share(monkeypatch, config) <= 0.10

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.system import build_system
 from repro.resilience.faults import FaultConfig
-from repro.sim.config import NocDesign, SystemConfig
+from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
 
 CYCLES = 2_500
 WARMUP = 400
@@ -119,6 +119,180 @@ def test_every_dispatch_tier_matches_naive(mode, design):
         if observed[key] != naive[key]
     }
     assert not diffs, f"{mode} dispatch diverged from naive stepping: {diffs}"
+
+
+# ---------------------------------------------------------------------- #
+# Event-vs-naive matrix: every design, DDR generation and arbiter backend
+# ---------------------------------------------------------------------- #
+
+SHORT = 1_500
+
+
+def _event_vs_naive(config: SystemConfig, customize=None) -> None:
+    """Run ``config`` under event dispatch and naive stepping; every
+    metric, scheduler counter and issued-command count must match."""
+    def run(naive: bool) -> dict:
+        system = build_system(config)
+        if customize is not None:
+            customize(system)
+        if naive:
+            system.simulator.idle_skip = False
+        observed = dataclasses.asdict(system.run(config.cycles))
+        assert system.simulator.last_dispatch_mode == (
+            "naive" if naive else "event"
+        )
+        subsystem = system.subsystem
+        observed["scheduler"] = subsystem.scheduler_stats()
+        observed["commands"] = subsystem.device.issued_commands
+        return observed
+
+    event, naive = run(False), run(True)
+    diffs = {
+        key: (event[key], naive[key]) for key in event if event[key] != naive[key]
+    }
+    assert not diffs, f"event dispatch diverged from naive stepping: {diffs}"
+
+
+@pytest.mark.parametrize("ddr", ["ddr2", "ddr3+sti"])
+@pytest.mark.parametrize("design", list(NocDesign), ids=lambda d: d.value)
+def test_event_matches_naive_every_design(design, ddr):
+    if ddr == "ddr2":
+        generation = dict(ddr=DdrGeneration.DDR2, clock_mhz=333)
+    else:
+        generation = dict(ddr=DdrGeneration.DDR3, clock_mhz=533, sti=True)
+    _event_vs_naive(SystemConfig(
+        app="single_dtv", cycles=SHORT, warmup=300, design=design,
+        seed=2010, **generation,
+    ))
+
+
+@pytest.mark.parametrize(
+    "arbiter", ["engine", "memmax", "databahn", "dpq", "bank-reg"]
+)
+@pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faulty"])
+def test_event_matches_naive_every_arbiter(arbiter, faults):
+    _event_vs_naive(SystemConfig(
+        app="bluray", cycles=SHORT, warmup=300, seed=2010, arbiter=arbiter,
+        faults=faults,
+    ))
+
+
+def test_event_matches_naive_with_refresh():
+    from repro.dram.refresh import RefreshTimer
+
+    def enable_refresh(system):
+        timer = RefreshTimer(system.timing)
+        timer.t_refi = timer._next_due = 400  # several refreshes per run
+        system.subsystem.engine.refresh = timer
+
+    _event_vs_naive(
+        SystemConfig(app="single_dtv", cycles=SHORT, warmup=300, seed=2010),
+        customize=enable_refresh,
+    )
+
+
+def test_event_matches_naive_with_priority_responses():
+    config = SystemConfig(
+        app="dual_dtv", cycles=SHORT, warmup=300, seed=2010,
+        priority_enabled=True, faults=FAULTS,
+    )
+    assert build_system(config).memory_interface.priority_responses
+    _event_vs_naive(config)
+
+
+def _scripted_run(config, traffic, naive: bool):
+    """Run ``config`` on scripted traffic; returns the admission log and
+    the metrics, plus memory-sink observations from the naive run."""
+    from repro.workloads.trace import TraceEntry, replay_into_system
+
+    system = build_system(config)
+    replay_into_system(system, {
+        master: [TraceEntry(cycle, request) for cycle, request in entries]
+        for master, entries in traffic.items()
+    }, max_outstanding=4)
+    subsystem = system.subsystem
+    admissions = []
+    enqueue = subsystem.enqueue
+
+    def logged_enqueue(request, cycle):
+        admissions.append((cycle, request.request_id))
+        enqueue(request, cycle)
+
+    subsystem.enqueue = logged_enqueue
+    seen = {"partial_head": 0, "blocked_head": 0}
+    if naive:
+        system.simulator.idle_skip = False
+        sink = system.memory_interface.sink
+
+        def observe(cycle):
+            if sink.entries:
+                head = sink.entries[0]
+                if not head.fully_received:
+                    seen["partial_head"] += 1
+                elif not subsystem.can_accept(head.packet.request):
+                    seen["blocked_head"] += 1
+
+        system.simulator.on_cycle(observe)
+    metrics = dataclasses.asdict(system.run(config.cycles))
+    return admissions, metrics, seen
+
+
+def _scripted_identity(config, traffic) -> dict:
+    event_log, event_metrics, _ = _scripted_run(config, traffic, naive=False)
+    naive_log, naive_metrics, seen = _scripted_run(config, traffic, naive=True)
+    assert event_log == naive_log
+    assert event_metrics == naive_metrics
+    assert event_log, "scripted traffic never reached the memory"
+    return seen
+
+
+def test_multi_flit_write_streams_into_memory_sink():
+    """64-beat writes travel as 33-flit packets (no SAGM splitting), so
+    the memory sink head is partially received for many cycles; the NI
+    must wake on exactly the tail flit."""
+    from tests.helpers import make_request
+
+    config = SystemConfig(
+        app="single_dtv", design=NocDesign.GSS, cycles=1_200, warmup=100,
+        seed=2010,
+    )
+    masters = [core.master for core in build_system(config).cores]
+    traffic = {
+        master: [
+            (7 * index + 50 * burst, make_request(
+                master=master, bank=(index + burst) % 8, row=burst,
+                beats=64, is_read=False,
+            ))
+            for burst in range(4)
+        ]
+        for index, master in enumerate(masters)
+    }
+    seen = _scripted_identity(config, traffic)
+    assert seen["partial_head"] > 0
+
+
+def test_head_blocked_on_full_input_queue():
+    """Every core fires reads at one bank at once: the thin controller's
+    input queue fills and the sink head waits for room, sleeping until
+    the subsystem's next event under event dispatch."""
+    from tests.helpers import make_request
+
+    config = SystemConfig(
+        app="single_dtv", design=NocDesign.SDRAM_AWARE, cycles=1_200,
+        warmup=100, seed=2010,
+    )
+    masters = [core.master for core in build_system(config).cores]
+    traffic = {
+        master: [
+            (10 + burst, make_request(
+                master=master, bank=0, row=index + burst, beats=32,
+            ))
+            for burst in range(4)
+        ]
+        for index, master in enumerate(masters)
+    }
+    seen = _scripted_identity(config, traffic)
+    assert seen["blocked_head"] > 0
 
 
 # ---------------------------------------------------------------------- #

@@ -29,6 +29,46 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestInputHardening:
+    """Bad counts are argparse usage errors (exit 2), not tracebacks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--cycles", "0"],
+        ["run", "--cycles", "-5"],
+        ["run", "--warmup", "-1"],
+        ["run", "--cycles", "ten"],
+        ["run", "--pct", "0"],
+        ["run", "--vcs", "5"],
+        ["run", "--telemetry", "t.ndjson", "--sample-interval", "0"],
+        ["run", "--checkpoint-every", "0"],
+        ["profile", "--window", "0"],
+        ["profile", "--windows", "0"],
+        ["trace", "--limit", "-1"],
+        ["table1", "--cycles", "0"],
+        ["fig8", "--max-routers", "-1"],
+        ["faults", "--warmup", "-3"],
+        ["sweep", "grid", "--axis", "seed=1", "--jobs", "0"],
+        ["bench", "--reps", "0"],
+    ])
+    def test_bad_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_warmup_must_be_below_cycles(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["run", "--cycles", "1000"])  # default warmup 3000
+        assert raised.value.code == 2
+        assert "--warmup (3000)" in capsys.readouterr().err
+
+    def test_valid_bounds_accepted(self):
+        args = build_parser().parse_args(
+            ["run", "--cycles", "1", "--warmup", "0", "--pct", "6"]
+        )
+        assert (args.cycles, args.warmup, args.pct) == (1, 0, 6)
+
+
 class TestCommands:
     def test_run_prints_metrics(self, capsys):
         code = main(["run", "--app", "bluray", "--cycles", "1500",

@@ -31,6 +31,27 @@ def test_version_present():
     assert repro.__version__
 
 
+def test_building_a_system_loads_no_numpy():
+    """The simulator is pure Python: importing it and building a system
+    must not pull numpy into the process (it costs set-up time and
+    memory in every run)."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro\n"
+        "repro.build_system(repro.SystemConfig(cycles=600, warmup=100))\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_design_enum_covers_paper_comparisons():
     values = {design.value for design in repro.NocDesign}
     assert values == {
