@@ -86,6 +86,21 @@ _positive = _int_at_least(1)
 _non_negative = _int_at_least(0)
 
 
+def _rate(text: str) -> float:
+    """argparse ``type`` for a fault rate: a probability in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be a rate in [0, 1], got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -170,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "unaccounted faults)",
     )
     faults.add_argument(
-        "--rates", type=float, nargs="+", default=None, metavar="RATE",
+        "--rates", type=_rate, nargs="+", default=None, metavar="RATE",
         help="uniform fault rates to sweep (default: 0 1e-4 1e-3 1e-2)",
     )
     faults.add_argument("--app", default="single_dtv")
@@ -289,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sharded)",
     )
     sweep_fault.add_argument(
-        "--rates", type=float, nargs="+", default=None, metavar="RATE",
+        "--rates", type=_rate, nargs="+", default=None, metavar="RATE",
         help="uniform fault rates (default: 0 1e-4 1e-3 1e-2)",
     )
     sweep_fault.add_argument("--seeds", type=int, nargs="+", default=[2010])
@@ -470,7 +485,7 @@ def _add_config_args(
         "--link-buffers", type=_positive, default=12, metavar="FLITS"
     )
     parser.add_argument(
-        "--fault-rate", type=float, default=0.0, metavar="RATE",
+        "--fault-rate", type=_rate, default=0.0, metavar="RATE",
         help="uniform fault-injection rate (0 builds no resilience "
         "machinery at all; see repro.resilience)",
     )

@@ -141,8 +141,8 @@ class SocSystem:
         if self.resilience is not None:
             from ..resilience.watchdog import RequestWatchdog
 
-            # The watchdog ticks last: it must see this cycle's response
-            # deliveries before judging a request stalled.
+            # The watchdog ticks after the NIs: it must see this cycle's
+            # response deliveries before judging a request stalled.
             self.watchdog = RequestWatchdog(
                 self.resilience, self.core_interfaces, config.faults
             )
@@ -257,8 +257,8 @@ class SocSystem:
 
         ``checkpoint_every``/``on_checkpoint`` pass straight through to
         :meth:`~repro.sim.engine.Simulator.run`: the run is segmented at
-        snapshot boundaries (dispatch and fast-forward semantics
-        unchanged) and ``on_checkpoint(cycle)`` — typically a
+        snapshot boundaries (each segment dispatches as one long run
+        would) and ``on_checkpoint(cycle)`` — typically a
         :func:`~repro.sim.checkpoint.save_checkpoint` call — fires at
         each boundary, ending the run early if it returns true.
         """
@@ -315,8 +315,8 @@ class SocSystem:
         handed to ``on_sample`` (a telemetry stream writer, usually).
 
         The sampler registers *last* on the simulator so each sample
-        observes end-of-cycle state, and it speaks the event-dispatch
-        contract, so an all-event system stays on the event tier.  It
+        observes end-of-cycle state, and it arms itself for its window
+        boundaries, so event dispatch still jumps idle gaps.  It
         only reads counters: enabling it at any interval leaves every
         simulated metric bit-identical.  Lazily imported — a system that
         never attaches one carries no sampling code at all.

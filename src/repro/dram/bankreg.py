@@ -166,7 +166,7 @@ class BankRegulatedScheduler(SchedulerSeam):
             self._note_finished(done)
         return done
 
-    # --- occupancy / idle-skip contract ------------------------------ #
+    # --- occupancy / event contract ---------------------------------- #
 
     @property
     def pending(self) -> int:

@@ -192,7 +192,7 @@ class DpqScheduler(SchedulerSeam):
             self._note_finished(done)
         return done
 
-    # --- occupancy / idle-skip contract ------------------------------ #
+    # --- occupancy / event contract ---------------------------------- #
 
     @property
     def pending(self) -> int:

@@ -64,7 +64,7 @@ class Scheduler(Protocol):
     def tick(self, cycle: int) -> None: ...
     def drain_finished(self) -> list: ...
 
-    # --- occupancy / idle-skip contract ------------------------------ #
+    # --- occupancy / event contract ---------------------------------- #
     @property
     def pending(self) -> int: ...
     @property

@@ -47,10 +47,6 @@ class MeshNetwork:
             for node in mesh.nodes()
         ]
         self.local_sinks: Dict[int, InputBuffer] = {}
-        # Active-router scan shared between is_idle() and tick() within
-        # one cycle (invalidated by the tick that consumes it).
-        self._active: List[Router] = []
-        self._active_cycle = -1
         overrides = sink_flits or {}
         endpoint_flits = (
             local_buffer_flits if local_buffer_flits is not None else buffer_flits
@@ -95,34 +91,14 @@ class MeshNetwork:
         start had nothing to plan, so skipping its no-op phases is
         bit-identical).
         """
-        if self._active_cycle == cycle:
-            # Reuse the scan :meth:`is_idle` just did for this cycle (the
-            # simulator checks idleness immediately before ticking).
-            active = self._active
-            self._active_cycle = -1
-        else:
-            active = [
-                router for router in self.routers
-                if router._entry_tally[0] and not router._asleep
-            ]
+        active = [
+            router for router in self.routers
+            if router._entry_tally[0] and not router._asleep
+        ]
         for router in active:
             router.plan(cycle)
         for router in active:
             router.commit(cycle)
-
-    # Simulator idle-skip contract: the network is purely reactive — it
-    # only moves packets the NIs inject — so it never self-wakes.
-
-    def is_idle(self, cycle: int) -> bool:
-        self._active = [
-            router for router in self.routers
-            if router._entry_tally[0] and not router._asleep
-        ]
-        self._active_cycle = cycle
-        return not self._active
-
-    def wake_at(self) -> Optional[int]:
-        return None
 
     # ------------------------------------------------------------------ #
     # Event-dispatch contract
@@ -144,19 +120,11 @@ class MeshNetwork:
         for router in self.routers:
             router._net_wake = wake
 
-    def __getstate__(self):
-        # The active-router scan cache is intra-cycle state; drop it so a
-        # restored network starts with a clean (and exact) rescan.
-        state = self.__dict__.copy()
-        state["_active"] = []
-        state["_active_cycle"] = -1
-        return state
-
     def on_run_mode(self, event_dispatch: bool) -> None:
-        """Router sleep is an event-dispatch shortcut; the reference
-        kernels (stepped/naive) must keep planning every non-empty router,
-        so sleeping is switched off — and any stale sleep state cleared —
-        when event dispatch is not active."""
+        """Router sleep is an event-dispatch shortcut; naive stepping, the
+        reference, must keep planning every non-empty router, so sleeping
+        is switched off — and any stale sleep state cleared — when event
+        dispatch is not active."""
         for router in self.routers:
             router._sleep_enabled = event_dispatch
             if not event_dispatch:

@@ -13,12 +13,9 @@ The sampler is an ordinary simulator component speaking the *event*
 dispatch contract (see :mod:`repro.sim.engine`):
 
 * it arms the calendar wake-queue for each window boundary via
-  ``event_wake_at``, so an all-event system **stays on the event tier**
-  (``last_dispatch_mode == "event"``) — sampling never drops a run to
-  per-cycle stepping;
-* under the stepped tier it exposes ``is_idle``/``wake_at``, so global
-  fast-forward still engages — a jump simply lands on the next window
-  boundary;
+  ``event_wake_at``, so event dispatch still jumps idle gaps — a jump
+  simply lands on the next window boundary — and sampling never forces
+  per-cycle ticking;
 * gaps that overshoot boundaries anyway (run-exit flushes, ``until``
   predicates, bulk skip accounting) are reported through
   ``on_cycles_skipped`` and emit one **coalesced** sample covering every
@@ -265,7 +262,7 @@ class TimeSeriesSampler:
         self._clock = time.perf_counter
 
     # ------------------------------------------------------------------ #
-    # Simulator contracts (event + stepped tiers)
+    # Simulator contract
     # ------------------------------------------------------------------ #
 
     def tick(self, cycle: int) -> None:
@@ -274,12 +271,6 @@ class TimeSeriesSampler:
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
         return self._next if self._next > cycle else cycle + 1
-
-    def is_idle(self, cycle: int) -> bool:
-        return cycle < self._next
-
-    def wake_at(self) -> Optional[int]:
-        return self._next
 
     def on_cycles_skipped(self, start: int, stop: int) -> None:
         """Account a never-ticked gap ``[start, stop)``: any window

@@ -1,7 +1,8 @@
 """Live structural invariants, checked while the system runs.
 
-The :class:`InvariantChecker` is a simulator ``on_cycle`` hook that
-audits the end-of-cycle state of the whole fabric:
+The :class:`InvariantChecker` is a simulator component, registered last
+and armed at every check stride, that audits the end-of-cycle state of
+the whole fabric:
 
 * **credit conservation** — every input buffer's flit occupancy is
   within its capacity and every entry's ``sent``/``received`` counters
@@ -64,7 +65,19 @@ class InvariantChecker:
         self.checks_run = 0
 
     def attach(self, simulator) -> None:
-        simulator.on_cycle(self.on_cycle)
+        """Register as the simulator's latest component: every component
+        due a cycle ticks before the checker does, so each audit sees
+        end-of-cycle state."""
+        simulator.add(self)
+
+    def tick(self, cycle: int) -> None:
+        # Through the instance, so a class-level wrapper of on_cycle (the
+        # per-layer span in bench/trace.py) sees every call.
+        self.on_cycle(cycle)
+
+    def event_wake_at(self, cycle: int) -> int:
+        """Self-arm at the next check stride (the watchdog's pattern)."""
+        return cycle + self.interval - cycle % self.interval
 
     def on_cycle(self, cycle: int) -> None:
         if cycle % self.interval != 0:

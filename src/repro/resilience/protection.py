@@ -166,26 +166,6 @@ class ResilienceController:
                 self._memory.resend_response(request, cycle)
 
     # ------------------------------------------------------------------ #
-    # Simulator idle-skip contract
-    # ------------------------------------------------------------------ #
-
-    def is_idle(self, cycle: int) -> bool:
-        """Skipping a tick is safe only when the injector draws no
-        per-cycle randomness (rate-driven buffer flips) and nothing is
-        pending: no backoff retransmissions and no scheduled faults left
-        to arm at their exact cycles."""
-        injector = self.injector
-        if injector.enabled and self.config.buffer_flip_rate > 0.0:
-            return False
-        if injector._schedule_pos < len(injector._schedule):
-            return False
-        return not self._retransmit_heap
-
-    def wake_at(self) -> Optional[int]:
-        heap = self._retransmit_heap
-        return heap[0][0] if heap else None
-
-    # ------------------------------------------------------------------ #
     # Event-dispatch contract
     # ------------------------------------------------------------------ #
 

@@ -7,7 +7,7 @@ router state, DRAM bank FSMs and refresh counters, every derived RNG
 stream, fault-injector schedules and resilience ledgers, and obs
 counters.  The golden guarantee — enforced by the resume-identity test
 suite — is that ``run(N)`` and ``run(k); save; load; run(N-k)`` produce
-bit-identical metrics and trace events on every dispatch tier, with and
+bit-identical metrics and trace events in both dispatch modes, with and
 without fault injection.
 
 Why whole-graph pickling: the simulator's components share live objects
@@ -51,7 +51,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 MAGIC = b"REPROCKP"
 
 #: Bump on any change to the serialized component-graph shape.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _HEADER_STRUCT = struct.Struct("<I")
 

@@ -181,9 +181,9 @@ class StatsCollector:
 
     def record_idle_cycles(self, start: int, stop: int) -> None:
         """Bulk form of :meth:`record_idle_cycle` for the half-open range
-        ``[start, stop)`` — used when the simulator fast-forwards over
-        globally idle cycles, so the utilization denominator stays exactly
-        what per-cycle accounting would have produced."""
+        ``[start, stop)`` — used for cycles event dispatch never ticked the
+        device for, so the utilization denominator stays exactly what
+        per-cycle accounting would have produced."""
         self.observed_cycles += max(0, stop - max(start, self.warmup))
 
     def record_command(self, cycle: int, kind: str) -> None:

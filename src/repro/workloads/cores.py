@@ -200,9 +200,10 @@ class SyntheticCore:
 
     @property
     def next_issue_cycle(self) -> Optional[int]:
-        """Earliest cycle :meth:`generate` could issue (idle-skip wake
-        target).  ``generate`` is a strict no-op — no RNG draws — before
-        this cycle, so skipping it keeps the random stream bit-identical."""
+        """Earliest cycle :meth:`generate` could issue (the core NI's
+        event wake target).  ``generate`` is a strict no-op — no RNG draws
+        — before this cycle, so skipping it keeps the random stream
+        bit-identical."""
         return self._next_issue_cycle
 
     @property

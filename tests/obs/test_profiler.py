@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.profiler import HOOKS_LABEL, SimulatorProfiler
+from repro.obs.profiler import SimulatorProfiler
 from repro.sim.engine import Simulator
 
 
@@ -17,6 +17,15 @@ class Spinner:
         sum(range(200))
 
 
+def _step(profiler, components, cycles):
+    """Step a simulator of ``components`` ``cycles`` times, profiled."""
+    simulator = Simulator()
+    simulator.add_all(components)
+    simulator.attach_profiler(profiler)
+    for _ in range(cycles):
+        simulator.step()
+
+
 class TestProfilerUnit:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -24,24 +33,14 @@ class TestProfilerUnit:
 
     def test_step_times_each_component_class(self):
         profiler = SimulatorProfiler(window_cycles=10)
-        components = [Spinner(), Spinner()]
-        for cycle in range(5):
-            profiler.step(components, [], cycle)
+        _step(profiler, [Spinner(), Spinner()], 5)
         assert profiler.calls == {"Spinner": 10}
         assert profiler.totals["Spinner"] > 0
         assert profiler.cycles_profiled == 5
 
-    def test_hooks_timed_under_own_label(self):
-        profiler = SimulatorProfiler()
-        fired = []
-        profiler.step([], [fired.append], 0)
-        assert fired == [0]
-        assert HOOKS_LABEL in profiler.totals
-
     def test_windows_roll(self):
         profiler = SimulatorProfiler(window_cycles=3)
-        for cycle in range(7):
-            profiler.step([Spinner()], [], cycle)
+        _step(profiler, [Spinner()], 7)
         assert len(profiler.windows) == 2
         first_start, first_totals = profiler.windows[0]
         assert first_start == 0
@@ -49,7 +48,8 @@ class TestProfilerUnit:
 
     def test_shares_sum_to_one(self):
         profiler = SimulatorProfiler()
-        profiler.step([Spinner()], [lambda cycle: None], 0)
+        profiler.timed_tick("a", Spinner().tick, 0)
+        profiler.timed_tick("b", Spinner().tick, 0)
         assert sum(profiler.shares().values()) == pytest.approx(1.0)
 
     def test_empty_shares(self):
@@ -57,8 +57,7 @@ class TestProfilerUnit:
 
     def test_report_renders(self):
         profiler = SimulatorProfiler(window_cycles=2)
-        for cycle in range(4):
-            profiler.step([Spinner()], [], cycle)
+        _step(profiler, [Spinner()], 4)
         text = profiler.report()
         assert "Spinner" in text
         assert "component class" in text

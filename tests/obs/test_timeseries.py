@@ -127,7 +127,7 @@ class TestSampler:
         assert sample.span == 30
         assert sample.deltas["done"] == 35.0
         # Next boundary re-arms past the gap.
-        assert sampler.wake_at() == 39
+        assert sampler.event_wake_at(35) == 39
 
     def test_flush_emits_trailing_partial(self):
         source = FakeSource()
@@ -177,9 +177,8 @@ class TestSampler:
     def test_event_contract(self):
         sampler = TimeSeriesSampler(FakeSource(), 10)
         assert sampler.event_wake_at(0) == 9
+        assert sampler.event_wake_at(5) == 9
         assert sampler.event_wake_at(9) == 10  # boundary tick pending
-        assert sampler.is_idle(5) and not sampler.is_idle(9)
-        assert sampler.wake_at() == 9
 
     def test_on_sample_callback_sees_every_emission(self):
         seen = []

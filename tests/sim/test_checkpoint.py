@@ -3,10 +3,10 @@
 The contract under test (see :mod:`repro.sim.checkpoint`): for any
 cycle k, ``run(N)`` and ``run(k); save; load; run(N-k)`` are
 bit-identical — same metrics, same resilience ledger, same trace-event
-stream — on every dispatch tier, clean and faulty, for both NoC
-designs.  Alongside the identity, the snapshot file format itself:
-atomic writes, CRC/schema/truncation rejection with precise errors,
-and newest-valid selection.
+stream — in both dispatch modes and under cycle-by-cycle ``step()``,
+clean and faulty, for both NoC designs.  Alongside the identity, the
+snapshot file format itself: atomic writes, CRC/schema/truncation
+rejection with precise errors, and newest-valid selection.
 """
 
 import dataclasses
@@ -43,15 +43,16 @@ def _config(design, faults) -> SystemConfig:
     )
 
 
-def _forced(mode: str, simulator) -> None:
-    """Pin ``simulator`` to one dispatch tier (see engine module docs).
-    Re-applied after every load: restore re-derives dispatch state."""
-    if mode == "naive":
-        simulator.idle_skip = False
-    elif mode == "stepped":
-        simulator._all_event = False
-    else:
-        assert mode == "event"
+def _advance(mode: str, simulator, cycles: int) -> None:
+    """Advance ``cycles`` cycles: ``run()`` under event dispatch or naive
+    stepping, or cycle-by-cycle ``Simulator.step()`` ("stepped")."""
+    if mode == "stepped":
+        for _ in range(cycles):
+            simulator.step()
+        return
+    simulator.idle_skip = mode == "event"
+    simulator.run(cycles)
+    assert simulator.last_dispatch_mode == mode
 
 
 def _observe(system) -> dict:
@@ -88,24 +89,18 @@ def _diffs(a: dict, b: dict) -> dict:
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faulty"])
 def test_resume_identity_all_tiers(tmp_path, mode, design, faults):
     """run(N) == run(k); save; load; run(N-k) for k in {0, mid-run},
-    bit-identically, on every dispatch tier."""
+    bit-identically, in both dispatch modes and under step()."""
     baseline = build_system(_config(design, faults))
-    _forced(mode, baseline.simulator)
-    baseline.simulator.run(CYCLES)
-    assert baseline.simulator.last_dispatch_mode == mode
+    _advance(mode, baseline.simulator, CYCLES)
     expected = _observe(baseline)
 
     for k in (0, MID):
         system = build_system(_config(design, faults))
-        _forced(mode, system.simulator)
-        system.simulator.run(k)
+        _advance(mode, system.simulator, k)
         path = save_checkpoint(tmp_path / f"k{k}.ckpt", system)
         restored = load_checkpoint(path)
-        _forced(mode, restored.simulator)
-        restored.simulator.run(CYCLES - k)
+        _advance(mode, restored.simulator, CYCLES - k)
         assert restored.simulator.cycle == CYCLES
-        if k > 0:
-            assert restored.simulator.last_dispatch_mode == mode
         diffs = _diffs(_observe(restored), expected)
         assert not diffs, f"resume at k={k} diverged ({mode}): {diffs}"
 
@@ -115,18 +110,17 @@ def test_resume_identity_all_tiers(tmp_path, mode, design, faults):
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faulty"])
 def test_resume_identity_post_drain(tmp_path, mode, design, faults):
     """A snapshot taken after drain-to-quiescence resumes exactly: the
-    extended run fast-forwards the same idle horizon and metrics match a
+    extended run jumps the same idle horizon and metrics match a
     never-serialized continuation."""
     extra = 5_000
 
     def run_drain(system):
-        _forced(mode, system.simulator)
-        system.simulator.run(CYCLES)
+        _advance(mode, system.simulator, CYCLES)
         system.drain()
 
     baseline = build_system(_config(design, faults))
     run_drain(baseline)
-    baseline.simulator.run(extra)
+    _advance(mode, baseline.simulator, extra)
     expected = _observe(baseline)
 
     system = build_system(_config(design, faults))
@@ -134,14 +128,13 @@ def test_resume_identity_post_drain(tmp_path, mode, design, faults):
     restored = load_checkpoint(
         save_checkpoint(tmp_path / "drained.ckpt", system)
     )
-    _forced(mode, restored.simulator)
     before = restored.simulator.fast_forwarded_cycles
-    restored.simulator.run(extra)
+    _advance(mode, restored.simulator, extra)
     diffs = _diffs(_observe(restored), expected)
     assert not diffs, f"post-drain resume diverged ({mode}): {diffs}"
-    if mode != "naive":
-        # Restoration must not inhibit fast-forward: the quiescent
-        # horizon is still jumped, not stepped.
+    if mode == "event":
+        # Restoration keeps event dispatch: the quiescent horizon is
+        # still jumped, not ticked.
         jumped = restored.simulator.fast_forwarded_cycles - before
         assert jumped > extra * 0.9
 
@@ -264,9 +257,9 @@ def test_checkpoint_every_preserves_metrics_and_fast_forward():
     segmented.drain()
     segmented.simulator.run(6_000, checkpoint_every=137)
     assert not _diffs(_observe(segmented), _observe(plain))
-    # Segmentation must not inhibit fast-forward: jumps are clamped to
-    # segment ends (one stepped cycle per boundary), so the drained
-    # horizon is still almost entirely elided, never stepped through.
+    # Segmentation keeps gap jumping: jumps are clamped to segment ends
+    # (each segment processes its entry cycle), so the drained horizon
+    # is still almost entirely elided, never ticked through.
     boundaries = 6_000 // 137 + CYCLES // 137 + 2
     assert (
         segmented.simulator.fast_forwarded_cycles

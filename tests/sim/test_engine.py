@@ -1,11 +1,16 @@
-"""Simulator kernel tests: ordering, hooks, run control."""
+"""Simulator kernel tests: ordering, dispatch modes, run control."""
+
+from bisect import bisect_right
 
 import pytest
 
+from repro.obs.profiler import SimulatorProfiler
 from repro.sim.engine import Simulator
 
 
 class Recorder:
+    """Tick-only component: implements nothing but ``tick``."""
+
     def __init__(self, log, name):
         self.log = log
         self.name = name
@@ -14,98 +19,9 @@ class Recorder:
         self.log.append((cycle, self.name))
 
 
-def test_components_tick_in_registration_order():
-    log = []
-    sim = Simulator()
-    sim.add(Recorder(log, "a"))
-    sim.add(Recorder(log, "b"))
-    sim.step()
-    assert log == [(0, "a"), (0, "b")]
-
-
-def test_cycle_counts_advance():
-    sim = Simulator()
-    assert sim.cycle == 0
-    sim.step()
-    assert sim.cycle == 1
-    sim.run(9)
-    assert sim.cycle == 10
-
-
-def test_run_until_predicate_stops_early():
-    log = []
-    sim = Simulator()
-    sim.add(Recorder(log, "x"))
-    sim.run(100, until=lambda: len(log) >= 5)
-    assert sim.cycle == 5
-
-
-def test_run_rejects_negative_cycles():
-    with pytest.raises(ValueError):
-        Simulator().run(-1)
-
-
-def test_add_rejects_non_clocked():
-    with pytest.raises(TypeError):
-        Simulator().add(object())
-
-
-def test_add_returns_component_for_fluent_wiring():
-    sim = Simulator()
-    component = Recorder([], "a")
-    assert sim.add(component) is component
-
-
-def test_on_cycle_hook_runs_after_components():
-    log = []
-    sim = Simulator()
-    sim.add(Recorder(log, "comp"))
-    sim.on_cycle(lambda cycle: log.append((cycle, "hook")))
-    sim.step()
-    sim.step()
-    assert log == [(0, "comp"), (0, "hook"), (1, "comp"), (1, "hook")]
-
-
-def test_add_all_registers_in_iteration_order():
-    log = []
-    sim = Simulator()
-    sim.add_all([Recorder(log, "a"), Recorder(log, "b"), Recorder(log, "c")])
-    sim.step()
-    assert [name for _, name in log] == ["a", "b", "c"]
-
-
-def test_components_see_monotonic_cycles():
-    seen = []
-
-    class Watcher:
-        def tick(self, cycle):
-            seen.append(cycle)
-
-    sim = Simulator()
-    sim.add(Watcher())
-    sim.run(50)
-    assert seen == list(range(50))
-
-
-def test_run_until_true_at_entry_simulates_zero_cycles():
-    log = []
-    sim = Simulator()
-    sim.add(Recorder(log, "x"))
-    assert sim.run(100, until=lambda: True) == 0
-    assert sim.cycle == 0 and log == []
-
-
-def test_add_rejects_non_callable_tick_attribute():
-    class Broken:
-        tick = "not callable"
-
-    with pytest.raises(TypeError):
-        Simulator().add(Broken())
-
-
 class Sleeper:
-    """Idle-skip component: quiet until ``wake`` (None = purely reactive),
-    then ticks exactly once and goes quiet again."""
+    """Quiet until ``wake`` (None = purely reactive), then ticks once and
+    goes quiet again; records the ranges it was never ticked for."""
 
     def __init__(self, log, wake=None):
         self.log = log
@@ -117,116 +33,11 @@ class Sleeper:
         if self.wake is not None and cycle >= self.wake:
             self.wake = None
 
-    def is_idle(self, cycle):
-        return self.wake is None or cycle < self.wake
-
-    def wake_at(self):
+    def event_wake_at(self, cycle):
         return self.wake
 
     def on_cycles_skipped(self, start, stop):
         self.skipped.append((start, stop))
-
-
-def test_fast_forward_jumps_to_wake_cycle():
-    log = []
-    sim = Simulator()
-    component = sim.add(Sleeper(log, wake=40))
-    sim.run(100)
-    # Cycles 0-39 are skipped in one jump; 40 ticks; 41-99 jump to end.
-    assert log == [40]
-    assert sim.cycle == 100
-    assert sim.fast_forwarded_cycles == 99
-    assert component.skipped == [(0, 40), (41, 100)]
-
-
-def test_fast_forward_clamps_to_run_horizon():
-    log = []
-    sim = Simulator()
-    component = sim.add(Sleeper(log, wake=500))
-    sim.run(100)
-    assert log == []
-    assert sim.cycle == 100
-    assert component.skipped == [(0, 100)]
-    sim.run(500)
-    assert log == [500]
-    assert sim.cycle == 600
-
-
-def test_fast_forward_with_no_wake_jumps_to_end():
-    sim = Simulator()
-    component = sim.add(Sleeper([], wake=None))
-    sim.run(1_000)
-    assert sim.cycle == 1_000
-    assert sim.fast_forwarded_cycles == 1_000
-    assert component.skipped == [(0, 1_000)]
-
-
-def test_fast_forward_disabled_without_idle_skip():
-    log = []
-    sim = Simulator(idle_skip=False)
-    sim.add(Sleeper(log, wake=40))
-    sim.run(100)
-    # Naive stepping ticks every cycle, idle or not.
-    assert log == list(range(100))
-    assert sim.fast_forwarded_cycles == 0
-
-
-def test_fast_forward_disabled_with_cycle_hooks():
-    """on_cycle hooks observe individual cycles, so every cycle must step."""
-    log, hooks = [], []
-    sim = Simulator()
-    sim.add(Sleeper(log, wake=40))
-    sim.on_cycle(hooks.append)
-    sim.run(100)
-    assert hooks == list(range(100))
-    assert sim.fast_forwarded_cycles == 0
-
-
-def test_step_skips_idle_components_without_skip_accounting():
-    """Per-cycle dispatch honours is_idle for components that do not keep
-    per-cycle counters (no on_cycles_skipped)."""
-
-    class Gated:
-        def __init__(self):
-            self.ticks = []
-
-        def tick(self, cycle):
-            self.ticks.append(cycle)
-
-        def is_idle(self, cycle):
-            return cycle % 2 == 0  # idle on even cycles
-
-    sim = Simulator()
-    gated = sim.add(Gated())
-    always = sim.add(Recorder([], "busy"))
-    always.is_idle = None  # plain component: no idle contract
-    for _ in range(6):
-        sim.step()
-    assert gated.ticks == [1, 3, 5]
-
-
-def test_step_always_ticks_components_with_skip_accounting():
-    """A component with on_cycles_skipped keeps per-cycle state, so the
-    stepped path must tick it every cycle even while it reports idle —
-    only bulk fast-forward may elide its ticks (with accounting)."""
-    log = []
-    sleeper = Sleeper(log, wake=None)  # always idle
-    busy = Recorder([], "busy")        # keeps the system from fast-forwarding
-
-    sim = Simulator()
-    sim.add(sleeper)
-    sim.add(busy)
-    sim.run(10)
-    assert log == list(range(10))
-    assert sleeper.skipped == []
-
-# ---------------------------------------------------------------------- #
-# Event dispatch (tier 1)
-# ---------------------------------------------------------------------- #
-
-from bisect import bisect_right
-
-from repro.obs.profiler import SimulatorProfiler
 
 
 class EventRecorder:
@@ -285,6 +96,194 @@ class Firer(EventRecorder):
                 self.target.wake(self.deadline)
 
 
+# ---------------------------------------------------------------------- #
+# Ordering and run control
+# ---------------------------------------------------------------------- #
+
+
+def test_components_tick_in_registration_order():
+    log = []
+    sim = Simulator()
+    sim.add(Recorder(log, "a"))
+    sim.add(Recorder(log, "b"))
+    sim.step()
+    assert log == [(0, "a"), (0, "b")]
+
+
+def test_cycle_counts_advance():
+    sim = Simulator()
+    assert sim.cycle == 0
+    sim.step()
+    assert sim.cycle == 1
+    sim.run(9)
+    assert sim.cycle == 10
+
+
+def test_run_until_predicate_stops_early():
+    log = []
+    sim = Simulator()
+    sim.add(Recorder(log, "x"))
+    sim.run(100, until=lambda: len(log) >= 5)
+    assert sim.cycle == 5
+
+
+def test_run_rejects_negative_cycles():
+    with pytest.raises(ValueError):
+        Simulator().run(-1)
+
+
+def test_add_rejects_non_clocked():
+    with pytest.raises(TypeError):
+        Simulator().add(object())
+
+
+def test_add_returns_component_for_fluent_wiring():
+    sim = Simulator()
+    component = Recorder([], "a")
+    assert sim.add(component) is component
+
+
+def test_add_all_registers_in_iteration_order():
+    log = []
+    sim = Simulator()
+    sim.add_all([Recorder(log, "a"), Recorder(log, "b"), Recorder(log, "c")])
+    sim.step()
+    assert [name for _, name in log] == ["a", "b", "c"]
+
+
+def test_components_see_monotonic_cycles():
+    seen = []
+
+    class Watcher:
+        def tick(self, cycle):
+            seen.append(cycle)
+
+    sim = Simulator()
+    sim.add(Watcher())
+    sim.run(50)
+    assert seen == list(range(50))
+
+
+def test_run_until_true_at_entry_simulates_zero_cycles():
+    log = []
+    sim = Simulator()
+    sim.add(Recorder(log, "x"))
+    assert sim.run(100, until=lambda: True) == 0
+    assert sim.cycle == 0 and log == []
+
+
+def test_add_rejects_non_callable_tick_attribute():
+    class Broken:
+        tick = "not callable"
+
+    with pytest.raises(TypeError):
+        Simulator().add(Broken())
+
+
+def test_tick_only_component_ticks_every_cycle():
+    """A component with only ``tick`` is re-armed for the next cycle after
+    every tick: event dispatch ticks it every cycle, after the components
+    registered before it (how a per-cycle observer attaches), and jumps
+    no cycle while it is registered."""
+    log = []
+    sim = Simulator()
+    sim.add(EventRecorder(log, "event", schedule=[2]))
+    sim.add(Recorder(log, "observer"))
+    sim.run(4)
+    assert sim.last_dispatch_mode == "event"
+    assert log == [
+        (0, "event"), (0, "observer"), (1, "observer"),
+        (2, "event"), (2, "observer"), (3, "observer"),
+    ]
+    assert sim.fast_forwarded_cycles == 0
+
+
+# ---------------------------------------------------------------------- #
+# Gap jumping and skip accounting
+# ---------------------------------------------------------------------- #
+
+
+def test_fast_forward_jumps_to_wake_cycle():
+    log = []
+    sim = Simulator()
+    component = sim.add(Sleeper(log, wake=40))
+    sim.run(100)
+    # Run entry ticks cycle 0; 1-39 are jumped in one step; 40 ticks;
+    # 41-99 jump to the end.
+    assert log == [0, 40]
+    assert sim.cycle == 100
+    assert sim.fast_forwarded_cycles == 98
+    assert component.skipped == [(1, 40), (41, 100)]
+
+
+def test_fast_forward_clamps_to_run_horizon():
+    log = []
+    sim = Simulator()
+    component = sim.add(Sleeper(log, wake=500))
+    sim.run(100)
+    assert log == [0]
+    assert sim.cycle == 100
+    assert component.skipped == [(1, 100)]
+    sim.run(500)
+    # The next run arms everything at its entry cycle, then jumps on.
+    assert log == [0, 100, 500]
+    assert sim.cycle == 600
+
+
+def test_fast_forward_with_no_wake_jumps_to_end():
+    sim = Simulator()
+    component = sim.add(Sleeper([], wake=None))
+    sim.run(1_000)
+    assert sim.cycle == 1_000
+    assert sim.fast_forwarded_cycles == 999
+    assert component.skipped == [(1, 1_000)]
+
+
+def test_fast_forward_disabled_without_idle_skip():
+    log = []
+    sim = Simulator(idle_skip=False)
+    sim.add(Sleeper(log, wake=40))
+    sim.run(100)
+    # Naive stepping ticks every cycle, idle or not.
+    assert sim.last_dispatch_mode == "naive"
+    assert log == list(range(100))
+    assert sim.fast_forwarded_cycles == 0
+
+
+def test_step_always_ticks_components_with_skip_accounting():
+    """step() is naive stepping: it ticks every component, even one that
+    never arms itself, so nothing is left for bulk skip accounting."""
+    log = []
+    sim = Simulator()
+    sleeper = sim.add(Sleeper(log, wake=None))
+    for _ in range(10):
+        sim.step()
+    assert log == list(range(10))
+    assert sleeper.skipped == []
+
+
+def test_skip_accounting_restarts_at_each_event_run():
+    """Cycles that step() or a naive run ticked between two event runs
+    were observed already; resuming event dispatch must not bulk-account
+    them a second time."""
+    sim = Simulator()
+    sleeper = sim.add(Sleeper([], wake=None))
+    sim.run(10)
+    for _ in range(5):
+        sim.step()
+    sim.idle_skip = False
+    sim.run(5)
+    sim.idle_skip = True
+    sim.run(10)
+    assert sim.cycle == 30
+    assert sleeper.skipped == [(1, 10), (21, 30)]
+
+
+# ---------------------------------------------------------------------- #
+# Event dispatch
+# ---------------------------------------------------------------------- #
+
+
 def test_event_dispatch_engages_when_all_components_are_event_capable():
     log = []
     sim = Simulator()
@@ -304,15 +303,6 @@ def test_event_dispatch_jumps_unarmed_gaps():
     assert sim.cycle == 100
     assert [c for c, _ in log] == [0, 5]
     assert sim.fast_forwarded_cycles == 98  # 1-4 and 6-99
-
-
-def test_one_legacy_component_drops_the_run_to_stepping():
-    log = []
-    sim = Simulator()
-    sim.add(EventRecorder(log, "event", schedule=[]))
-    sim.add(Recorder(log, "legacy"))
-    sim.run(5)
-    assert sim.last_dispatch_mode == "stepped"
 
 
 def test_event_wake_reaches_a_later_component_the_same_cycle():
@@ -374,30 +364,9 @@ def test_profiler_rides_event_dispatch_without_inhibition():
     sim.attach_profiler(profiler)
     sim.run(10)
     assert sim.last_dispatch_mode == "event"
-    assert sim.fast_forward_inhibited is False
     # Only the cycles that actually processed ticks are attributed.
     assert profiler.cycles_profiled == 3
     assert profiler.totals.get("EventRecorder", 0) > 0
-
-
-def test_profiler_on_legacy_system_inhibits_fast_forward():
-    sim = Simulator()
-    sim.add(Sleeper([], wake=40))
-    sim.attach_profiler(SimulatorProfiler())
-    sim.run(10)
-    assert sim.last_dispatch_mode == "stepped"
-    assert sim.fast_forward_inhibited is True
-
-
-def test_cycle_hooks_inhibit_event_dispatch_and_set_telemetry():
-    log, hooks = [], []
-    sim = Simulator()
-    sim.add(EventRecorder(log, "a", schedule=[5]))
-    sim.on_cycle(hooks.append)
-    sim.run(10)
-    assert sim.last_dispatch_mode == "stepped"
-    assert sim.fast_forward_inhibited is True
-    assert hooks == list(range(10))
 
 
 def test_on_run_mode_announces_the_dispatch_tier():

@@ -1,11 +1,12 @@
-"""Golden regression: idle-skip stepping is bit-identical to naive stepping.
+"""Golden regression: event dispatch is bit-identical to naive stepping.
 
-The idle-skip contract (see :mod:`repro.sim.engine`) claims that skipping a
-component's tick when ``is_idle`` holds — and fast-forwarding whole idle
-gaps — changes no observable state.  These tests hold the kernel to that
-claim end-to-end: full systems run twice, once per kernel, and every
-reported metric (and the resilience ledger, when faults are injected) must
-match exactly.  Any drift here means a component's ``is_idle`` lied.
+The event contract (see :mod:`repro.sim.engine`) claims that ticking a
+component only on the cycles it arms — and jumping cycles on which
+nothing is armed — changes no observable state.  These tests hold the
+kernel to that claim end-to-end: full systems run twice, once per
+dispatch mode, and every reported metric (and the resilience ledger,
+when faults are injected) must match exactly.  Any drift here means a
+component missed a wake.
 """
 
 import dataclasses
@@ -15,6 +16,7 @@ import pytest
 from repro.core.system import build_system
 from repro.resilience.faults import FaultConfig
 from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
+from repro.sim.stats import RunMetrics
 
 CYCLES = 2_500
 WARMUP = 400
@@ -60,14 +62,11 @@ def test_idle_skip_metrics_bit_identical(design, faults):
 
 
 def test_fast_forward_engages_on_drained_system():
-    """The identity above is only meaningful if the fast path engages.
+    """The identity above is only meaningful if event dispatch skips work.
 
-    At the paper's operating point the fabric is saturated, so global
-    fast-forward never fires mid-run (per-cycle skipping carries the
-    speedup there); it fires on idle tails.  After :meth:`System.drain`
-    reaches quiescence, every component is idle with no self-wake, so a
-    further run must jump over (almost) the whole horizon instead of
-    stepping it."""
+    After :meth:`System.drain` reaches quiescence no component has work
+    left, so a further run must jump over (almost) the whole horizon
+    instead of ticking it."""
     config = SystemConfig(
         app="single_dtv", cycles=CYCLES, warmup=WARMUP,
         design=NocDesign.GSS_SAGM, seed=2010,
@@ -84,41 +83,47 @@ def test_fast_forward_engages_on_drained_system():
     )
 
 
-def _forced(mode: str, simulator) -> None:
-    """Pin ``simulator`` to one dispatch tier (see engine module docs)."""
-    if mode == "naive":
-        simulator.idle_skip = False
-    elif mode == "stepped":
-        simulator._all_event = False  # the legacy escape hatch
-    else:
-        assert mode == "event"
-
-
-def _run_mode(mode: str, design: NocDesign, faults) -> dict:
+def _run_checked(mode: str, design: NocDesign):
+    """Run the faulty config with the invariant checker on: ``run()``
+    under event dispatch or naive stepping, or cycle-by-cycle
+    ``Simulator.step()`` ("stepped").  Returns the metrics and the
+    checker."""
     config = SystemConfig(
-        app="single_dtv", cycles=CYCLES, warmup=WARMUP,
-        design=design, seed=2010, faults=faults,
+        app="single_dtv", cycles=CYCLES, warmup=WARMUP, design=design,
+        seed=2010, faults=FAULTS, check_invariants=True,
     )
     system = build_system(config)
-    _forced(mode, system.simulator)
-    metrics = system.run(CYCLES)
-    assert system.simulator.last_dispatch_mode == mode
-    return dataclasses.asdict(metrics)
+    simulator = system.simulator
+    if mode == "stepped":
+        for _ in range(CYCLES):
+            simulator.step()
+    else:
+        simulator.idle_skip = mode == "event"
+        simulator.run(CYCLES)
+        assert simulator.last_dispatch_mode == mode
+    metrics = RunMetrics.from_collector(
+        system.stats, simulator.cycle, scheduler=system.subsystem
+    )
+    return dataclasses.asdict(metrics), system.invariant_checker
 
 
 @pytest.mark.parametrize("mode", ["event", "stepped"])
 @pytest.mark.parametrize("design", [NocDesign.GSS_SAGM, NocDesign.CONV])
 def test_every_dispatch_tier_matches_naive(mode, design):
-    """Three-way golden identity: the event calendar queue and the stepped
-    idle-skip kernel must both reproduce naive stepping exactly."""
-    observed = _run_mode(mode, design, FAULTS)
-    naive = _run_mode("naive", design, FAULTS)
+    """Event dispatch and cycle-by-cycle ``step()`` both reproduce a naive
+    ``run()`` exactly with faults injected and the invariant checker on.
+    The checker is an ordinary component armed at its stride, so every
+    mode audits exactly the stride multiples of the horizon."""
+    observed, checker = _run_checked(mode, design)
+    naive, naive_checker = _run_checked("naive", design)
     diffs = {
         key: (observed[key], naive[key])
         for key in observed
         if observed[key] != naive[key]
     }
     assert not diffs, f"{mode} dispatch diverged from naive stepping: {diffs}"
+    strides = len(range(0, CYCLES, checker.interval))
+    assert checker.checks_run == naive_checker.checks_run == strides
 
 
 # ---------------------------------------------------------------------- #
@@ -224,15 +229,18 @@ def _scripted_run(config, traffic, naive: bool):
         system.simulator.idle_skip = False
         sink = system.memory_interface.sink
 
-        def observe(cycle):
-            if sink.entries:
-                head = sink.entries[0]
-                if not head.fully_received:
-                    seen["partial_head"] += 1
-                elif not subsystem.can_accept(head.packet.request):
-                    seen["blocked_head"] += 1
+        class SinkObserver:
+            """Tick-only, registered last: sees end-of-cycle state."""
 
-        system.simulator.on_cycle(observe)
+            def tick(self, cycle):
+                if sink.entries:
+                    head = sink.entries[0]
+                    if not head.fully_received:
+                        seen["partial_head"] += 1
+                    elif not subsystem.can_accept(head.packet.request):
+                        seen["blocked_head"] += 1
+
+        system.simulator.add(SinkObserver())
     metrics = dataclasses.asdict(system.run(config.cycles))
     return admissions, metrics, seen
 

@@ -30,7 +30,8 @@ class TestParser:
 
 
 class TestInputHardening:
-    """Bad counts are argparse usage errors (exit 2), not tracebacks."""
+    """Bad counts and rates are argparse usage errors (exit 2), not
+    tracebacks."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--cycles", "0"],
@@ -49,6 +50,9 @@ class TestInputHardening:
         ["faults", "--warmup", "-3"],
         ["sweep", "grid", "--axis", "seed=1", "--jobs", "0"],
         ["bench", "--reps", "0"],
+        ["run", "--cycles", "1200", "--warmup", "200", "--fault-rate", "-0.001"],
+        ["faults", "--rates", "0", "2"],
+        ["sweep", "fault", "--rates", "nan"],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as raised:
@@ -171,10 +175,12 @@ class TestFaultCommands:
                      "--check-invariants"])
         assert code == 0
 
-    def test_bad_fault_rate_rejected(self):
-        with pytest.raises(ValueError, match="rate"):
+    def test_bad_fault_rate_rejected(self, capsys):
+        with pytest.raises(SystemExit) as raised:
             main(["run", "--cycles", "1200", "--warmup", "200",
                   "--fault-rate", "2.0"])
+        assert raised.value.code == 2
+        assert "rate in [0, 1]" in capsys.readouterr().err
 
     def test_faults_sweep_renders_and_exits_clean(self, capsys):
         code = main(["faults", "--cycles", "1500", "--warmup", "300",
