@@ -182,20 +182,45 @@ def test_add_rejects_non_callable_tick_attribute():
 
 def test_tick_only_component_ticks_every_cycle():
     """A component with only ``tick`` is re-armed for the next cycle after
-    every tick: event dispatch ticks it every cycle, after the components
-    registered before it (how a per-cycle observer attaches), and jumps
-    no cycle while it is registered."""
+    every tick, so event dispatch ticks it every cycle."""
     log = []
     sim = Simulator()
-    sim.add(EventRecorder(log, "event", schedule=[2]))
-    sim.add(Recorder(log, "observer"))
+    sim.add(Recorder(log, "x"))
+    sim.run(20)
+    assert sim.last_dispatch_mode == "event"
+    assert log == [(cycle, "x") for cycle in range(20)]
+    assert sim.fast_forwarded_cycles == 0
+
+
+def test_on_cycle_hook_runs_after_components():
+    """A per-cycle observer (what an ``on_cycle`` hook does) is a tick-only
+    component registered last: under event dispatch it sees every cycle
+    after the components registered before it ticked that cycle."""
+    log = []
+    sim = Simulator()
+    sim.add(EventRecorder(log, "comp", schedule=[2]))
+    sim.add(Recorder(log, "hook"))
     sim.run(4)
     assert sim.last_dispatch_mode == "event"
     assert log == [
-        (0, "event"), (0, "observer"), (1, "observer"),
-        (2, "event"), (2, "observer"), (3, "observer"),
+        (0, "comp"), (0, "hook"), (1, "hook"),
+        (2, "comp"), (2, "hook"), (3, "hook"),
     ]
+
+
+def test_fast_forward_disabled_with_cycle_hooks():
+    """A per-cycle observer needs every cycle, so while one is registered
+    no cycle is jumped; the quiet component beside it still ticks only
+    when armed, and the cycles it sat out are skip-accounted once."""
+    log, hooks = [], []
+    sim = Simulator()
+    sleeper = sim.add(Sleeper(log, wake=40))
+    sim.add(Recorder(hooks, "hook"))
+    sim.run(100)
+    assert [cycle for cycle, _ in hooks] == list(range(100))
     assert sim.fast_forwarded_cycles == 0
+    assert log == [0, 40]
+    assert sleeper.skipped == [(1, 40), (41, 100)]
 
 
 # ---------------------------------------------------------------------- #
