@@ -1,167 +1,16 @@
-"""Microbenchmarks of the simulation kernel itself.
+"""Overhead guards on the simulator's observability hooks.
 
-Not a paper exhibit — these measure simulated-cycles-per-second of the
-core building blocks so performance regressions in the simulator are
-caught alongside the reproduction benchmarks.
+A disabled tracer and a telemetry sampler must each cost at most 5% of
+an unobserved run.  CI runs both guards by node ID.  Simulator speed
+itself is measured by the repository benchmark, ``python3 -m bench``
+(see ``bench/README.md``).
 """
 
-import os
 import time
-from itertools import count
 
-from tests.helpers import make_request
 from repro.core.system import build_system
-from repro.dram.controller import CommandEngine
-from repro.dram.device import SdramDevice
-from repro.dram.timing import DramTiming
-from repro.experiments import bench
 from repro.obs import NullTracer
-from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TRAJECTORY_PATH = os.path.join(REPO_ROOT, bench.TRAJECTORY_FILE)
-#: The naive per-cycle kernel's measurement lives in BENCH_5.json's
-#: baseline; later trajectory files baseline against the previous PR's
-#: kernel, so the historical 2x claim is always judged against this file.
-NAIVE_BASELINE_PATH = os.path.join(REPO_ROOT, "BENCH_5.json")
-
-
-def test_full_system_cycles_per_second(benchmark):
-    system = build_system(SystemConfig(app="single_dtv", cycles=100_000,
-                                       design=NocDesign.GSS_SAGM))
-
-    def step_chunk():
-        for _ in range(500):
-            system.simulator.step()
-
-    benchmark(step_chunk)
-
-
-def test_dram_engine_throughput(benchmark):
-    timing = DramTiming.for_clock(DdrGeneration.DDR2, 333)
-    ids = count()
-
-    def serve_batch():
-        device = SdramDevice(timing)
-        engine = CommandEngine(device, burst_beats=8)
-        pending = [
-            make_request(request_id=next(ids), bank=i % 8, row=i // 8, beats=16)
-            for i in range(64)
-        ]
-        cycle = 0
-        while (pending or not engine.idle) and cycle < 10_000:
-            if pending and engine.has_space:
-                engine.accept(pending.pop(0), cycle)
-            engine.tick(cycle)
-            engine.drain_finished()
-            cycle += 1
-
-    benchmark(serve_batch)
-
-
-def test_conv_system_cycles_per_second(benchmark):
-    system = build_system(SystemConfig(app="dual_dtv", cycles=100_000,
-                                       design=NocDesign.CONV))
-
-    def step_chunk():
-        for _ in range(500):
-            system.simulator.step()
-
-    benchmark(step_chunk)
-
-
-def test_kernel_speedup_vs_recorded_naive_baseline():
-    """The fast-path kernel must hold ≥2x the naive kernel's cycles/sec.
-
-    ``BENCH_5.json``'s baseline records the last naive per-cycle kernel
-    (pre-idle-skip); every kernel since — idle-skip, then the event
-    calendar queue — must keep the full-system GSS+SAGM throughput at
-    least 2x above it.  This test re-measures the current tree and
-    asserts that floor, judged on the raw ratio or — when this host
-    differs from the recording host — on the calibration-scaled ratio,
-    whichever is more representative.  Up to three measurement attempts
-    absorb transient host noise (each attempt is itself a min-of-reps
-    estimate)."""
-    recorded = bench.load_trajectory(NAIVE_BASELINE_PATH)
-    baseline = recorded["baseline"]
-    base_cps = float(
-        baseline["full_system_gss_sagm"]["cycles_per_second"]
-    )
-
-    best_raw = best_scaled = 0.0
-    for _ in range(3):
-        result = bench.bench_full_system(
-            NocDesign.GSS_SAGM, "single_dtv", cycles=12_000,
-            reps=4, warmup_reps=1,
-        )
-        current = {"calibration_kops": bench.calibrate()}
-        scale = bench.machine_scale(baseline, current)
-        raw = result.cycles_per_second / base_cps
-        scaled = result.cycles_per_second / (base_cps * scale)
-        best_raw = max(best_raw, raw)
-        best_scaled = max(best_scaled, scaled)
-        if best_raw >= 2.0 or best_scaled >= 2.0:
-            break
-
-    assert best_raw >= 2.0 or best_scaled >= 2.0, (
-        f"full-system GSS+SAGM speedup fell below 2x the recorded naive "
-        f"baseline ({base_cps:.0f} c/s): best raw {best_raw:.2f}x, best "
-        f"calibration-scaled {best_scaled:.2f}x"
-    )
-
-
-def test_recorded_trajectory_is_monotone():
-    """The committed ``BENCH_<n>.json`` history must never walk backwards.
-
-    Each file's ``current`` point is the kernel that PR shipped.  After
-    scaling out host speed (cycles/sec per calibration kop), every later
-    point must stay within tolerance of the best point recorded before
-    it — a PR that trades away more than the measurement noise floor on
-    any standing benchmark has to say so by rewriting history, not by
-    silently appending a slower point.  Tolerance matches the noise
-    floor documented in BENCH_7.json's protocol (an untouched-code
-    control benchmark swings ~0.9-1.1x between interleaved rounds).
-
-    Pure file arithmetic — no measurement, so it is deterministic."""
-    import glob
-
-    paths = sorted(
-        glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json")),
-        key=lambda p: int(os.path.basename(p)[6:-5]),
-    )
-    assert TRAJECTORY_PATH in paths, "current trajectory file not committed"
-    tolerance = 0.25
-    best: dict = {}
-    for path in paths:
-        point = bench.load_trajectory(path)["current"]
-        kops = float(point["calibration_kops"])
-        for name, entry in point.items():
-            if not isinstance(entry, dict) or "cycles_per_second" not in entry:
-                continue
-            scaled = float(entry["cycles_per_second"]) / kops
-            prior_best = best.get(name)
-            if prior_best is not None:
-                floor = prior_best * (1.0 - tolerance)
-                assert scaled >= floor, (
-                    f"{os.path.basename(path)}: {name} at {scaled:.2f} "
-                    f"c/s-per-kop fell below the trajectory floor "
-                    f"{floor:.2f} (best earlier point {prior_best:.2f})"
-                )
-            best[name] = max(prior_best or 0.0, scaled)
-
-
-def test_benchmark_trajectory_holds():
-    """The committed trajectory point must still be reachable: no
-    benchmark may regress more than 20% (calibration-scaled) below the
-    recorded ``current`` point — the same check CI runs via
-    ``repro bench --check``."""
-    recorded = bench.load_trajectory(TRAJECTORY_PATH)["current"]
-    for attempt in range(3):
-        point = bench.run_benchmarks(reps=4, warmup_reps=1)
-        failures = bench.check_regression(recorded, point, max_regression=0.2)
-        if not failures:
-            return
-    assert not failures, "; ".join(failures)
+from repro.sim.config import NocDesign, SystemConfig
 
 
 def test_null_tracer_overhead_bounded():

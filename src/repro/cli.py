@@ -25,7 +25,9 @@ from typing import List, Optional
 
 from .core.system import build_system
 from .experiments import fig8, table1, table2, table3, table4, table5
-from .sim.config import DdrGeneration, NocDesign, SystemConfig
+from .sim.config import (
+    PAPER_CLOCK_POINTS, DdrGeneration, NocDesign, SystemConfig,
+)
 
 
 #: Default content-addressed result store shared by `repro all` and
@@ -57,6 +59,17 @@ def _arbiter(value: str) -> str:
         raise argparse.ArgumentTypeError(
             f"unknown memory-arbiter backend {value!r}; choose from "
             f"{registered_backends()}"
+        )
+    return value
+
+
+def _app(value: str) -> str:
+    from .workloads.apps import APP_MODELS
+
+    if value not in APP_MODELS:
+        raise argparse.ArgumentTypeError(
+            f"unknown application model {value!r}; choose from "
+            f"{sorted(APP_MODELS)}"
         )
     return value
 
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--rates", type=_rate, nargs="+", default=None, metavar="RATE",
         help="uniform fault rates to sweep (default: 0 1e-4 1e-3 1e-2)",
     )
-    faults.add_argument("--app", default="single_dtv")
+    faults.add_argument("--app", type=_app, default="single_dtv")
     faults.add_argument("--cycles", type=_positive, default=None)
     faults.add_argument("--warmup", type=_non_negative, default=None)
     faults.add_argument("--seed", type=int, default=2010)
@@ -264,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     arbiters_cmd.add_argument("--priority", action="store_true")
     arbiters_cmd.add_argument(
-        "--apps", nargs="+", default=None, metavar="APP",
+        "--apps", nargs="+", choices=tuple(PAPER_CLOCK_POINTS), default=None,
+        metavar="APP",
         help="restrict the application rows (default: all three)",
     )
     arbiters_cmd.add_argument("--cycles", type=_positive, default=None)
@@ -308,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniform fault rates (default: 0 1e-4 1e-3 1e-2)",
     )
     sweep_fault.add_argument("--seeds", type=int, nargs="+", default=[2010])
-    sweep_fault.add_argument("--app", default="single_dtv")
+    sweep_fault.add_argument("--app", type=_app, default="single_dtv")
     sweep_fault.add_argument("--cycles", type=_positive, default=None)
     sweep_fault.add_argument("--warmup", type=_non_negative, default=None)
     sweep_fault.add_argument("--drain-cycles", type=_non_negative, default=None)
@@ -329,13 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
         "pin --set fields, derive per-job seeds unless seed is an axis",
     )
     sweep_grid.add_argument(
-        "--axis", action="append", default=[], metavar="FIELD=V1,V2,...",
+        "--axis", type=_axis, action="append", default=[],
+        metavar="FIELD=V1,V2,...",
         help="swept field and its values (repeatable); fields are "
         "SystemConfig fields plus fault_rate",
     )
     sweep_grid.add_argument(
-        "--set", action="append", default=[], metavar="FIELD=VALUE",
-        dest="pins", help="pinned field override (repeatable)",
+        "--set", type=_pin, action="append", default=[],
+        metavar="FIELD=VALUE", dest="pins",
+        help="pinned field override (repeatable)",
     )
     sweep_grid.add_argument(
         "--replicates", type=_positive, default=1, metavar="N",
@@ -352,29 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--cycles", type=_positive, default=None)
     export.add_argument("--warmup", type=_non_negative, default=None)
     export.add_argument("--seeds", type=int, nargs="+", default=None)
-
-    bench_cmd = sub.add_parser(
-        "bench", help="run the standing simulator benchmarks"
-    )
-    bench_cmd.add_argument("--cycles", type=_positive, default=None)
-    bench_cmd.add_argument("--reps", type=_positive, default=None)
-    bench_cmd.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="also write the measured point as a trajectory JSON file",
-    )
-    bench_cmd.add_argument(
-        "--check", metavar="TRAJECTORY", default=None,
-        help="compare against a recorded BENCH_*.json; exit 1 if any "
-        "benchmark regressed more than --max-regression",
-    )
-    bench_cmd.add_argument(
-        "--max-regression", type=float, default=0.2,
-        help="allowed calibration-scaled cycles/sec drop (default 0.2)",
-    )
-    bench_cmd.add_argument(
-        "--telemetry", metavar="PATH", default=None,
-        help="stream one bench_round record per timed repetition to PATH",
-    )
 
     return parser
 
@@ -460,7 +453,7 @@ def _add_config_args(
     default_warmup: int = 3_000,
 ) -> None:
     """The shared single-configuration flags (run / trace / profile)."""
-    parser.add_argument("--app", default="single_dtv")
+    parser.add_argument("--app", type=_app, default="single_dtv")
     parser.add_argument("--design", type=_design, default=NocDesign.GSS_SAGM)
     parser.add_argument("--ddr", type=_ddr, default=DdrGeneration.DDR2)
     parser.add_argument("--clock", type=_positive, default=333, metavar="MHZ")
@@ -729,6 +722,8 @@ def _cmd_run(args) -> int:
             f"({writer.records_written} records)"
         )
     if getattr(args, "prom", None):
+        from pathlib import Path
+
         from .obs.stream import prometheus_exposition
 
         registry = system.collect_metrics()
@@ -739,8 +734,9 @@ def _cmd_run(args) -> int:
             histogram = registry.histogram(name)
             for value in series.samples:
                 histogram.record(value)
-        with open(args.prom, "w", encoding="utf-8") as handle:
-            handle.write(prometheus_exposition(registry))
+        prom_path = Path(args.prom)
+        prom_path.parent.mkdir(parents=True, exist_ok=True)
+        prom_path.write_text(prometheus_exposition(registry), encoding="utf-8")
         print(f"prometheus    : {args.prom} ({len(registry)} metrics)")
     if getattr(args, "checkpoint", None):
         # An explicit --checkpoint also snapshots the *completed* run,
@@ -815,46 +811,6 @@ def _cmd_profile(args) -> None:
     print(profiler.report(windows=args.windows))
 
 
-def _cmd_bench(args) -> int:
-    from .experiments import bench
-
-    kwargs = {}
-    if args.cycles is not None:
-        kwargs["cycles"] = args.cycles
-    if args.reps is not None:
-        kwargs["reps"] = args.reps
-    telemetry = None
-    if getattr(args, "telemetry", None):
-        from .obs.stream import TelemetryWriter
-
-        telemetry = TelemetryWriter(args.telemetry)
-    try:
-        point = bench.run_benchmarks(telemetry=telemetry, **kwargs)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    print(bench.render(point))
-    if args.json:
-        bench.write_trajectory(args.json, point)
-        print(f"wrote {args.json}")
-    if args.check:
-        document = bench.load_trajectory(args.check)
-        for warning in bench.host_mismatch(document.get("host")):
-            print(
-                f"WARNING cross-host comparison — {warning}",
-                file=sys.stderr,
-            )
-        failures = bench.check_regression(
-            document["current"], point, max_regression=args.max_regression
-        )
-        for failure in failures:
-            print(f"REGRESSION {failure}")
-        if failures:
-            return 1
-        print(f"trajectory holds (vs {args.check})")
-    return 0
-
-
 #: SystemConfig fields the generic grid can sweep or pin, with their
 #: value parsers (`fault_rate` is the uniform-profile pseudo-field).
 _SWEEP_BOOL_FIELDS = frozenset(
@@ -874,7 +830,7 @@ def _grid_value(field: str, text: str):
     if field == "ddr":
         return _ddr(text)
     if field == "app":
-        return text
+        return _app(text)
     if field in _SWEEP_BOOL_FIELDS:
         lowered = text.lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -887,9 +843,14 @@ def _grid_value(field: str, text: str):
     if field == "arbiter":
         return _arbiter(text)
     if field == "fault_rate":
-        return float(text)
+        return _rate(text)
     if field in _SWEEP_INT_FIELDS:
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{field} expects an integer, got {text!r}"
+            ) from None
     raise argparse.ArgumentTypeError(
         f"unknown sweep field {field!r}; sweepable fields: app, arbiter, "
         f"design, ddr, fault_rate, "
@@ -907,6 +868,16 @@ def _parse_assignment(text: str, multi: bool):
     if multi:
         return field, [_grid_value(field, part) for part in raw.split(",")]
     return field, _grid_value(field, raw)
+
+
+def _axis(text: str):
+    """argparse ``type`` for `--axis FIELD=V1,V2,...`."""
+    return _parse_assignment(text, multi=True)
+
+
+def _pin(text: str):
+    """argparse ``type`` for `--set FIELD=VALUE`."""
+    return _parse_assignment(text, multi=False)
 
 
 def _sweep_document(report) -> dict:
@@ -1051,14 +1022,8 @@ def _cmd_sweep(args) -> int:
             print()
             print(report.summary())
     else:  # generic SystemConfig grid
-        axes = {}
-        for entry in args.axis:
-            field, values = _parse_assignment(entry, multi=True)
-            axes[field] = values
-        base = {}
-        for entry in args.pins:
-            field, value = _parse_assignment(entry, multi=False)
-            base[field] = value
+        axes = dict(args.axis)
+        base = dict(args.pins)
         if not axes:
             print("error: at least one --axis is required", file=sys.stderr)
             return 2
@@ -1171,18 +1136,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs.setdefault("seeds", (2010,))
         export_all(args.output, **kwargs)
         print(f"wrote {args.output}")
-    elif args.command == "bench":
-        return _cmd_bench(args)
     elif args.command == "monitor":
         from .obs.monitor import run_monitor
 
-        return run_monitor(
-            args.stream,
-            follow=args.follow,
-            once=args.once,
-            refresh_s=args.refresh,
-            max_seconds=args.max_seconds,
-        )
+        try:
+            return run_monitor(
+                args.stream,
+                follow=args.follow,
+                once=args.once,
+                refresh_s=args.refresh,
+                max_seconds=args.max_seconds,
+            )
+        except OSError as exc:
+            if exc.filename is None:
+                raise  # not the stream failing, e.g. a closed stdout
+            raise SystemExit(
+                f"error: cannot read {args.stream}: {exc.strerror}"
+            )
     elif args.command == "arbiters":
         from .experiments.comparison import (
             run_arbiter_comparison,

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
+from ..sim.stats import percentile
+
 
 class Counter:
     """Monotonically increasing count."""
@@ -77,13 +79,9 @@ class Histogram:
         return self.total / self.count if self.count else 0.0
 
     def percentile(self, q: float) -> float:
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be within [0, 100]")
         if not self.samples:
             raise ValueError(f"histogram {self.name!r} has no samples")
-        ordered = sorted(self.samples)
-        index = min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1)))
-        return float(ordered[index])
+        return percentile(self.samples, q)
 
 
 Metric = Union[Counter, Gauge, Histogram]

@@ -7,8 +7,8 @@ has a ``type`` and a wall-clock ``ts``:
 
 * ``run_start`` — manifest for one simulation: fully-resolved config
   payload and its content-addressed hash (the sweep-store key), seed,
-  sampling interval, and the host manifest (python, numpy, cpu count,
-  git describe);
+  sampling interval, and the host manifest (python, cpu count, git
+  describe);
 * ``sample`` — one :class:`~repro.obs.timeseries.Sample`, as emitted by
   the interval sampler (coalesced gap samples included);
 * ``run_end`` — end-of-run summary (the headline RunMetrics fields);
@@ -17,7 +17,6 @@ has a ``type`` and a wall-clock ``ts``:
   the sweep orchestrator's lifecycle, including per-worker heartbeats
   written *by the worker processes themselves* (single-line ``O_APPEND``
   writes, so no cross-process locking is needed);
-* ``bench_round`` — one timed repetition of a standing benchmark;
 * ``checkpoint`` — one snapshot written by ``repro run`` (periodic or
   signal-triggered): cycle, path, and reason.
 
@@ -48,7 +47,6 @@ RECORD_TYPES = frozenset([
     "run_start", "sample", "run_end",
     "sweep_start", "job_start", "job_done", "job_fail", "job_hit",
     "heartbeat", "sweep_progress", "sweep_end",
-    "bench_round",
     "checkpoint",
 ])
 
@@ -211,10 +209,9 @@ def git_describe() -> Optional[str]:
 
 
 def host_manifest() -> Dict[str, object]:
-    """Who/what produced a measurement: the fields trajectory and
-    telemetry comparisons need to flag cross-host mixing."""
-    import importlib.util
-
+    """Who/what produced a measurement: the fields a comparison of two
+    telemetry streams or benchmark reports needs to flag cross-host
+    mixing."""
     try:
         hostname = socket.gethostname()
     except OSError:  # pragma: no cover - esoteric hosts
@@ -225,7 +222,6 @@ def host_manifest() -> Dict[str, object]:
         "platform": platform.platform(),
         "hostname": hostname,
         "cpu_count": os.cpu_count(),
-        "numpy": importlib.util.find_spec("numpy") is not None,
         "git": git_describe(),
         "pid": os.getpid(),
     }

@@ -34,6 +34,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
+from ..sim.stats import percentile
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -128,14 +130,12 @@ class RingBuffer:
 
 
 def window_percentiles(values: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/p99 of one window's latency samples (nearest-rank)."""
-    ordered = sorted(values)
-    n = len(ordered)
-    out: Dict[str, float] = {}
-    for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0)):
-        index = min(n - 1, round(q / 100 * (n - 1)))
-        out[name] = float(ordered[index])
-    return out
+    """p50/p95/p99 of one window's latency samples (R-7, see
+    :func:`repro.sim.stats.percentile`)."""
+    return {
+        name: percentile(values, q)
+        for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
+    }
 
 
 class SampleSource:

@@ -18,7 +18,28 @@ records request completions plus per-cycle bus activity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile (0-100) of ``samples``, with linear
+    interpolation between closest ranks (the numpy/R-7 default).
+
+    The one estimator behind every reported percentile:
+    :meth:`LatencySeries.percentile`, the metrics registry's histograms
+    and the sampler's per-window p50/p95/p99.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError("percentile must be within [0, 100]")
+    if not samples:
+        raise ValueError("percentile of no samples")
+    ordered = sorted(samples)
+    rank = q / 100 * (len(ordered) - 1)
+    lower = int(rank)
+    fraction = rank - lower
+    if fraction == 0.0:
+        return float(ordered[lower])
+    return ordered[lower] + (ordered[lower + 1] - ordered[lower]) * fraction
 
 
 @dataclass
@@ -62,8 +83,8 @@ class LatencySeries:
         return float(self.minimum)
 
     def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of recorded latencies, with
-        linear interpolation between closest ranks (the numpy/R-7 default).
+        """The ``q``-th percentile (0-100) of recorded latencies, by the
+        module's :func:`percentile` estimator (R-7).
 
         ``q == 0`` and ``q == 100`` are served exactly from the running
         minimum/maximum — no rank arithmetic, no ``keep_samples``
@@ -85,15 +106,7 @@ class LatencySeries:
                 "(check warmup vs. run length, or whether the class ever "
                 "completed)"
             )
-        ordered = sorted(self.samples)
-        rank = q / 100 * (len(ordered) - 1)
-        lower = int(rank)
-        fraction = rank - lower
-        if fraction == 0.0:
-            return float(ordered[lower])
-        return (
-            ordered[lower] + (ordered[lower + 1] - ordered[lower]) * fraction
-        )
+        return percentile(self.samples, q)
 
 
 class StatsCollector:

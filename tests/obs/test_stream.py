@@ -109,10 +109,9 @@ class TestManifests:
         manifest = host_manifest()
         for field in (
             "python", "implementation", "platform", "hostname",
-            "cpu_count", "numpy", "git", "pid",
+            "cpu_count", "git", "pid",
         ):
             assert field in manifest
-        assert isinstance(manifest["numpy"], bool)
 
     def test_run_manifest_key_matches_sweep_store(self):
         from repro.sweep import config_payload, job_key, metrics_job
@@ -129,7 +128,7 @@ class TestManifests:
 
     def test_record_types_cover_protocol(self):
         assert {"run_start", "sample", "run_end", "heartbeat",
-                "sweep_progress", "bench_round"} <= RECORD_TYPES
+                "sweep_progress"} <= RECORD_TYPES
 
 
 class TestPrometheus:

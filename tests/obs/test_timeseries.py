@@ -58,8 +58,8 @@ class TestWindowPercentiles:
         values = [float(v) for v in range(1, 101)]
         out = window_percentiles(values)
         assert 49.0 <= out["p50"] <= 51.0
-        assert out["p95"] == 95.0
-        assert out["p99"] == 99.0
+        assert out["p95"] == 95.05
+        assert out["p99"] == 99.01
 
 
 class FakeSeries:

@@ -225,3 +225,22 @@ class TestPercentiles:
     def test_empty_percentile_raises(self):
         with pytest.raises(ValueError, match="empty series"):
             LatencySeries(keep_samples=True).percentile(99)
+
+    @pytest.mark.parametrize(
+        "values", [[10, 20], list(range(1, 101))], ids=["two", "1..100"]
+    )
+    def test_every_reported_percentile_agrees(self, values):
+        """`run --percentiles`, the `--prom` histograms and the sampler's
+        windows report one series with one set of numbers."""
+        from repro.obs.metrics import Histogram
+        from repro.obs.timeseries import window_percentiles
+
+        series = LatencySeries(keep_samples=True)
+        histogram = Histogram("latency.all")
+        for value in values:
+            series.record(value)
+            histogram.record(value)
+        window = window_percentiles(values)
+        for name, q in (("p50", 50), ("p95", 95), ("p99", 99)):
+            assert histogram.percentile(q) == series.percentile(q)
+            assert window[name] == series.percentile(q)

@@ -29,9 +29,13 @@ class TestParser:
             build_parser().parse_args([])
 
 
+#: Stands for a result-store path under the test's ``tmp_path``.
+STORE = "<store>"
+
+
 class TestInputHardening:
-    """Bad counts and rates are argparse usage errors (exit 2), not
-    tracebacks."""
+    """Bad counts, rates, apps and sweep-grid values are argparse usage
+    errors (exit 2), not tracebacks."""
 
     @pytest.mark.parametrize("argv", [
         ["run", "--cycles", "0"],
@@ -49,12 +53,26 @@ class TestInputHardening:
         ["fig8", "--max-routers", "-1"],
         ["faults", "--warmup", "-3"],
         ["sweep", "grid", "--axis", "seed=1", "--jobs", "0"],
-        ["bench", "--reps", "0"],
+        ["run", "--app", "nosuch"],
         ["run", "--cycles", "1200", "--warmup", "200", "--fault-rate", "-0.001"],
         ["faults", "--rates", "0", "2"],
         ["sweep", "fault", "--rates", "nan"],
+        ["trace", "--app", "nosuch"],
+        ["profile", "--app", "nosuch"],
+        ["faults", "--app", "nosuch"],
+        ["sweep", "fault", "--app", "nosuch", "--store", STORE],
+        ["arbiters", "--apps", "nosuch"],
+        ["sweep", "grid", "--axis", "app=nosuch", "--store", STORE],
+        ["sweep", "grid", "--axis", "bogus=1", "--store", STORE],
+        ["sweep", "grid", "--axis", "seed=", "--store", STORE],
+        ["sweep", "grid", "--axis", "seed=abc", "--store", STORE],
+        ["sweep", "grid", "--axis", "fault_rate=2", "--store", STORE],
+        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=ten",
+         "--store", STORE],
     ])
-    def test_bad_value_is_usage_error(self, argv, capsys):
+    def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
+        store = str(tmp_path / "store.jsonl")
+        argv = [store if arg == STORE else arg for arg in argv]
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2
@@ -335,12 +353,13 @@ class TestSweepCommand:
         assert "--axis" in capsys.readouterr().err
 
     def test_grid_rejects_unknown_field(self, tmp_path):
-        with pytest.raises(Exception):
+        with pytest.raises(SystemExit) as raised:
             main([
                 "sweep", "grid", "--axis", "bogus_field=1,2",
                 "--jobs", "1", "--store", str(tmp_path / "s.jsonl"),
                 "--quiet",
             ])
+        assert raised.value.code == 2
 
     def test_grid_sweeps_arbiter_axis(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
@@ -354,13 +373,15 @@ class TestSweepCommand:
         assert code == 0
         assert "2 job(s)" in capsys.readouterr().out
 
-    def test_grid_rejects_unknown_arbiter(self, tmp_path):
-        with pytest.raises(Exception, match="memory-arbiter"):
+    def test_grid_rejects_unknown_arbiter(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
             main([
                 "sweep", "grid", "--axis", "arbiter=bogus",
                 "--jobs", "1", "--store", str(tmp_path / "s.jsonl"),
                 "--quiet",
             ])
+        assert raised.value.code == 2
+        assert "memory-arbiter" in capsys.readouterr().err
 
     def test_fig8_sweep_small(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
@@ -425,6 +446,14 @@ class TestTelemetryCommands:
         assert "# TYPE repro_dram_commands counter" in text
         assert 'repro_latency_all{quantile="0.95"}' in text
 
+    def test_run_prom_creates_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "run.prom"
+        assert main([
+            "run", "--cycles", "1500", "--warmup", "200",
+            "--prom", str(path),
+        ]) == 0
+        assert "# TYPE repro_latency_all summary" in path.read_text()
+
     def test_monitor_parser_flags(self):
         args = build_parser().parse_args(
             ["monitor", "s.ndjson", "--follow", "--refresh", "0.5"]
@@ -450,6 +479,15 @@ class TestTelemetryCommands:
         path.write_text("")
         assert main(["monitor", str(path), "--once"]) == 1
 
+    def test_monitor_missing_stream_is_one_error_line(self, tmp_path):
+        path = tmp_path / "missing.ndjson"
+        with pytest.raises(SystemExit) as raised:
+            main(["monitor", str(path)])
+        # A string code: the interpreter prints it and exits with 1.
+        assert raised.value.code == (
+            f"error: cannot read {path}: No such file or directory"
+        )
+
     def test_sweep_telemetry_stream(self, capsys, tmp_path):
         from repro.obs.stream import read_stream, validate_stream
 
@@ -468,9 +506,3 @@ class TestTelemetryCommands:
         capsys.readouterr()
         assert main(["monitor", str(path), "--once"]) == 0
         assert "2/2 done" in capsys.readouterr().out
-
-    def test_bench_parser_telemetry_flag(self):
-        args = build_parser().parse_args(
-            ["bench", "--telemetry", "b.ndjson"]
-        )
-        assert args.telemetry == "b.ndjson"
