@@ -26,7 +26,7 @@ from typing import List, Optional
 from .core.system import build_system
 from .experiments import fig8, table1, table2, table3, table4, table5
 from .sim.config import (
-    PAPER_CLOCK_POINTS, DdrGeneration, NocDesign, SystemConfig,
+    PAPER_CLOCK_POINTS, ConfigError, DdrGeneration, NocDesign, SystemConfig,
 )
 
 
@@ -918,7 +918,7 @@ def _render_grid_table(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     import json
 
     from .experiments import fault_sweep as fault_sweep_mod
@@ -1031,7 +1031,12 @@ def _cmd_sweep(args) -> int:
             base, axes, replicates=args.replicates,
             root_seed=args.root_seed, name=args.name,
         )
-        report = run_jobs(spec)
+        try:
+            # SystemConfig validates every grid point as it expands.
+            jobs = spec.expand()
+        except ConfigError as error:
+            parser.error(f"sweep grid: {error}")
+        report = run_jobs(jobs)
         if args.format == "json":
             print(json.dumps(_sweep_document(report), indent=1))
         else:
@@ -1180,7 +1185,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if result.bound_violations():
             return 1
     elif args.command == "sweep":
-        return _cmd_sweep(args)
+        return _cmd_sweep(args, parser)
     elif args.command == "all":
         _cmd_all(args)
     return 0

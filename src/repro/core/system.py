@@ -354,17 +354,15 @@ class SocSystem:
             registry.counter(f"dram.bank{bank}.row_hits").inc(hits)
             registry.counter(f"dram.bank{bank}.row_misses").inc(misses)
         registry.counter("dram.commands").inc(self.device.issued_commands)
-        engine = getattr(self.subsystem, "engine", None)
-        if engine is not None:
-            registry.counter("dram.demand_precharges").inc(
-                engine.demand_precharges
-            )
+        registry.counter("dram.demand_precharges").inc(
+            self.subsystem.engine.demand_precharges
+        )
         scheduler = getattr(self.subsystem, "scheduler", None)
         if scheduler is not None:
             for index, wins in enumerate(scheduler.thread_wins):
                 registry.counter(f"dram.memmax.thread{index}.wins").inc(wins)
-        # The Scheduler-protocol stats surface: every backend exports a
-        # flat dict (service-latency series, analytic bound when present,
+        # The Scheduler stats surface: every backend exports a flat dict
+        # (service-latency series, analytic bound when present,
         # backend-specific counters) under one dotted prefix.
         for key, value in sorted(self.subsystem.scheduler_stats().items()):
             registry.gauge(f"dram.scheduler.{key}").set(value)

@@ -13,9 +13,7 @@ from .protocol import ProtocolChecker, Violation, audit_engine
 from .refresh import RefreshTimer
 from .scheduler import (
     SCHEDULER_BACKENDS,
-    SCHEDULER_MEMBERS,
     Scheduler,
-    SchedulerSeam,
     register_scheduler,
     registered_backends,
     resolve_backend,
@@ -53,9 +51,7 @@ __all__ = [
     "ProtocolChecker",
     "RefreshTimer",
     "SCHEDULER_BACKENDS",
-    "SCHEDULER_MEMBERS",
     "Scheduler",
-    "SchedulerSeam",
     "Violation",
     "WaveformCapture",
     "SdramDevice",

@@ -25,10 +25,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..sim.config import SystemConfig
-from .controller import CommandEngine, FinishedRequest, PagePolicy
+from .controller import CommandEngine, PagePolicy
 from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import SchedulerSeam, register_scheduler
+from .scheduler import Scheduler, register_scheduler
 from .timing import DramTiming
 
 #: Regulation window length, cycles.
@@ -44,7 +44,7 @@ REG_BUDGET_BEATS = 64
 REG_QUEUE_CAPACITY = 8
 
 
-class BankRegulatedScheduler(SchedulerSeam):
+class BankRegulatedScheduler(Scheduler):
     """Round-robin release gated by per-(master, bank) beat budgets."""
 
     def __init__(
@@ -62,18 +62,17 @@ class BankRegulatedScheduler(SchedulerSeam):
             raise ValueError("budget_beats must be positive")
         if queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        self.device = device
-        self.timing = timing
-        self.window_cycles = window_cycles
-        self.budget_beats = budget_beats
-        self.queue_capacity = queue_capacity
-        self.engine = CommandEngine(
+        super().__init__(device, CommandEngine(
             device,
             burst_beats=8,
             page_policy=PagePolicy.OPEN_PAGE,
             window=4,
             tracer=tracer,
-        )
+        ))
+        self.timing = timing
+        self.window_cycles = window_cycles
+        self.budget_beats = budget_beats
+        self.queue_capacity = queue_capacity
         self.queues: Dict[int, Deque[MemoryRequest]] = {}
         #: round-robin order over masters (first-seen order).
         self.order: List[int] = []
@@ -81,7 +80,6 @@ class BankRegulatedScheduler(SchedulerSeam):
         #: beats charged in the current window, keyed by (master, bank).
         self.spent: Dict[Tuple[int, int], int] = {}
         self._epoch = 0
-        self.accepted = 0
         self.releases = 0
         #: Requests whose release the budget held back, each counted once
         #: however often it was polled, so the count does not depend on
@@ -89,7 +87,6 @@ class BankRegulatedScheduler(SchedulerSeam):
         self.throttled_releases = 0
         #: master -> id of its head request last counted as throttled.
         self._throttled: Dict[int, int] = {}
-        self._init_seam()
 
     # --- request admission ------------------------------------------- #
 
@@ -97,7 +94,7 @@ class BankRegulatedScheduler(SchedulerSeam):
         queue = self.queues.get(request.master)
         return queue is None or len(queue) < self.queue_capacity
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+    def _push(self, request: MemoryRequest) -> None:
         queue = self.queues.get(request.master)
         if queue is None:
             queue = self.queues[request.master] = deque()
@@ -105,8 +102,6 @@ class BankRegulatedScheduler(SchedulerSeam):
         if len(queue) >= self.queue_capacity:
             raise RuntimeError("regulator master queue full")
         queue.append(request)
-        self.accepted += 1
-        self._note_admitted(request, cycle)
 
     # --- per-cycle command selection --------------------------------- #
 
@@ -131,6 +126,7 @@ class BankRegulatedScheduler(SchedulerSeam):
             released = self._release()
             if released is None:
                 break
+            self.queued -= 1
             self.engine.accept(released, cycle)
         self.engine.tick(cycle)
         self.device.tick(cycle)
@@ -160,29 +156,7 @@ class BankRegulatedScheduler(SchedulerSeam):
             return head
         return None
 
-    def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if done:
-            self._note_finished(done)
-        return done
-
-    # --- occupancy / event contract ---------------------------------- #
-
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + self.engine.pending
-
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        return (
-            not self.engine.entries
-            and not self.engine.finished
-            and all(not q for q in self.queues.values())
-        )
+    # --- event contract ---------------------------------------------- #
 
     def _releasable(self, cycle: int) -> bool:
         self._refill(cycle)
@@ -192,37 +166,22 @@ class BankRegulatedScheduler(SchedulerSeam):
         )
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Budget-blocked heads wake at the next window boundary (the
-        only instant their budget can change); everything else follows
-        the thin subsystem's pattern."""
-        if self.engine.finished:
+        """Queued heads that cannot release now wake at the next window
+        boundary at the latest (the only instant an over-budget head's
+        budget can change); the rest is the base rule."""
+        engine = self.engine
+        if not self.queued or engine.finished:
+            return super().next_event_cycle(cycle)
+        if engine.has_space and self._releasable(cycle):
             return cycle + 1
-        queued = any(self.queues.values())
         boundary = (cycle // self.window_cycles + 1) * self.window_cycles
-        if queued and self.engine.has_space:
-            if self._releasable(cycle):
-                return cycle + 1
-            nxt = boundary
-        else:
-            nxt = boundary if queued else None
-        if self.engine.entries:
-            engine_next = self.engine.next_attempt_cycle(cycle)
-            if nxt is None or engine_next < nxt:
-                nxt = engine_next
-        return nxt
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
+        nxt = engine.next_event_cycle(cycle)
+        return boundary if nxt is None or boundary < nxt else nxt
 
     # --- stats surface ----------------------------------------------- #
 
-    @property
-    def refresh(self):
-        return self.engine.refresh
-
     def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
-        stats["accepted"] = float(self.accepted)
+        stats = super().scheduler_stats()
         stats["releases"] = float(self.releases)
         stats["throttled_releases"] = float(self.throttled_releases)
         stats["masters"] = float(len(self.queues))

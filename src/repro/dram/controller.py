@@ -321,6 +321,24 @@ class CommandEngine:
                 return DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
         return None
 
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Event-dispatch: next cycle :meth:`tick` could act, absent new
+        accepts (``None`` = never).  A refresh that is due or running
+        polls every cycle: its phases issue PREs and wait for quiet on
+        sub-cycle conditions, and they are rare and short.  Otherwise the
+        earlier of the next refresh due cycle and, while the window holds
+        entries, :meth:`next_attempt_cycle`."""
+        refresh = self.refresh
+        due = None
+        if refresh is not None and refresh.enabled:
+            if refresh.due(cycle) or refresh.in_progress(cycle):
+                return cycle + 1
+            due = refresh.next_due_cycle
+        if not self.entries:
+            return due
+        nxt = self.next_attempt_cycle(cycle)
+        return due if due is not None and due < nxt else nxt
+
     def next_attempt_cycle(self, cycle: int) -> int:
         """Earliest future cycle :meth:`_choose_command` could return a
         command, assuming no new accepts or external events.

@@ -37,10 +37,10 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from ..sim.config import SystemConfig
-from .controller import CommandEngine, FinishedRequest, PagePolicy
+from .controller import CommandEngine, PagePolicy
 from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import SchedulerSeam, register_scheduler
+from .scheduler import Scheduler, register_scheduler
 from .timing import DramTiming
 
 #: Device burst-length mode the DPQ programs (supported by every DDR
@@ -103,10 +103,9 @@ def dpq_latency_bound(
     return slots * service_slot_cycles(timing, burst_beats, max_beats)
 
 
-class DpqScheduler(SchedulerSeam):
+class DpqScheduler(Scheduler):
     """Per-requestor FIFOs + dynamic priority order, serial closed-page
-    service.  Satisfies the :class:`~repro.dram.scheduler.Scheduler`
-    protocol; :meth:`latency_bound` reports the analytic worst case for
+    service.  :meth:`latency_bound` reports the analytic worst case for
     the traffic actually admitted so far."""
 
     def __init__(
@@ -119,19 +118,18 @@ class DpqScheduler(SchedulerSeam):
     ) -> None:
         if queue_capacity <= 0:
             raise ValueError("queue_capacity must be positive")
-        self.device = device
-        self.timing = timing
-        self.queue_capacity = queue_capacity
-        self.burst_beats = burst_beats
         # Serial service: window of 1, closed page — the slot-duration
         # bound depends on never having two requests in the pipeline.
-        self.engine = CommandEngine(
+        super().__init__(device, CommandEngine(
             device,
             burst_beats=burst_beats,
             page_policy=PagePolicy.CLOSED_PAGE,
             window=1,
             tracer=tracer,
-        )
+        ))
+        self.timing = timing
+        self.queue_capacity = queue_capacity
+        self.burst_beats = burst_beats
         #: requestor id -> private FIFO (created on first admission; once
         #: seen, a requestor stays in the priority order and in ``N``).
         self.queues: Dict[int, Deque[MemoryRequest]] = {}
@@ -139,8 +137,6 @@ class DpqScheduler(SchedulerSeam):
         self.order: List[int] = []
         self.grants: Dict[int, int] = {}
         self.max_beats_seen = 0
-        self.accepted = 0
-        self._init_seam()
 
     # --- request admission ------------------------------------------- #
 
@@ -148,7 +144,7 @@ class DpqScheduler(SchedulerSeam):
         queue = self.queues.get(request.master)
         return queue is None or len(queue) < self.queue_capacity
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+    def _push(self, request: MemoryRequest) -> None:
         queue = self.queues.get(request.master)
         if queue is None:
             queue = self.queues[request.master] = deque()
@@ -157,10 +153,8 @@ class DpqScheduler(SchedulerSeam):
         if len(queue) >= self.queue_capacity:
             raise RuntimeError("DPQ requestor queue full")
         queue.append(request)
-        self.accepted += 1
         if request.beats > self.max_beats_seen:
             self.max_beats_seen = request.beats
-        self._note_admitted(request, cycle)
 
     # --- per-cycle command selection --------------------------------- #
 
@@ -169,6 +163,7 @@ class DpqScheduler(SchedulerSeam):
             granted = self._grant()
             if granted is None:
                 break
+            self.queued -= 1
             self.engine.accept(granted, cycle)
         self.engine.tick(cycle)
         self.device.tick(cycle)
@@ -186,48 +181,7 @@ class DpqScheduler(SchedulerSeam):
                 return request
         return None
 
-    def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if done:
-            self._note_finished(done)
-        return done
-
-    # --- occupancy / event contract ---------------------------------- #
-
-    @property
-    def pending(self) -> int:
-        return sum(len(q) for q in self.queues.values()) + self.engine.pending
-
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        return (
-            not self.engine.entries
-            and not self.engine.finished
-            and all(not q for q in self.queues.values())
-        )
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        if self.engine.finished:
-            return cycle + 1
-        queued = any(self.queues.values())
-        if queued and self.engine.has_space:
-            return cycle + 1
-        if self.engine.entries:
-            return self.engine.next_attempt_cycle(cycle)
-        return None
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
-
     # --- stats surface ----------------------------------------------- #
-
-    @property
-    def refresh(self):
-        return self.engine.refresh
 
     def latency_bound(self) -> Optional[int]:
         """The analytic bound for the requestor population and largest
@@ -243,8 +197,7 @@ class DpqScheduler(SchedulerSeam):
         )
 
     def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
-        stats["accepted"] = float(self.accepted)
+        stats = super().scheduler_stats()
         stats["requestors"] = float(len(self.queues))
         stats["max_beats"] = float(self.max_beats_seen)
         for master, grants in sorted(self.grants.items()):

@@ -1,52 +1,41 @@
-"""The memory-arbiter seam: one ``Scheduler`` protocol, many backends.
+"""The memory-arbiter seam: one ``Scheduler`` base class, many backends.
 
 Every memory subsystem in the repo — the paper's thin Fig. 6 controller,
 the MemMax/Databahn CONV pipeline, and the newer arbiters from the
 related work (the Dynamic Priority Queue of Shah/Raabe/Knoll,
 arXiv 1207.1187, and the per-bank bandwidth regulator of Sullivan et
-al., arXiv 2603.26054) — presents the same surface to the memory-side
-network interface:
+al., arXiv 2603.26054) — is a front-end policy feeding one
+:class:`~repro.dram.controller.CommandEngine` over one
+:class:`~repro.dram.device.SdramDevice`.  :class:`Scheduler` owns that
+plumbing; a backend supplies only its front-end:
 
-* **request admission** — ``can_accept`` / ``enqueue`` with backpressure,
-  under the admission contract stated on :class:`Scheduler`;
-* **per-cycle command selection** — ``tick`` issues at most one SDRAM
-  command per cycle and ``drain_finished`` reports requests whose final
-  data beat has a known bus cycle;
-* **bank-state queries** — ``open_rows`` exposes the per-bank open row
-  (or ``None``) so observers never reach into backend internals;
-* **stats surface** — ``scheduler_stats`` (flat counters for the metrics
-  registry), the always-on ``service_latency`` series (admission →
-  final data beat, the latency an arbiter actually controls), and
-  ``latency_bound`` (the analytic worst-case access latency for
-  backends that have one; ``None`` otherwise).
+* ``can_accept(request)`` — backpressure, under the admission contract
+  stated on :class:`Scheduler`;
+* ``_push(request)`` — take an admitted request into the front-end,
+  raising ``RuntimeError`` when it is full;
+* ``tick(cycle)`` — hand front-end requests to the engine while its
+  window has space (decrementing ``queued`` for each), then tick the
+  engine and the device: at most one SDRAM command per cycle.
 
 Backends self-register in :data:`SCHEDULER_BACKENDS` under a short name
 (``engine``, ``memmax``, ``databahn``, ``dpq``, ``bank-reg``); the
 ``arbiter`` field of :class:`~repro.sim.config.SystemConfig` selects one
 by name (validated at config-construction time), and ``None`` — the
-default — keeps the paper's design-matched choice, bit-identical to the
-pre-seam code path.
+default — keeps the paper's design-matched choice.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    runtime_checkable,
-)
+from typing import Callable, Dict, List, Optional
 
 from ..sim.stats import LatencySeries
+from .controller import CommandEngine, FinishedRequest
+from .device import SdramDevice
 from .request import MemoryRequest
 
 
-@runtime_checkable
-class Scheduler(Protocol):
-    """What the memory-side NI (and every harness) may rely on.
+class Scheduler:
+    """A memory-arbiter backend: front-end policy over a command engine.
 
     Admission contract: ``can_accept`` changes only through ``enqueue``
     and ``tick`` — never through the passage of time alone — and
@@ -54,48 +43,6 @@ class Scheduler(Protocol):
     ``tick`` that can change any state (``None`` = only an ``enqueue``
     can).  The memory NI relies on both to sleep while its sink head is
     refused: room can appear only inside a ``tick`` that bound covers.
-    """
-
-    # --- request admission ------------------------------------------- #
-    def can_accept(self, request: MemoryRequest) -> bool: ...
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None: ...
-
-    # --- per-cycle command selection --------------------------------- #
-    def tick(self, cycle: int) -> None: ...
-    def drain_finished(self) -> list: ...
-
-    # --- occupancy / event contract ---------------------------------- #
-    @property
-    def pending(self) -> int: ...
-    @property
-    def idle(self) -> bool: ...
-    @property
-    def quiescent(self) -> bool: ...
-    def next_event_cycle(self, cycle: int) -> Optional[int]: ...
-    def on_cycles_skipped(self, start: int, stop: int) -> None: ...
-
-    # --- bank-state queries ------------------------------------------ #
-    def open_rows(self) -> Dict[int, Optional[int]]: ...
-
-    # --- stats surface ----------------------------------------------- #
-    def scheduler_stats(self) -> Dict[str, float]: ...
-    def latency_bound(self) -> Optional[int]: ...
-
-
-#: Every member a backend must expose (the conformance checklist the
-#: tests walk; ``runtime_checkable`` isinstance only verifies presence).
-SCHEDULER_MEMBERS: Tuple[str, ...] = (
-    "can_accept", "enqueue", "tick", "drain_finished",
-    "pending", "idle", "quiescent",
-    "next_event_cycle", "on_cycles_skipped",
-    "open_rows", "scheduler_stats", "latency_bound",
-    "service_latency", "refresh", "device",
-)
-
-
-class SchedulerSeam:
-    """Shared plumbing for every backend: the service-latency series and
-    the bank-state query.
 
     *Service latency* is measured from admission (``enqueue``) to the
     request's final data beat — the span the memory arbiter actually
@@ -105,23 +52,78 @@ class SchedulerSeam:
     quantity the DPQ analytic bound is checked against.
     """
 
-    device = None  # set by the concrete backend
-
-    def _init_seam(self) -> None:
+    def __init__(self, device: SdramDevice, engine: CommandEngine) -> None:
+        self.device = device
+        self.engine = engine
+        #: Requests the front-end holds: admitted, not yet in the engine.
+        self.queued = 0
+        self.accepted = 0
         self.service_latency = LatencySeries()
         self._admitted_at: Dict[int, int] = {}
 
-    # --- admission / completion accounting --------------------------- #
+    # --- supplied by the backend ------------------------------------- #
 
-    def _note_admitted(self, request: MemoryRequest, cycle: int) -> None:
+    def can_accept(self, request: MemoryRequest) -> bool:
+        raise NotImplementedError
+
+    def _push(self, request: MemoryRequest) -> None:
+        raise NotImplementedError
+
+    def tick(self, cycle: int) -> None:
+        raise NotImplementedError
+
+    # --- request admission and completion ---------------------------- #
+
+    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+        self._push(request)
+        self.accepted += 1
+        self.queued += 1
         self._admitted_at[request.request_id] = cycle
 
-    def _note_finished(self, finished) -> None:
+    def drain_finished(self) -> List[FinishedRequest]:
+        engine = self.engine
+        if not engine.finished:
+            return engine.finished
+        done = engine.drain_finished()
+        self._record_service(done)
+        return done
+
+    def _record_service(self, finished: List[FinishedRequest]) -> None:
         admitted = self._admitted_at
         for item in finished:
             start = admitted.pop(item.request.request_id, None)
             if start is not None:
                 self.service_latency.record(item.data_ready_cycle - start)
+
+    # --- occupancy / event contract ---------------------------------- #
+
+    @property
+    def pending(self) -> int:
+        return self.queued + self.engine.pending
+
+    @property
+    def idle(self) -> bool:
+        """Nothing queued, nothing in the engine window, nothing awaiting
+        drain: apart from device accounting, :meth:`tick` is a no-op."""
+        engine = self.engine
+        return not (self.queued or engine.entries or engine.finished)
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Event-dispatch: next cycle :meth:`tick` could do real work.
+        Finished requests, or queued ones with window space, are due next
+        cycle; otherwise the engine's own bound (SDRAM timing and
+        refresh) decides, so the controller sleeps through stalls."""
+        engine = self.engine
+        if engine.finished or (self.queued and engine.has_space):
+            return cycle + 1
+        return engine.next_event_cycle(cycle)
+
+    def on_cycles_skipped(self, start: int, stop: int) -> None:
+        self.device.on_cycles_skipped(start, stop)
+
+    @property
+    def refresh(self):
+        return self.engine.refresh
 
     # --- bank-state queries ------------------------------------------ #
 
@@ -134,13 +136,14 @@ class SchedulerSeam:
             for bank in self.device.banks
         }
 
-    # --- stats surface defaults -------------------------------------- #
+    # --- stats surface ----------------------------------------------- #
 
     def latency_bound(self) -> Optional[int]:
         """Analytic worst-case service latency, when the backend has one."""
         return None
 
-    def _seam_stats(self) -> Dict[str, float]:
+    def scheduler_stats(self) -> Dict[str, float]:
+        """Flat counters for the metrics registry; backends add theirs."""
         series = self.service_latency
         stats: Dict[str, float] = {
             "service.count": float(series.count),
@@ -150,6 +153,7 @@ class SchedulerSeam:
         bound = self.latency_bound()
         if bound is not None:
             stats["service.bound"] = float(bound)
+        stats["accepted"] = float(self.accepted)
         return stats
 
 
@@ -173,7 +177,7 @@ def register_scheduler(name: str):
     """Decorator registering a backend factory under ``name`` (last wins).
 
     A factory is called as ``factory(config, device, timing, tracer)``
-    and must return an object satisfying :class:`Scheduler`.
+    and must return a :class:`Scheduler`.
     """
 
     def register(factory):

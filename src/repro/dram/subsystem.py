@@ -12,13 +12,12 @@ Three subsystems appear in the paper's evaluation:
   the paper's Fig. 6 controller: partially-open-page policy driven by the
   SAGM auto-precharge tags (BL 4 mode on DDR I/II, BL 4/8 OTF on DDR III).
 
-All subsystems are instances of the :class:`~repro.dram.scheduler.Scheduler`
-protocol: ``can_accept`` / ``enqueue`` for admission with backpressure,
-``tick`` issuing at most one SDRAM command per cycle, ``drain_finished``
-reporting requests whose final data beat has completed, plus the seam's
-bank-state query and stats surface.  This module registers the three
-paper-era backends (``engine``, ``memmax``, ``databahn``); the newer
-arbiters live in :mod:`repro.dram.dpq` and :mod:`repro.dram.bankreg`.
+All subsystems subclass :class:`~repro.dram.scheduler.Scheduler`, which
+owns admission accounting, draining, the event contract and the stats
+surface; each class here supplies only its front-end.  This module
+registers the three paper-era backends (``engine``, ``memmax``,
+``databahn``); the newer arbiters live in :mod:`repro.dram.dpq` and
+:mod:`repro.dram.bankreg`.
 """
 
 from __future__ import annotations
@@ -33,11 +32,11 @@ from .databahn import DATABAHN_LOOKAHEAD, DatabahnController
 from .device import SdramDevice
 from .memmax import MemMaxScheduler
 from .request import MemoryRequest
-from .scheduler import SchedulerSeam, register_scheduler, resolve_backend
+from .scheduler import Scheduler, register_scheduler, resolve_backend
 from .timing import DramTiming
 
 
-class ThinMemorySubsystem(SchedulerSeam):
+class ThinMemorySubsystem(Scheduler):
     """In-order SDRAM controller with a small input FIFO (Fig. 6 shell).
 
     ``engine`` substitutes a prebuilt command engine (the Databahn
@@ -58,105 +57,41 @@ class ThinMemorySubsystem(SchedulerSeam):
     ) -> None:
         if input_capacity <= 0:
             raise ValueError("input_capacity must be positive")
-        self.device = device
-        self.engine = engine if engine is not None else CommandEngine(
-            device,
-            burst_beats=burst_beats,
-            page_policy=page_policy,
-            window=window,
-            otf=otf,
-            tracer=tracer,
-        )
+        if engine is None:
+            engine = CommandEngine(
+                device,
+                burst_beats=burst_beats,
+                page_policy=page_policy,
+                window=window,
+                otf=otf,
+                tracer=tracer,
+            )
+        super().__init__(device, engine)
         self.input_capacity = input_capacity
         self.queue: Deque[MemoryRequest] = deque()
-        self.accepted = 0
-        self._init_seam()
 
     def can_accept(self, request: MemoryRequest) -> bool:
         return len(self.queue) < self.input_capacity
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
-        if not self.can_accept(request):
+    def _push(self, request: MemoryRequest) -> None:
+        if len(self.queue) >= self.input_capacity:
             raise RuntimeError("memory subsystem input queue full")
         self.queue.append(request)
-        self.accepted += 1
-        self._note_admitted(request, cycle)
 
     def tick(self, cycle: int) -> None:
         while self.queue and self.engine.has_space:
+            self.queued -= 1
             self.engine.accept(self.queue.popleft(), cycle)
         self.engine.tick(cycle)
         self.device.tick(cycle)
 
-    def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if done:
-            self._note_finished(done)
-        return done
-
-    @property
-    def pending(self) -> int:
-        return len(self.queue) + self.engine.pending
-
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        """No queued work *and* no finished requests awaiting drain: apart
-        from device accounting, :meth:`tick` would be a no-op."""
-        return (
-            not self.queue and not self.engine.entries
-            and not self.engine.finished
-        )
-
-    @property
-    def refresh(self):
-        return self.engine.refresh
-
     def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
+        stats = super().scheduler_stats()
         stats["demand_precharges"] = float(self.engine.demand_precharges)
-        stats["accepted"] = float(self.accepted)
         return stats
 
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event-dispatch: next cycle :meth:`tick` could do real work
-        (``None`` = fully drained; only new admissions wake it).  While
-        requests wait in the window on SDRAM timing, this is the command
-        engine's conservative-early next-attempt bound — the controller
-        sleeps through tRC/tRP/turnaround stalls instead of polling."""
-        refresh = self.engine.refresh
-        if refresh is not None and refresh.enabled:
-            if refresh.due(cycle) or refresh.in_progress(cycle):
-                # Refresh phases issue PREs / wait for quiet on sub-cycle
-                # conditions; they are rare and short, so poll through.
-                return cycle + 1
-            due = refresh.next_due_cycle
-        else:
-            due = None
-        if self.queue and self.engine.has_space:
-            return cycle + 1
-        if self.engine.finished:
-            return cycle + 1
-        if self.engine.entries:
-            nxt = self.engine.next_attempt_cycle(cycle)
-        elif self.queue:
-            # Queue blocked on a full window: retirement is an engine
-            # activity, but stay conservative.
-            nxt = cycle + 1
-        else:
-            nxt = None
-        if due is not None and (nxt is None or due < nxt):
-            nxt = due
-        return nxt
 
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
-
-
-class ConvMemorySubsystem(SchedulerSeam):
+class ConvMemorySubsystem(Scheduler):
     """MemMax thread scheduler + Databahn lookahead controller (CONV).
 
     Beyond the arbitration itself, the thread-based pipeline costs latency:
@@ -181,113 +116,59 @@ class ConvMemorySubsystem(SchedulerSeam):
         thread_capacity_flits: int = 32,
         tracer=None,
     ) -> None:
-        self.device = device
+        super().__init__(
+            device,
+            DatabahnController(device, burst_beats=burst_beats, tracer=tracer),
+        )
         self.scheduler = MemMaxScheduler(
             threads=threads,
             thread_capacity_flits=thread_capacity_flits,
             priority_first=priority_first,
             tracer=tracer,
         )
-        self.engine = DatabahnController(
-            device, burst_beats=burst_beats, tracer=tracer
-        )
-        self.accepted = 0
-        self._init_seam()
 
     def can_accept(self, request: MemoryRequest) -> bool:
         return self.scheduler.can_accept(request)
 
-    def enqueue(self, request: MemoryRequest, cycle: int) -> None:
+    def _push(self, request: MemoryRequest) -> None:
         self.scheduler.push(request)
-        self.accepted += 1
-        self._note_admitted(request, cycle)
 
     def tick(self, cycle: int) -> None:
+        # MemMax hands a request over whenever the Databahn window has
+        # space (``pop_next`` uses ``cycle`` only for its trace event), so
+        # the base wake rule — queued work with window space is due next
+        # cycle — is exact here.
         while self.engine.has_space:
             request = self.scheduler.pop_next(cycle)
             if request is None:
                 break
+            self.queued -= 1
             self.engine.accept(request, cycle)
         self.engine.tick(cycle)
         self.device.tick(cycle)
 
     def drain_finished(self) -> List[FinishedRequest]:
-        done = self.engine.drain_finished()
-        if not done:
-            return done
-        finished = []
-        for item in done:
-            # request/response data staged through the thread data buffers
-            staging = (item.request.beats + 1) // 2
-            finished.append(
-                FinishedRequest(
-                    item.request,
-                    item.data_ready_cycle + self.PIPELINE_LATENCY + staging,
-                )
+        engine = self.engine
+        if not engine.finished:
+            return engine.finished
+        # request/response data staged through the thread data buffers
+        finished = [
+            FinishedRequest(
+                item.request,
+                item.data_ready_cycle + self.PIPELINE_LATENCY
+                + (item.request.beats + 1) // 2,
             )
-        if finished:
-            self._note_finished(finished)
+            for item in engine.drain_finished()
+        ]
+        self._record_service(finished)
         return finished
 
-    @property
-    def pending(self) -> int:
-        return self.scheduler.pending + self.engine.pending
-
-    @property
-    def idle(self) -> bool:
-        return self.pending == 0
-
-    @property
-    def quiescent(self) -> bool:
-        """See :attr:`ThinMemorySubsystem.quiescent`; an empty MemMax
-        front-end is side-effect free to poll, so skipping the whole
-        pipeline is exact."""
-        return (
-            self.scheduler.pending == 0
-            and not self.engine.entries
-            and not self.engine.finished
-        )
-
-    @property
-    def refresh(self):
-        return self.engine.refresh
-
     def scheduler_stats(self) -> Dict[str, float]:
-        stats = self._seam_stats()
+        stats = super().scheduler_stats()
         stats["demand_precharges"] = float(self.engine.demand_precharges)
-        stats["accepted"] = float(self.accepted)
         for index, wins in enumerate(self.scheduler.thread_wins):
             stats[f"thread{index}.wins"] = float(wins)
         return stats
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event-dispatch bound for the CONV pipeline.  MemMax hands a
-        request over whenever the Databahn window has space (``pop_next``
-        uses ``cycle`` only for its trace event), so queued front-end
-        work with window space is due next cycle; a back-end stalled
-        purely on SDRAM timing uses the engine's next-attempt bound, like
-        the thin subsystem."""
-        refresh = self.engine.refresh
-        if refresh is not None and refresh.enabled:
-            if refresh.due(cycle) or refresh.in_progress(cycle):
-                return cycle + 1
-            due = refresh.next_due_cycle
-        else:
-            due = None
-        if self.engine.finished:
-            return cycle + 1
-        if self.scheduler.pending and self.engine.has_space:
-            return cycle + 1
-        nxt = (
-            self.engine.next_attempt_cycle(cycle)
-            if self.engine.entries else None
-        )
-        if due is not None and (nxt is None or due < nxt):
-            nxt = due
-        return nxt
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
 
 
 # --------------------------------------------------------------------- #
@@ -337,7 +218,7 @@ def build_engine_backend(
     tracer=None,
 ) -> ThinMemorySubsystem:
     """The paper's thin in-order controller; page policy and burst mode
-    follow the NoC design exactly as the pre-seam builder chose them."""
+    follow the NoC design."""
     if config.design.uses_sagm:
         if config.ddr is DdrGeneration.DDR3:
             # DDR III: BL 8 with BL4/BL8 on-the-fly for trailing chunks.
@@ -384,8 +265,7 @@ def build_memory_subsystem(
     """Construct device + scheduler backend for ``config``.
 
     ``config.arbiter`` picks a registered backend by name;  ``None`` —
-    the default — resolves to the design-matched choice of Section V
-    (bit-identical to the pre-seam hard-wired builder).
+    the default — resolves to the design-matched choice of Section V.
     """
     timing = DramTiming.for_clock(config.ddr, config.clock_mhz)
     device = SdramDevice(timing, stats=stats, tracer=tracer)

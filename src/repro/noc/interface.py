@@ -403,7 +403,7 @@ class MemoryInterface:
         resilience = self.resilience
         if resilience is not None and resilience.dram_retries:
             return False
-        if not self.subsystem.quiescent:
+        if not self.subsystem.idle:
             return False
         refresh = self.subsystem.refresh
         if refresh is not None and refresh.enabled and (

@@ -15,9 +15,10 @@ fabric; this package supplies the failure half of that contract:
 * :mod:`repro.resilience.watchdog` — a per-request watchdog that re-issues
   timed-out requests up to a cap, then surfaces them as failed instead of
   hanging the simulation;
-* :mod:`repro.resilience.invariants` — a live :class:`InvariantChecker`
-  simulator hook asserting GSS token conservation, link credit
-  conservation, and a packet-age (livelock/deadlock) bound.
+* :mod:`repro.resilience.invariants` — a live :class:`InvariantChecker`,
+  a simulator component registered last, asserting GSS token
+  conservation, link credit conservation, and a packet-age
+  (livelock/deadlock) bound.
 
 Everything here is opt-in: with ``SystemConfig.faults`` left ``None`` no
 resilience object is built and simulation results are bit-identical to a

@@ -107,16 +107,16 @@ class SystemConfig:
     #: machinery at all: results are bit-identical to a pre-resilience
     #: system and the hot path pays nothing.
     faults: Optional[object] = None
-    #: Attach the :class:`repro.resilience.invariants.InvariantChecker`
-    #: simulator hook (token/credit conservation, packet-age bound).
+    #: Register the :class:`repro.resilience.invariants.InvariantChecker`
+    #: as the last simulator component (token/credit conservation,
+    #: packet-age bound).
     check_invariants: bool = False
     #: Memory-arbiter backend, by registry name (see
     #: :mod:`repro.dram.scheduler`): ``engine`` | ``memmax`` |
     #: ``databahn`` | ``dpq`` | ``bank-reg``, or any user-registered
     #: backend.  ``None`` — the default — keeps the paper's
     #: design-matched subsystem (MemMax/Databahn for CONV designs, the
-    #: thin Fig. 6 controller otherwise), bit-identical to the pre-seam
-    #: code path.
+    #: thin Fig. 6 controller otherwise).
     arbiter: Optional[str] = None
 
     def __post_init__(self) -> None:

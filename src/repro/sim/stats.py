@@ -294,14 +294,12 @@ class RunMetrics:
         service_p100 = 0.0
         wcet_bound: Optional[float] = None
         if scheduler is not None:
-            series = getattr(scheduler, "service_latency", None)
-            if series is not None and series.count:
+            series = scheduler.service_latency
+            if series.count:
                 service_p100 = series.p100
-            bound_fn = getattr(scheduler, "latency_bound", None)
-            if bound_fn is not None:
-                bound = bound_fn()
-                if bound is not None:
-                    wcet_bound = float(bound)
+            bound = scheduler.latency_bound()
+            if bound is not None:
+                wcet_bound = float(bound)
         return cls(
             utilization=stats.utilization,
             raw_utilization=stats.raw_utilization,

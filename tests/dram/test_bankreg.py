@@ -137,7 +137,7 @@ class TestEndToEnd:
         ]
         finished, _ = drive(reg, requests)
         assert len(finished) == 24
-        assert reg.quiescent
+        assert reg.idle
         stats = reg.scheduler_stats()
         assert stats["releases"] == 24.0
         assert stats["masters"] == 3.0

@@ -95,7 +95,7 @@ class TestService:
         ]
         finished, _ = drive(dpq, requests)
         assert len(finished) == 9
-        assert dpq.quiescent
+        assert dpq.idle
         stats = dpq.scheduler_stats()
         assert stats["requestors"] == 3.0
         assert sum(

@@ -183,6 +183,8 @@ def test_event_matches_naive_every_arbiter(arbiter, faults):
 
 
 def test_event_matches_naive_with_refresh():
+    """Refresh is the command engine's business, so every backend must
+    wake for it alike; a failure names each backend that diverged."""
     from repro.dram.refresh import RefreshTimer
 
     def enable_refresh(system):
@@ -190,10 +192,19 @@ def test_event_matches_naive_with_refresh():
         timer.t_refi = timer._next_due = 400  # several refreshes per run
         system.subsystem.engine.refresh = timer
 
-    _event_vs_naive(
-        SystemConfig(app="single_dtv", cycles=SHORT, warmup=300, seed=2010),
-        customize=enable_refresh,
-    )
+    diverged = {}
+    for arbiter in ("engine", "memmax", "databahn", "dpq", "bank-reg"):
+        try:
+            _event_vs_naive(
+                SystemConfig(
+                    app="single_dtv", cycles=SHORT, warmup=300, seed=2010,
+                    arbiter=arbiter,
+                ),
+                customize=enable_refresh,
+            )
+        except AssertionError as error:
+            diverged[arbiter] = str(error)
+    assert not diverged, f"refresh diverged on {sorted(diverged)}: {diverged}"
 
 
 def test_event_matches_naive_with_priority_responses():

@@ -69,6 +69,9 @@ class TestInputHardening:
         ["sweep", "grid", "--axis", "fault_rate=2", "--store", STORE],
         ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=ten",
          "--store", STORE],
+        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=0",
+         "--store", STORE],
+        ["sweep", "grid", "--axis", "pct=9", "--store", STORE],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
