@@ -13,10 +13,10 @@ Run with::
 
 from repro import NocDesign, SystemConfig
 from repro.core.system import build_system
-from repro.noc.telemetry import render_link_report
-from repro.sim.analysis import (
+from repro.obs.analysis import (
     bandwidth_share,
     per_master_report,
+    render_link_report,
     render_master_report,
     tail_latencies,
 )

@@ -19,8 +19,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
 from .core.system import build_system
@@ -114,6 +116,27 @@ def _rate(text: str) -> float:
     return value
 
 
+def _seconds(text: str) -> float:
+    """argparse ``type`` for a duration: a positive, finite number of
+    seconds (zero would busy-poll or disable a deadline silently)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}"
+        ) from None
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of seconds, got {text}"
+        )
+    return value
+
+
+def _ensure_parent(path: str) -> None:
+    """Create the directory an output file goes into."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -183,11 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 1 if it holds no records) — the CI parse check",
     )
     monitor.add_argument(
-        "--refresh", type=float, default=1.0, metavar="SECONDS",
+        "--refresh", type=_seconds, default=1.0, metavar="SECONDS",
         help="redraw period with --follow (default: 1.0)",
     )
     monitor.add_argument(
-        "--max-seconds", type=float, default=None, metavar="SECONDS",
+        "--max-seconds", type=_seconds, default=None, metavar="SECONDS",
         help="give up following after this long",
     )
 
@@ -419,7 +442,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "`repro monitor PATH --follow`",
     )
     parser.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
+        "--job-timeout", type=_seconds, default=None, metavar="SECONDS",
         help="wall-clock deadline per job attempt; a timed-out attempt "
         "fails (and is retried under --job-retries)",
     )
@@ -722,8 +745,6 @@ def _cmd_run(args) -> int:
             f"({writer.records_written} records)"
         )
     if getattr(args, "prom", None):
-        from pathlib import Path
-
         from .obs.stream import prometheus_exposition
 
         registry = system.collect_metrics()
@@ -734,9 +755,10 @@ def _cmd_run(args) -> int:
             histogram = registry.histogram(name)
             for value in series.samples:
                 histogram.record(value)
-        prom_path = Path(args.prom)
-        prom_path.parent.mkdir(parents=True, exist_ok=True)
-        prom_path.write_text(prometheus_exposition(registry), encoding="utf-8")
+        _ensure_parent(args.prom)
+        Path(args.prom).write_text(
+            prometheus_exposition(registry), encoding="utf-8"
+        )
         print(f"prometheus    : {args.prom} ({len(registry)} metrics)")
     if getattr(args, "checkpoint", None):
         # An explicit --checkpoint also snapshots the *completed* run,
@@ -759,6 +781,9 @@ def _cmd_trace(args) -> None:
         write_jsonl,
     )
 
+    for path in (args.output, args.jsonl):
+        if path:
+            _ensure_parent(path)
     config = _config_from(args)
     tracer = MemoryTracer(limit=args.limit)
     system = build_system(config, tracer=tracer)
@@ -1139,6 +1164,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         kwargs = _seeds(args)
         kwargs.setdefault("seeds", (2010,))
+        _ensure_parent(args.output)
         export_all(args.output, **kwargs)
         print(f"wrote {args.output}")
     elif args.command == "monitor":

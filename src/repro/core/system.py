@@ -344,7 +344,7 @@ class SocSystem:
         :class:`~repro.obs.metrics.MetricsRegistry` under dotted names
         (``noc.*``, ``dram.*``, ``ni.*``).
         """
-        from ..noc.telemetry import register_metrics
+        from ..obs.analysis import register_metrics
         from ..obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()

@@ -1,8 +1,6 @@
 """Experiment drivers regenerating every table and figure of Section V."""
 
-from .controlled import ControlledResult, capture_trace, run_controlled
 from .export import export_all
-from .spread import MetricSpread, measure_spread
 from .comparison import ComparisonCell, ComparisonResult, METRICS, run_comparison
 from .fault_sweep import (
     DRAIN_CYCLES,
@@ -32,12 +30,7 @@ from .table5 import run_table5
 __all__ = [
     "AveragedMetrics",
     "ComparisonCell",
-    "ControlledResult",
-    "capture_trace",
     "export_all",
-    "MetricSpread",
-    "measure_spread",
-    "run_controlled",
     "ComparisonResult",
     "DEFAULT_CYCLES",
     "DEFAULT_SEEDS",

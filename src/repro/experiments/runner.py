@@ -17,7 +17,6 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..core.system import build_system
 from ..sim.config import SystemConfig
-from ..sim.records import RunResult
 from ..sim.stats import RunMetrics
 
 #: Default experiment horizon (cycles) and warmup.
@@ -96,7 +95,7 @@ def active_store():
     return _ACTIVE_STORE
 
 
-def run_once(config: SystemConfig) -> RunResult:
+def run_once(config: SystemConfig) -> RunMetrics:
     """Build and simulate one configuration.
 
     Inside a :func:`cached_runs` block, a configuration whose result is
@@ -105,8 +104,7 @@ def run_once(config: SystemConfig) -> RunResult:
     """
     store = _ACTIVE_STORE
     if store is None:
-        system = build_system(config)
-        return RunResult(config=config, metrics=system.run())
+        return build_system(config).run()
     # Imported lazily: repro.sweep imports this module for the
     # experiment defaults.
     from ..sweep.runners import metrics_job
@@ -115,9 +113,7 @@ def run_once(config: SystemConfig) -> RunResult:
     job = metrics_job(config)
     record = store.get(job.key)
     if record is not None and record.get("status") == "ok":
-        return RunResult(
-            config=config, metrics=RunMetrics(**record["result"])
-        )
+        return RunMetrics(**record["result"])
     started = time.perf_counter()
     system = build_system(config)
     metrics = system.run()
@@ -129,7 +125,7 @@ def run_once(config: SystemConfig) -> RunResult:
             elapsed_s=time.perf_counter() - started,
         )
     )
-    return RunResult(config=config, metrics=metrics)
+    return metrics
 
 
 def run_averaged(
@@ -139,7 +135,7 @@ def run_averaged(
     """Run ``config`` once per seed and average the headline metrics."""
     runs: List[RunMetrics] = []
     for seed in seeds:
-        runs.append(run_once(config.with_(seed=seed)).metrics)
+        runs.append(run_once(config.with_(seed=seed)))
     return AveragedMetrics.from_runs(runs)
 
 

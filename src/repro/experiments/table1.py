@@ -53,13 +53,13 @@ def render(result: ComparisonResult, title: str = "Table I — no priority memor
             rows.append(row)
     averages = result.averages()
     ratios = result.ratios(BASELINE if BASELINE in result.designs else result.designs[0])
-    avg_row: List[object] = ["Average", ""]
-    ratio_row: List[object] = ["Ratio", ""]
+    average_line: List[object] = ["Average", ""]
+    ratio_line: List[object] = ["Ratio", ""]
     for metric in METRICS:
         for design in result.designs:
-            avg_row.append(averages[design][metric])
-            ratio_row.append(ratios[design][metric])
-    return format_table(title, headers, rows, footer=[avg_row, ratio_row])
+            average_line.append(averages[design][metric])
+            ratio_line.append(ratios[design][metric])
+    return format_table(title, headers, rows, footer=[average_line, ratio_line])
 
 
 def _short(design: NocDesign) -> str:

@@ -17,7 +17,11 @@ One subsystem answers "where did this packet's cycles go?" at every layer
   wake queue: ring-buffered per-window rates and latency percentiles;
 * :mod:`repro.obs.stream` — the newline-JSON telemetry stream protocol
   (run manifests, samples, sweep heartbeats) plus Prometheus exposition;
-* :mod:`repro.obs.monitor` — the ``repro monitor`` live terminal view.
+* :mod:`repro.obs.monitor` — the ``repro monitor`` live terminal view;
+* :mod:`repro.obs.analysis` — post-run breakdowns: per-master and tail
+  latency, bandwidth shares, NoC link hotspots and buffer high-water
+  marks, and the ``noc.link.*`` / ``noc.buffer.highwater.*`` counters
+  :meth:`~repro.core.system.SocSystem.collect_metrics` publishes.
 
 Entry points: ``build_system(config, tracer=MemoryTracer())`` then the
 exporters; ``repro run --telemetry run.ndjson --sample-interval 1000``

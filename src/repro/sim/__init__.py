@@ -1,13 +1,4 @@
-"""Cycle-driven simulation kernel, configuration, metrics, and analysis."""
-
-from .analysis import (
-    MasterReport,
-    TailLatency,
-    bandwidth_share,
-    per_master_report,
-    render_master_report,
-    tail_latencies,
-)
+"""Cycle-driven simulation kernel, configuration and metrics."""
 
 from .config import (
     ConfigError,
@@ -18,8 +9,7 @@ from .config import (
     paper_configs,
 )
 from .engine import Clocked, Simulator
-from .records import RunResult, TableRow, ratio_row
-from .rng import core_rng, derive_rng, derive_seed, placement_rng
+from .rng import core_rng, derive_rng, derive_seed
 from .stats import LatencySeries, RunMetrics, StatsCollector
 
 __all__ = [
@@ -28,23 +18,13 @@ __all__ = [
     "core_rng",
     "derive_rng",
     "derive_seed",
-    "placement_rng",
-    "MasterReport",
-    "TailLatency",
-    "bandwidth_share",
-    "per_master_report",
-    "render_master_report",
-    "tail_latencies",
     "DdrGeneration",
     "LatencySeries",
     "NocDesign",
     "PAPER_CLOCK_POINTS",
     "RunMetrics",
-    "RunResult",
     "Simulator",
     "StatsCollector",
     "SystemConfig",
-    "TableRow",
     "paper_configs",
-    "ratio_row",
 ]

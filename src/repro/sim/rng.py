@@ -12,10 +12,10 @@ streams:
   mix is a SHA-256 digest of the root seed plus the scope labels, so
   streams are decoupled (adding draws to one site never perturbs another)
   and stable across Python versions and processes.
-* :func:`core_rng` / :func:`placement_rng` — the *frozen* legacy
-  derivations the workload generators have always used.  They are kept
-  bit-exact on purpose: golden waveforms and the recorded experiment
-  numbers depend on these exact streams.
+* :func:`core_rng` — the *frozen* legacy derivation the workload
+  generators have always used.  It is kept bit-exact on purpose: golden
+  waveforms and the recorded experiment numbers depend on this exact
+  stream.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["core_rng", "derive_rng", "derive_seed", "placement_rng"]
+__all__ = ["core_rng", "derive_rng", "derive_seed"]
 
 
 def derive_seed(root: int, *scope) -> int:
@@ -56,8 +56,3 @@ def core_rng(seed: int, master: int) -> random.Random:
     EXPERIMENTS.md and the golden waveform tests are produced from it.
     """
     return random.Random((seed << 8) ^ master)
-
-
-def placement_rng(seed: int) -> random.Random:
-    """The frozen annealing stream used by :mod:`repro.workloads.a3map`."""
-    return random.Random(seed)

@@ -13,17 +13,11 @@ lifecycle, seed derivation, and cache-key composition.
 """
 
 from .grids import (
-    ARBITER_MATRIX_BACKENDS,
-    arbiter_matrix_rows,
-    arbiter_matrix_spec,
     config_grid_spec,
     fault_points,
     fault_sweep_spec,
     fig8_curves,
     fig8_jobs,
-    run_arbiter_matrix_grid,
-    run_fault_sweep_grid,
-    run_fig8_grid,
 )
 from .orchestrator import (
     JobOutcome,
@@ -44,11 +38,8 @@ from .spec import Job, SweepSpec, dedupe
 from .store import SCHEMA_VERSION, ResultStore, job_key, make_record
 
 __all__ = [
-    "ARBITER_MATRIX_BACKENDS",
     "JOB_RUNNERS",
     "Job",
-    "arbiter_matrix_rows",
-    "arbiter_matrix_spec",
     "JobFailure",
     "JobOutcome",
     "ProgressPrinter",
@@ -69,8 +60,5 @@ __all__ = [
     "make_record",
     "metrics_job",
     "register_runner",
-    "run_arbiter_matrix_grid",
-    "run_fault_sweep_grid",
-    "run_fig8_grid",
     "run_sweep",
 ]

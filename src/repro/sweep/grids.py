@@ -1,11 +1,11 @@
 """Canonical grid definitions: the paper's sweeps as orchestrator jobs.
 
-Each grid comes in three pieces: a *jobs* builder that enumerates the
-fully-resolved jobs (the exact configs the serial driver would run, so
-results are bit-identical), a *reconstruction* function that reads the
-jobs' records back out of a :class:`~repro.sweep.store.ResultStore` and
-rebuilds the driver's native result types, and a convenience runner
-that chains both through :func:`~repro.sweep.orchestrator.run_sweep`.
+Each grid comes in two pieces: a *jobs* builder that enumerates the
+fully-resolved jobs for :func:`~repro.sweep.orchestrator.run_sweep` (the
+exact configs the serial driver would run, so results are
+bit-identical), and a *reconstruction* function that reads the jobs'
+records back out of a :class:`~repro.sweep.store.ResultStore` and
+rebuilds the driver's native result types.
 
 Grids defined here:
 
@@ -40,7 +40,6 @@ from ..experiments.runner import (
     experiment_config,
 )
 from ..sim.stats import RunMetrics
-from .orchestrator import SweepReport, run_sweep
 from .runners import metrics_job
 from .spec import Job, SweepSpec
 from .store import ResultStore
@@ -101,19 +100,6 @@ def fault_points(
         result = _stored_result(store, job)
         points.append((job.params["seed"], FaultSweepPoint(**result)))
     return points
-
-
-def run_fault_sweep_grid(
-    store: Optional[ResultStore] = None,
-    workers: int = 1,
-    **spec_kwargs,
-) -> Tuple[List[Tuple[int, FaultSweepPoint]], SweepReport]:
-    """Run the fault grid through the orchestrator and rebuild points."""
-    spec = fault_sweep_spec(**spec_kwargs)
-    if store is None:
-        store = ResultStore()
-    report = run_sweep(spec, store=store, workers=workers)
-    return fault_points(store, spec), report
 
 
 # --------------------------------------------------------------------- #
@@ -197,28 +183,6 @@ def fig8_curves(
     return curves
 
 
-def run_fig8_grid(
-    store: Optional[ResultStore] = None,
-    workers: int = 1,
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    seeds: Sequence[int] = DEFAULT_SEEDS,
-    max_routers: Optional[int] = None,
-) -> Tuple[List[Fig8Curve], SweepReport]:
-    """Run the Fig. 8 grid through the orchestrator, rebuild curves."""
-    if store is None:
-        store = ResultStore()
-    jobs = fig8_jobs(
-        cycles=cycles, warmup=warmup, seeds=seeds, max_routers=max_routers
-    )
-    report = run_sweep(jobs, store=store, workers=workers)
-    curves = fig8_curves(
-        store, cycles=cycles, warmup=warmup, seeds=seeds,
-        max_routers=max_routers,
-    )
-    return curves, report
-
-
 # --------------------------------------------------------------------- #
 # Arbitrary SystemConfig grids
 # --------------------------------------------------------------------- #
@@ -261,63 +225,3 @@ def config_grid_spec(
         resolver=resolve,
     )
 
-
-# --------------------------------------------------------------------- #
-# Memory-arbiter matrix
-# --------------------------------------------------------------------- #
-
-#: Every builtin Scheduler backend, in render order.
-ARBITER_MATRIX_BACKENDS = ("engine", "memmax", "databahn", "dpq", "bank-reg")
-
-
-def arbiter_matrix_spec(
-    arbiters: Sequence[str] = ARBITER_MATRIX_BACKENDS,
-    seeds: Sequence[int] = (2010,),
-    cycles: Optional[int] = None,
-    warmup: Optional[int] = None,
-    **base_overrides,
-) -> SweepSpec:
-    """The arbiter × seed matrix: one ``metrics`` job per backend/seed at
-    a fixed NoC design (the CI smoke job's grid).  Plain
-    :func:`config_grid_spec` underneath, so the jobs share the exhibit
-    cache key space."""
-    base: Dict[str, object] = dict(base_overrides)
-    if cycles is not None:
-        base["cycles"] = cycles
-    if warmup is not None:
-        base["warmup"] = warmup
-    return config_grid_spec(
-        base=base,
-        axes={"seed": list(seeds), "arbiter": list(arbiters)},
-        name="arbiter-matrix",
-    )
-
-
-def arbiter_matrix_rows(
-    store: ResultStore, spec: SweepSpec
-) -> List[Tuple[str, int, RunMetrics]]:
-    """``(arbiter, seed, metrics)`` per matrix job, in grid order."""
-    rows: List[Tuple[str, int, RunMetrics]] = []
-    for job in spec.expand():
-        result = _stored_result(store, job)
-        rows.append(
-            (
-                job.params["arbiter"],
-                job.params["seed"],
-                RunMetrics(**result),
-            )
-        )
-    return rows
-
-
-def run_arbiter_matrix_grid(
-    store: Optional[ResultStore] = None,
-    workers: int = 1,
-    **spec_kwargs,
-) -> Tuple[List[Tuple[str, int, RunMetrics]], SweepReport]:
-    """Run the arbiter matrix through the orchestrator, rebuild rows."""
-    spec = arbiter_matrix_spec(**spec_kwargs)
-    if store is None:
-        store = ResultStore()
-    report = run_sweep(spec, store=store, workers=workers)
-    return arbiter_matrix_rows(store, spec), report

@@ -1,6 +1,5 @@
 """Workload models: synthetic cores, application models, placement, traces."""
 
-from .a3map import MappingProblem, anneal, map_application
 from .apps import APP_MODELS, AppModel, bluray_model, dual_dtv_model, get_app_model, single_dtv_model
 from .cores import (
     CoreSpec,
@@ -25,14 +24,12 @@ __all__ = [
     "AppModel",
     "CoreSpec",
     "MEMORY_NODE",
-    "MappingProblem",
     "Placement",
     "Stream",
     "SyntheticCore",
     "TraceEntry",
     "TraceRecorder",
     "TraceReplayer",
-    "anneal",
     "audio_core",
     "bluray_model",
     "cpu_core",
@@ -43,7 +40,6 @@ __all__ = [
     "format_converter_core",
     "get_app_model",
     "graphics_core",
-    "map_application",
     "gss_router_order",
     "h264_codec_core",
     "mpeg2_codec_core",

@@ -214,9 +214,9 @@ def replay_into_system(
 ) -> None:
     """Replace every core's generator with a replayer of ``traces``.
 
-    Used for controlled comparisons: the same request stream is fed to
-    different NoC designs, isolating scheduling effects from the
-    closed-loop feedback of the live generators.
+    Feeding the same request stream to different NoC designs isolates
+    scheduling effects from the closed-loop feedback of the live
+    generators; the golden-identity tests replay traces this way.
     """
     for interface, core in zip(system.core_interfaces, system.cores):
         entries = traces.get(core.master, [])

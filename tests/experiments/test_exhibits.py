@@ -1,9 +1,25 @@
-"""Miniature versions of every paper exhibit: shape and rendering checks.
+"""Miniature versions of every paper exhibit: shapes, renderers and a
+golden fixture.
 
 These run the real experiment drivers at a tiny cycle count — enough to
 verify plumbing, result shapes, and renderers, while the full-length runs
-live in benchmarks/.
+live in benchmarks/.  The same runs are also pinned exactly:
+every Table I/II cell, Table II's [4] baseline, Table III's rows, the
+Fig. 8 curves and the Table IV/V model outputs must equal
+``golden_exhibits.json``, so a refactor cannot move a paper number
+unnoticed.
+
+The fixture records intended behaviour.  After a deliberate behaviour
+change, regenerate it from the repository root with::
+
+    PYTHONPATH=src python -m tests.experiments.test_exhibits
+
+which prints every value that moved before rewriting the file.
 """
+
+import dataclasses
+import json
+import pathlib
 
 import pytest
 
@@ -16,11 +32,29 @@ from repro.experiments.table5 import render as render_t5, run_table5
 from repro.sim.config import DdrGeneration, NocDesign
 
 TINY = dict(cycles=1_500, warmup=300, seeds=(2010,))
+FIG8_TINY = dict(cycles=1_200, warmup=240, seeds=(2010,), max_routers=3)
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_exhibits.json")
 
 
 @pytest.fixture(scope="module")
 def table1_result():
     return run_table1(**TINY)
+
+
+@pytest.fixture(scope="module")
+def table2_result():
+    return run_table2(**TINY)
+
+
+@pytest.fixture(scope="module")
+def table3_rows():
+    return run_table3(**TINY)
+
+
+@pytest.fixture(scope="module")
+def fig8_curves():
+    return run_fig8(**FIG8_TINY)
 
 
 class TestTable1:
@@ -51,8 +85,8 @@ class TestTable1:
 
 
 class TestTable2:
-    def test_runs_and_renders(self):
-        result = run_table2(**TINY)
+    def test_runs_and_renders(self, table2_result):
+        result = table2_result
         assert len(result.comparison.cells) == 9 * 4
         ratios = result.ratios()
         assert NocDesign.GSS_SAGM in ratios
@@ -61,8 +95,8 @@ class TestTable2:
 
 
 class TestTable3:
-    def test_three_rows_with_improvements(self):
-        rows = run_table3(**TINY)
+    def test_three_rows_with_improvements(self, table3_rows):
+        rows = table3_rows
         assert len(rows) == 3
         for row in rows:
             assert row.with_sti.utilization > 0
@@ -87,9 +121,8 @@ class TestTable5:
 
 
 class TestFig8:
-    def test_sweep_shapes(self):
-        curves = run_fig8(cycles=1_200, warmup=240, seeds=(2010,),
-                          max_routers=3)
+    def test_sweep_shapes(self, fig8_curves):
+        curves = fig8_curves
         assert len(curves) == 3
         for curve in curves:
             assert curve.gss_router_counts == [0, 1, 2, 3]
@@ -115,3 +148,92 @@ class TestFig8:
             latency_all=[0, 0], latency_priority=[0, 0],
         )
         assert knee_index(curve) == 0
+
+
+# --------------------------------------------------------------------- #
+# Golden fixture
+# --------------------------------------------------------------------- #
+
+def _cells(comparison) -> dict:
+    return {
+        f"{cell.app}/{cell.ddr.value}@{cell.clock_mhz}MHz/"
+        f"{cell.design.value}.{key}": value
+        for cell in comparison.cells
+        for key, value in dataclasses.asdict(cell.metrics).items()
+    }
+
+
+def _flat(table: dict) -> dict:
+    return {
+        f"{row}.{column}": value
+        for row, columns in table.items()
+        for column, value in columns.items()
+    }
+
+
+def observe(table1, table2, table3, fig8) -> dict:
+    """``{exhibit: {key: value}}`` of every pinned number, JSON-normalised."""
+    observed = {
+        "table1": _cells(table1),
+        "table2": _cells(table2.comparison),
+        "table3": {
+            f"{row.app}@{row.clock_mhz}MHz.{variant}.{key}": value
+            for row in table3
+            for variant in ("without_sti", "with_sti")
+            for key, value in dataclasses.asdict(
+                getattr(row, variant)).items()
+        },
+        "fig8": {
+            f"{curve.app}/{curve.ddr.value}@{curve.clock_mhz}MHz/"
+            f"gss{k}.{series}": getattr(curve, series)[i]
+            for curve in fig8
+            for i, k in enumerate(curve.gss_router_counts)
+            for series in ("utilization", "latency_all", "latency_priority")
+        },
+        "table4": _flat(run_table4()),
+        "table5": _flat(run_table5()),
+    }
+    observed["table2"].update(
+        (f"baseline.{key}", value)
+        for key, value in table2.baseline_averages.items()
+    )
+    return json.loads(json.dumps(observed))
+
+
+def differences(expected: dict, fresh: dict) -> str:
+    """Per exhibit, one line per key whose fixture and fresh values
+    differ; empty when they all match."""
+    lines = []
+    for exhibit in sorted(set(expected) | set(fresh)):
+        old, new = expected.get(exhibit, {}), fresh.get(exhibit, {})
+        changed = [
+            f"  {key}: fixture={old.get(key, '<absent>')!r} "
+            f"fresh={new.get(key, '<absent>')!r}"
+            for key in sorted(set(old) | set(new))
+            if old.get(key, "<absent>") != new.get(key, "<absent>")
+        ]
+        if changed:
+            lines += [f"{exhibit}:", *changed]
+    return "\n".join(lines)
+
+
+def test_exhibits_match_golden_fixture(table1_result, table2_result,
+                                       table3_rows, fig8_curves):
+    expected = json.loads(FIXTURE.read_text())
+    fresh = observe(table1_result, table2_result, table3_rows, fig8_curves)
+    changed = differences(expected, fresh)
+    assert not changed, f"exhibits diverged from {FIXTURE.name}:\n{changed}"
+
+
+def regenerate() -> None:
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    fresh = observe(run_table1(**TINY), run_table2(**TINY),
+                    run_table3(**TINY), run_fig8(**FIG8_TINY))
+    changed = differences(old, fresh)
+    if changed:
+        print(changed)
+    FIXTURE.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.system import build_system
-from repro.noc.telemetry import (
+from repro.obs.analysis import (
     buffer_highwater,
     hottest_links,
     link_stats,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.analysis import (
+from repro.obs.analysis import (
     bandwidth_share,
     per_master_report,
     render_master_report,

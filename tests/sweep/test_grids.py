@@ -14,14 +14,15 @@ from repro.experiments import cached_runs, run_once
 from repro.experiments.fault_sweep import run_fault_sweep
 from repro.experiments.fig8 import run_fig8
 from repro.experiments.runner import experiment_config
+from repro.sim.stats import RunMetrics
 from repro.sweep import (
     ResultStore,
     config_grid_spec,
     fault_points,
     fault_sweep_spec,
+    fig8_curves,
+    fig8_jobs,
     metrics_job,
-    run_fault_sweep_grid,
-    run_fig8_grid,
     run_sweep,
 )
 
@@ -40,23 +41,21 @@ def serial_points():
 
 @needs_fork
 class TestFaultGridGolden:
+    SPEC = fault_sweep_spec(rates=RATES, seeds=(2010,), **TINY)
+
     def test_two_worker_sweep_bit_identical_to_serial(self, serial_points):
         store = ResultStore()
-        points, report = run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
+        report = run_sweep(self.SPEC, store=store, workers=2)
         assert report.executed == len(RATES)
+        points = fault_points(store, self.SPEC)
         assert [p for _, p in points] == serial_points
 
     def test_rerun_is_all_cache_hits(self, serial_points):
         store = ResultStore()
-        run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
-        points, report = run_fault_sweep_grid(
-            store=store, workers=2, rates=RATES, seeds=(2010,), **TINY
-        )
+        run_sweep(self.SPEC, store=store, workers=2)
+        report = run_sweep(self.SPEC, store=store, workers=2)
         assert report.all_cached
+        points = fault_points(store, self.SPEC)
         assert [p for _, p in points] == serial_points
 
 
@@ -102,11 +101,12 @@ class TestFig8GridGolden:
         kwargs = dict(cycles=1_000, warmup=200, seeds=(2010,), max_routers=1)
         serial = run_fig8(**kwargs)
         store = ResultStore()
-        curves, report = run_fig8_grid(store=store, workers=2, **kwargs)
-        assert curves == serial
+        report = run_sweep(fig8_jobs(**kwargs), store=store, workers=2)
+        assert fig8_curves(store, **kwargs) == serial
         assert report.executed == 6  # 3 operating points x 2 counts
-        again, report2 = run_fig8_grid(store=store, workers=2, **kwargs)
-        assert report2.all_cached and again == serial
+        report2 = run_sweep(fig8_jobs(**kwargs), store=store, workers=2)
+        assert report2.all_cached
+        assert fig8_curves(store, **kwargs) == serial
 
 
 class TestConfigGrid:
@@ -132,38 +132,39 @@ class TestConfigGrid:
 
 @needs_fork
 class TestArbiterMatrixGolden:
+    """The grid CI's arbiter job runs: `sweep grid --axis arbiter=...`."""
+
     ARBITERS = ("engine", "dpq", "bank-reg")
 
-    def test_two_worker_matrix_bit_identical_to_serial(self):
-        from repro.sweep import run_arbiter_matrix_grid
+    @staticmethod
+    def matrix_spec(arbiters):
+        return config_grid_spec(
+            base={"seed": 2010, **TINY}, axes={"arbiter": list(arbiters)}
+        )
 
+    def test_two_worker_matrix_bit_identical_to_serial(self):
         serial = [
-            run_once(
-                experiment_config(seed=2010, arbiter=arbiter, **TINY)
-            ).metrics
+            run_once(experiment_config(seed=2010, arbiter=arbiter, **TINY))
             for arbiter in self.ARBITERS
         ]
+        spec = self.matrix_spec(self.ARBITERS)
         store = ResultStore()
-        rows, report = run_arbiter_matrix_grid(
-            store=store, workers=2, arbiters=self.ARBITERS,
-            seeds=(2010,), **TINY
-        )
+
+        def stored_metrics():
+            return [
+                RunMetrics(**store.get(job.key)["result"])
+                for job in spec.expand()
+            ]
+
+        report = run_sweep(spec, store=store, workers=2)
         assert report.executed == len(self.ARBITERS)
-        assert [name for name, _, _ in rows] == list(self.ARBITERS)
-        assert [m for _, _, m in rows] == serial
-        again, report2 = run_arbiter_matrix_grid(
-            store=store, workers=2, arbiters=self.ARBITERS,
-            seeds=(2010,), **TINY
-        )
+        assert stored_metrics() == serial
+        report2 = run_sweep(spec, store=store, workers=2)
         assert report2.all_cached
-        assert [m for _, _, m in again] == serial
+        assert stored_metrics() == serial
 
     def test_matrix_spec_keys_cover_the_arbiter_field(self):
-        from repro.sweep import arbiter_matrix_spec
-
-        spec = arbiter_matrix_spec(
-            arbiters=("engine", "dpq"), seeds=(2010,), **TINY
-        )
+        spec = self.matrix_spec(("engine", "dpq"))
         params = [job.params for job in spec.expand()]
         assert [p["arbiter"] for p in params] == ["engine", "dpq"]
         assert params[0]["cycles"] == TINY["cycles"]
@@ -177,7 +178,7 @@ class TestExhibitCache:
             fresh = run_once(config)
             cached = run_once(config)
         assert store.hits == 1
-        assert cached.metrics == fresh.metrics
+        assert cached == fresh
 
     def test_exhibit_and_sweep_share_keys(self):
         # A point simulated by run_once must be a hit for the sweep

@@ -72,6 +72,11 @@ class TestInputHardening:
         ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=0",
          "--store", STORE],
         ["sweep", "grid", "--axis", "pct=9", "--store", STORE],
+        ["monitor", STORE, "--refresh", "0"],
+        ["monitor", STORE, "--refresh", "-1"],
+        ["monitor", STORE, "--max-seconds", "-1"],
+        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=500",
+         "--set", "warmup=100", "--job-timeout", "0", "--store", STORE],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
@@ -221,7 +226,7 @@ class TestExhibitCommands:
         assert "Table I" in out and "Ratio" in out
 
     def test_export_small(self, capsys, tmp_path):
-        path = tmp_path / "out.json"
+        path = tmp_path / "missing" / "out.json"
         code = main(["export", str(path), "--cycles", "700",
                      "--warmup", "100", "--seeds", "2010"])
         assert code == 0
@@ -260,6 +265,14 @@ class TestTraceCommand:
         records = read_jsonl(str(jsonl))
         assert records
         assert all("type" in r and "cycle" in r for r in records)
+
+    def test_trace_creates_missing_directories(self, capsys, tmp_path):
+        trace = tmp_path / "chrome" / "trace.json"
+        jsonl = tmp_path / "events" / "events.jsonl"
+        code = main(["trace", "--cycles", "1500", "-o", str(trace),
+                     "--jsonl", str(jsonl)])
+        assert code == 0
+        assert trace.exists() and jsonl.exists()
 
     def test_trace_limit_reports_drops(self, capsys, tmp_path):
         path = tmp_path / "trace.json"

@@ -67,20 +67,3 @@ class TestSystemCapture:
         served = sum(core_if.completed_requests
                      for core_if in replayed.core_interfaces)
         assert served >= total * 0.95
-
-
-class TestControlledComparison:
-    def test_designs_fed_identical_traffic(self):
-        from repro.experiments.controlled import render, run_controlled
-
-        config = SystemConfig(app="bluray", cycles=2_500, warmup=400,
-                              priority_enabled=True)
-        result = run_controlled(
-            config, [NocDesign.SDRAM_AWARE, NocDesign.GSS_SAGM]
-        )
-        assert set(result.metrics) == {NocDesign.SDRAM_AWARE, NocDesign.GSS_SAGM}
-        for metrics in result.metrics.values():
-            assert metrics.completed > 0
-        text = render(result)
-        assert "identical requests" in text
-        assert "gss+sagm" in text
