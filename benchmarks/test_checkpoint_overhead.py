@@ -7,10 +7,10 @@ machinery so enabling it never becomes a performance decision:
   signal checks and periodic snapshots possible) must stay within 5% of
   a plain run — segment boundaries clamp fast-forward jumps but must
   never inhibit them;
-* a snapshot itself is dominated by pickling the run's accumulated
-  statistics, so its cost scales with the *state protected*, not with
-  the horizon — the second test pins that scaling down so a sparse
-  cadence stays cheap at any horizon.
+* a snapshot pickles the whole system, which keeps nothing per
+  delivered packet or DRAM burst, so its cost does not grow with the
+  horizon — the second test pins it against the simulation it protects
+  so a sparse cadence stays cheap at any horizon.
 """
 
 import time
@@ -72,16 +72,17 @@ def test_checkpoint_machinery_overhead_bounded():
 def test_snapshot_cost_amortizes_below_5pct_at_sparse_cadence(tmp_path):
     """One snapshot per >= 4x its own simulation horizon costs <= 5%.
 
-    A snapshot pickles the whole system — dominated by the statistics
-    history, which grows with cycles simulated — so no fixed cadence in
-    cycles can bound the cost for every horizon.  What *is* bounded is
-    the ratio this test pins: the wall clock of saving the state
+    A snapshot pickles the whole system.  With no per-request store
+    enabled (``keep_samples``, a recording tracer) its size does not
+    depend on the cycle, so its cost is about the same at any cycle
+    while the simulation between snapshots grows with the cadence.
+    This test pins the ratio: the wall clock of saving the state
     produced by h cycles stays well under the wall clock of simulating
     those h cycles, so any cadence that re-simulates at least ~4x the
     save's own horizon between snapshots (the metrics runner's
     ``cycles // 4`` default is 4 interior segments) keeps amortized
-    overhead within a few percent — at 12k cycles and at every longer
-    horizon, because both sides grow with the same state.
+    overhead within a few percent — at 12k cycles, and lower still at
+    every longer horizon.
     """
     system = build_system(CONFIG)
     start = time.perf_counter()

@@ -561,6 +561,15 @@ def _cmd_run(args) -> int:
     import signal
 
     telemetry_path = getattr(args, "telemetry", None)
+    # Percentiles, Prometheus quantiles and telemetry sample windows all
+    # need per-request latency samples.
+    sample_flags = [
+        flag for flag, value in (
+            ("--percentiles", args.percentiles),
+            ("--prom", getattr(args, "prom", None) is not None),
+            ("--telemetry", telemetry_path is not None),
+        ) if value
+    ]
     started = time.time()
     resume_path = getattr(args, "resume", None)
     if resume_path is not None:
@@ -570,6 +579,17 @@ def _cmd_run(args) -> int:
             system = load_checkpoint(resume_path)
         except CheckpointError as exc:
             raise SystemExit(f"error: {exc}")
+        if sample_flags and not system.stats.keep_samples:
+            # Sampling switched on now would see only the post-resume
+            # completions, so its percentiles would be wrong.
+            print(
+                f"error: cannot use {', '.join(sample_flags)} with "
+                f"--resume {resume_path}: its run kept no per-request "
+                "samples (it had none of --percentiles, --prom, "
+                "--telemetry); re-run from scratch",
+                file=sys.stderr,
+            )
+            return 2
         config = system.config
         print(
             f"resumed       : {resume_path} "
@@ -577,17 +597,8 @@ def _cmd_run(args) -> int:
         )
     else:
         config = _config_from(args)
-        # Telemetry keeps per-request samples so sample windows carry
-        # real p50/p95/p99 — sample retention never perturbs simulated
-        # metrics.
-        system = build_system(
-            config,
-            keep_samples=(
-                args.percentiles
-                or telemetry_path is not None
-                or getattr(args, "prom", None) is not None
-            ),
-        )
+        # Sample retention never perturbs simulated metrics.
+        system = build_system(config, keep_samples=bool(sample_flags))
     writer = None
     if telemetry_path is not None:
         from .obs.stream import TelemetryWriter, run_manifest

@@ -62,7 +62,6 @@ class SdramDevice:
         self._last_data_was_write = False
         self._last_write_data_end = -1
         self._last_read_data_end = -1
-        self._completions: List[BurstCompletion] = []
         self.issued_commands = 0
 
     # ------------------------------------------------------------------ #
@@ -175,7 +174,6 @@ class SdramDevice:
             useful_beats=command.useful_beats,
             burst_beats=command.burst_beats,
         )
-        self._completions.append(completion)
         if self.stats is not None:
             self._account_burst(completion)
         tracer = self.tracer
@@ -227,11 +225,6 @@ class SdramDevice:
 
     def bank_state(self, bank: int) -> BankState:
         return self.banks[bank].state
-
-    def drain_completions(self) -> List[BurstCompletion]:
-        """Return and clear the bursts accepted since the last drain."""
-        done, self._completions = self._completions, []
-        return done
 
     @property
     def data_bus_free_at(self) -> int:

@@ -18,6 +18,11 @@ Checked rules:
 * write-to-read (tWTR) and read-to-write turnaround gaps;
 * PRE only after tRAS and after read/write recovery (tRTP / tWR);
 * auto-precharge closes the bank; no further CAS until re-activation.
+
+Refresh (REF and tRFC) is not audited: the command engine issues no REF
+command — it starts a :class:`~repro.dram.refresh.RefreshTimer` refresh
+and holds the banks idle past tRFC directly — and no shipped
+configuration enables refresh.
 """
 
 from __future__ import annotations

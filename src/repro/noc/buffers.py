@@ -68,12 +68,16 @@ class InputBuffer:
         self.capacity_flits = capacity_flits
         self.max_packets = max_packets
         self.entries: Deque[FlitEntry] = deque()
-        self._arrivals: List[Packet] = []
         self._reserved_slots = 0
         #: Optional shared occupancy cell (a one-element int list) the
         #: owning router installs across its input buffers, so its idle
         #: check is O(1) instead of a scan over every lane's entries.
         self.entry_tally: Optional[List[int]] = None
+        #: Packets whose head entered since the owning router's last plan
+        #: (token registration).  The router installs the list together
+        #: with ``entry_tally``; NI-facing sinks have neither, so they
+        #: keep nothing per delivered packet.
+        self._arrivals: Optional[List[Packet]] = None
         # Resident flits, maintained incrementally: every mutation of an
         # entry's received/sent counters goes through this buffer, so the
         # hot-path credit checks are O(1) instead of a sum over entries.
@@ -150,10 +154,10 @@ class InputBuffer:
             raise RuntimeError("packet slots exhausted")
         entry = FlitEntry(packet)
         self.entries.append(entry)
-        self._arrivals.append(packet)
         tally = self.entry_tally
         if tally is not None:
             tally[0] += 1
+            self._arrivals.append(packet)
         return entry
 
     def commit_flit(self, entry: FlitEntry) -> None:
@@ -194,10 +198,10 @@ class InputBuffer:
             self.highwater_flits = occupancy
         entry = FlitEntry(packet, received=packet.size_flits)
         self.entries.append(entry)
-        self._arrivals.append(packet)
         tally = self.entry_tally
         if tally is not None:
             tally[0] += 1
+            self._arrivals.append(packet)
         wake = self.wake_consumer
         if wake is not None:
             wake()
@@ -269,7 +273,8 @@ class InputBuffer:
         return head.packet
 
     def drain_arrivals(self) -> List[Packet]:
-        """Packets whose head entered since the last drain (token hooks)."""
+        """Packets whose head entered since the last drain (token hooks);
+        router-owned buffers only."""
         arrivals, self._arrivals = self._arrivals, []
         return arrivals
 

@@ -146,10 +146,13 @@ class Router:
             for buffer in lanes
         ]
         # Shared entry count across all input lanes, maintained by the
-        # buffers themselves: the idle check is one comparison.
+        # buffers themselves: the idle check is one comparison.  Each
+        # input also gets the arrival list plan() drains for token
+        # registration (only router inputs record arrivals).
         self._entry_tally = [0]
         for _, buffer in self._input_items:
             buffer.entry_tally = self._entry_tally
+            buffer._arrivals = []
         self._output_list = list(self.outputs.values())
         self._controller_by_port = {
             port: output.controller for port, output in self.outputs.items()

@@ -5,9 +5,12 @@ and armed at every check stride, that audits the end-of-cycle state of
 the whole fabric:
 
 * **credit conservation** — every input buffer's flit occupancy is
-  within its capacity and every entry's ``sent``/``received`` counters
-  are mutually consistent (a violated credit loop is how a wormhole
-  fabric corrupts itself silently);
+  within its capacity and equals the flits its entries hold
+  (``received - sent`` summed), every entry's ``sent``/``received``
+  counters are mutually consistent, and each router's shared entry
+  tally equals the entries across its inputs (both running counters are
+  bumped inline on the hot path; a violated credit loop is how a
+  wormhole fabric corrupts itself silently);
 * **token conservation** — every packet a GSS token table tracks is
   actually resident in that router, every resident, registered
   memory-request packet is tracked by the controller of its route, and
@@ -100,11 +103,21 @@ class InvariantChecker:
     # ------------------------------------------------------------------ #
 
     def _check_buffers(self, cycle: int, router) -> None:
+        entries = 0
         for port, lanes in router.inputs.items():
             for lane, buffer in enumerate(lanes):
                 self._check_buffer(
                     cycle, f"router{router.node}.{port.name}[{lane}]", buffer
                 )
+                entries += len(buffer.entries)
+        tally = router._entry_tally[0]
+        if tally != entries:
+            raise InvariantViolation(
+                "credit",
+                cycle,
+                f"router{router.node}: entry tally {tally} != {entries} "
+                f"entries resident in its inputs",
+            )
 
     def _check_buffer(self, cycle: int, where: str, buffer) -> None:
         occupancy = buffer.occupancy_flits
@@ -119,6 +132,7 @@ class InvariantChecker:
             raise InvariantViolation(
                 "credit", cycle, f"{where}: negative reserved slots"
             )
+        resident = 0
         for entry in buffer.entries:
             packet = entry.packet
             if not 0 <= entry.sent <= entry.received <= packet.size_flits:
@@ -128,6 +142,7 @@ class InvariantChecker:
                     f"{where}: {packet} counters sent={entry.sent} "
                     f"received={entry.received} size={packet.size_flits}",
                 )
+            resident += entry.received - entry.sent
             age = cycle - packet.created_cycle
             if age > self.max_packet_age:
                 raise InvariantViolation(
@@ -137,6 +152,13 @@ class InvariantChecker:
                     f"(bound {self.max_packet_age}) — livelock or deadlock"
                     + self._lifecycle_dump(packet),
                 )
+        if occupancy != resident:
+            raise InvariantViolation(
+                "credit",
+                cycle,
+                f"{where}: occupancy {occupancy} != {resident} flits "
+                f"resident in its entries",
+            )
 
     # ------------------------------------------------------------------ #
     # Token conservation

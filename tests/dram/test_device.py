@@ -102,13 +102,6 @@ class TestAccounting:
         assert stats.wasted_beats == 6
         assert stats.busy_cycles == 4
 
-    def test_completions_drained_once(self, device):
-        ready = open_row(device, 0, 0)
-        device.issue(ready, cas(0, 0, request_id=42))
-        done = device.drain_completions()
-        assert len(done) == 1 and done[0].request_id == 42
-        assert device.drain_completions() == []
-
     def test_tick_counts_observed_cycles(self, ddr2_timing):
         stats = StatsCollector()
         device = SdramDevice(ddr2_timing, stats=stats)

@@ -3,8 +3,13 @@
 import pytest
 
 from tests.helpers import make_request
+from repro.core.system import build_system
 from repro.noc.buffers import FlitEntry, InputBuffer
+from repro.noc.flow_control import RoundRobinFlowController
 from repro.noc.packet import request_packet
+from repro.noc.router import Router
+from repro.noc.topology import Mesh, Port
+from repro.sim.config import SystemConfig
 
 
 def pkt(size_beats=8, pid=1, write=True):
@@ -135,11 +140,21 @@ class TestCandidates:
 
 
 def test_arrivals_drained_once():
-    buffer = InputBuffer(8)
+    router = Router(4, Mesh(3, 3), lambda n, p: RoundRobinFlowController(), 8)
+    buffer = router.input_buffer(Port.EAST)
     buffer.push_complete(pkt(pid=7, size_beats=2))
     arrivals = buffer.drain_arrivals()
     assert [p.packet_id for p in arrivals] == [7]
     assert buffer.drain_arrivals() == []
+    # NI-facing sinks are consumed through pop_complete and never
+    # drained, so they record no arrivals at all.
+    system = build_system(SystemConfig(cycles=1_500, warmup=200))
+    system.run()
+    for sink in system.network.local_sinks.values():
+        assert not sink._arrivals
+    assert system.network.local_sink(
+        system.placement.memory_node
+    ).highwater_flits > 0
 
 
 def test_flit_entry_repr_mentions_state():

@@ -94,6 +94,32 @@ class TestViolations:
             checker.check(400)
         assert excinfo.value.kind == "credit"
 
+    def test_occupancy_drift_is_credit_violation(self):
+        system = _running_system()
+        checker = InvariantChecker(system.network)
+        buffer = next(
+            buffer
+            for router in system.network.routers
+            for lanes in router.inputs.values()
+            for buffer in lanes
+            if buffer.entries and buffer.has_credit()
+        )
+        buffer._occupancy += 1  # still within capacity
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(400)
+        assert excinfo.value.kind == "credit"
+        assert "occupancy" in excinfo.value.detail
+
+    def test_entry_tally_drift_is_credit_violation(self):
+        system = _running_system()
+        checker = InvariantChecker(system.network)
+        router = system.network.routers[0]
+        router._entry_tally[0] += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(400)
+        assert excinfo.value.kind == "credit"
+        assert "entry tally" in excinfo.value.detail
+
     def test_tracked_ghost_is_token_violation(self):
         system = _running_system()
         router = system.network.routers[0]

@@ -217,6 +217,56 @@ class TestFaultCommands:
         assert "unres" in out
 
 
+class TestResumeCommand:
+    @pytest.fixture
+    def unsampled_snapshot(self, tmp_path, capsys):
+        path = tmp_path / "a.ckpt"
+        assert main([
+            "run", "--app", "bluray", "--cycles", "4000", "--warmup", "1000",
+            "--checkpoint", str(path),
+        ]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.mark.parametrize("flag", ["--percentiles", "--prom", "--telemetry"])
+    def test_sample_flag_rejected_when_snapshot_kept_no_samples(
+        self, flag, unsampled_snapshot, tmp_path, capsys
+    ):
+        argv = ["run", "--resume", str(unsampled_snapshot), "--cycles", "8000",
+                flag]
+        output = tmp_path / "out"
+        if flag != "--percentiles":
+            argv.append(str(output))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and flag in captured.err
+        assert "configuration" not in captured.out  # nothing simulated
+        assert not output.exists()
+
+    def test_resumed_percentiles_match_straight_run(self, tmp_path, capsys):
+        def metric_lines(out):
+            return [
+                line.split(" (")[0] if line.startswith("cycles") else line
+                for line in out.splitlines()
+                if not line.startswith(("resumed", "checkpoint"))
+            ]
+
+        common = ["--app", "bluray", "--warmup", "1000", "--percentiles"]
+        assert main(["run", "--cycles", "6000", *common]) == 0
+        straight = metric_lines(capsys.readouterr().out)
+        path = tmp_path / "p.ckpt"
+        assert main([
+            "run", "--cycles", "3000", "--checkpoint", str(path), *common,
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "run", "--resume", str(path), "--cycles", "6000", "--percentiles",
+        ]) == 0
+        resumed = metric_lines(capsys.readouterr().out)
+        assert any(line.startswith("percentiles") for line in straight)
+        assert resumed == straight
+
+
 class TestExhibitCommands:
     def test_table1_small(self, capsys):
         code = main(["table1", "--cycles", "700", "--warmup", "100",
