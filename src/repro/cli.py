@@ -27,8 +27,9 @@ from typing import List, Optional
 
 from .core.system import build_system
 from .experiments import fig8, table1, table2, table3, table4, table5
+from .experiments.runner import DEFAULT_CYCLES
 from .sim.config import (
-    PAPER_CLOCK_POINTS, ConfigError, DdrGeneration, NocDesign, SystemConfig,
+    PAPER_CLOCK_POINTS, DdrGeneration, NocDesign, SystemConfig,
 )
 
 
@@ -540,12 +541,9 @@ def _config_from(args) -> SystemConfig:
 
 
 def _seeds(args) -> dict:
-    kwargs = {}
-    if getattr(args, "cycles", None) is not None:
-        kwargs["cycles"] = args.cycles
-    if getattr(args, "warmup", None) is not None:
-        kwargs["warmup"] = args.warmup
-    if getattr(args, "seeds", None) is not None:
+    """The exhibit horizon flags; omitted ones keep the driver default."""
+    kwargs = dict(cycles=args.cycles, warmup=args.warmup)
+    if args.seeds is not None:
         kwargs["seeds"] = tuple(args.seeds)
     return kwargs
 
@@ -818,14 +816,10 @@ def _cmd_trace(args) -> None:
 def _cmd_faults(args) -> int:
     from .experiments import fault_sweep
 
-    kwargs = dict(seed=args.seed, app=args.app)
-    if args.rates is not None:
-        kwargs["rates"] = tuple(args.rates)
-    if args.cycles is not None:
-        kwargs["cycles"] = args.cycles
-    if args.warmup is not None:
-        kwargs["warmup"] = args.warmup
-    points = fault_sweep.run_fault_sweep(**kwargs)
+    points = fault_sweep.run_fault_sweep(
+        tuple(args.rates or fault_sweep.FAULT_SWEEP_RATES),
+        args.cycles, args.warmup, seeds=(args.seed,), app=args.app,
+    )
     print(fault_sweep.render(points))
     failing = [p for p in points if p.failure_reason() is not None]
     for point in failing:
@@ -954,21 +948,17 @@ def _render_grid_table(report) -> str:
     return "\n".join(lines)
 
 
+class _NoExhibit(Exception):
+    """Stops an exhibit driver from rebuilding its results out of a sweep
+    report: JSON output needs only the report, and a report with a job
+    left without a result has nothing to rebuild from."""
+
+
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     import json
 
-    from .experiments import fault_sweep as fault_sweep_mod
-    from .experiments.fig8 import render as render_fig8
-    from .sweep import (
-        ProgressPrinter,
-        ResultStore,
-        config_grid_spec,
-        fault_points,
-        fault_sweep_spec,
-        fig8_curves,
-        fig8_jobs,
-        run_sweep,
-    )
+    from .experiments import fault_sweep
+    from .sweep import ProgressPrinter, ResultStore, config_grid_spec, run_sweep
 
     store = ResultStore(args.store, fsync=args.fsync_store)
     if args.resume:
@@ -985,12 +975,14 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
         from .obs.stream import TelemetryWriter
 
         telemetry = TelemetryWriter(args.telemetry)
+    report = None
 
     def run_jobs(jobs):
+        nonlocal report
         # One close point: terminate the tty progress line (and the
         # stream) before any table lands on stdout.
         try:
-            return run_sweep(
+            report = run_sweep(
                 jobs,
                 store=store,
                 workers=args.jobs,
@@ -1014,71 +1006,65 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
                     f"({telemetry.records_written} records)",
                     file=sys.stderr,
                 )
+        return report
 
-    if args.grid == "fault":
-        kwargs = dict(seeds=tuple(args.seeds), app=args.app)
-        if args.rates is not None:
-            kwargs["rates"] = tuple(args.rates)
-        if args.cycles is not None:
-            kwargs["cycles"] = args.cycles
-        if args.warmup is not None:
-            kwargs["warmup"] = args.warmup
-        if args.drain_cycles is not None:
-            kwargs["drain_cycles"] = args.drain_cycles
-        spec = fault_sweep_spec(**kwargs)
-        report = run_jobs(spec)
-        if args.format == "json":
-            print(json.dumps(_sweep_document(report), indent=1))
-        elif report.interrupted:
-            print(report.summary())
-        else:
-            for seed in args.seeds:
-                rows = [p for s, p in fault_points(store, spec) if s == seed]
-                print(f"seed {seed}")
-                print(fault_sweep_mod.render(rows))
-                print()
-            print(report.summary())
-    elif args.grid == "fig8":
-        kwargs = {}
-        if args.cycles is not None:
-            kwargs["cycles"] = args.cycles
-        if args.warmup is not None:
-            kwargs["warmup"] = args.warmup
-        if args.seeds is not None:
-            kwargs["seeds"] = tuple(args.seeds)
-        if args.max_routers is not None:
-            kwargs["max_routers"] = args.max_routers
-        report = run_jobs(fig8_jobs(**kwargs))
-        if args.format == "json":
-            print(json.dumps(_sweep_document(report), indent=1))
-        elif report.interrupted:
-            print(report.summary())
-        else:
-            print(render_fig8(fig8_curves(store, **kwargs)))
+    def exhibit_sweep(jobs):
+        run_jobs(jobs)
+        if (
+            args.format == "json"
+            or report.interrupted
+            or any(o.record.get("result") is None for o in report.outcomes)
+        ):
+            raise _NoExhibit
+        return report
+
+    exhibit = None
+    try:
+        if args.grid == "fault":
+            rates = tuple(args.rates or fault_sweep.FAULT_SWEEP_RATES)
+            drain = args.drain_cycles
+            points = fault_sweep.run_fault_sweep(
+                rates, args.cycles, args.warmup, tuple(args.seeds), args.app,
+                fault_sweep.DRAIN_CYCLES if drain is None else drain,
+                sweep=exhibit_sweep,
+            )
+            n = len(rates)  # points come seed-major
+            exhibit = "\n\n".join(
+                f"seed {seed}\n{fault_sweep.render(points[i * n:(i + 1) * n])}"
+                for i, seed in enumerate(args.seeds)
+            )
+        elif args.grid == "fig8":
+            curves = fig8.run_fig8(
+                max_routers=args.max_routers, sweep=exhibit_sweep,
+                **_seeds(args),
+            )
+            exhibit = fig8.render(curves)
+        else:  # generic SystemConfig grid
+            axes = dict(args.axis)
+            base = dict(args.pins)
+            if not axes:
+                print("error: at least one --axis is required", file=sys.stderr)
+                return 2
+            try:
+                # SweepSpec checks the grid's shape and SystemConfig
+                # validates every point as the grid expands.
+                jobs = config_grid_spec(
+                    base, axes, replicates=args.replicates,
+                    root_seed=args.root_seed, name=args.name,
+                ).expand()
+            except ValueError as error:
+                parser.error(f"sweep grid: {error}")
+            exhibit = _render_grid_table(run_jobs(jobs))
+    except _NoExhibit:
+        pass
+
+    if args.format == "json":
+        print(json.dumps(_sweep_document(report), indent=1))
+    else:
+        if exhibit is not None:
+            print(exhibit)
             print()
-            print(report.summary())
-    else:  # generic SystemConfig grid
-        axes = dict(args.axis)
-        base = dict(args.pins)
-        if not axes:
-            print("error: at least one --axis is required", file=sys.stderr)
-            return 2
-        spec = config_grid_spec(
-            base, axes, replicates=args.replicates,
-            root_seed=args.root_seed, name=args.name,
-        )
-        try:
-            # SystemConfig validates every grid point as it expands.
-            jobs = spec.expand()
-        except ConfigError as error:
-            parser.error(f"sweep grid: {error}")
-        report = run_jobs(jobs)
-        if args.format == "json":
-            print(json.dumps(_sweep_document(report), indent=1))
-        else:
-            print(_render_grid_table(report))
-            print()
-            print(report.summary())
+        print(report.summary())
 
     for outcome in report.outcomes:
         if not outcome.ok:
@@ -1117,17 +1103,25 @@ def _render_all(kwargs) -> None:
     print(fig8.render(fig8.run_fig8(**kwargs)))
 
 
+def _cached_sweep(store):
+    """Resolve exhibit jobs through ``store``: stored results are served,
+    stored failures are simulated again."""
+    from functools import partial
+
+    from .sweep import run_sweep
+
+    return partial(run_sweep, store=store, retry_failed=True)
+
+
 def _cmd_all(args) -> None:
     kwargs = _seeds(args)
     if args.no_cache:
         _render_all(kwargs)
         return
-    from .experiments.runner import cached_runs
-    from .sweep.store import ResultStore
+    from .sweep import ResultStore
 
     store = ResultStore(args.store)
-    with cached_runs(store):
-        _render_all(kwargs)
+    _render_all(dict(kwargs, sweep=_cached_sweep(store)))
     print()
     print(
         f"result store  : {args.store} "
@@ -1138,11 +1132,13 @@ def _cmd_all(args) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cycles = getattr(args, "cycles", None)
+    # Exhibit and sweep commands leave an omitted --cycles to the
+    # experiment default; `run --resume` takes it from the snapshot.
+    cycles = getattr(args, "cycles", None) or DEFAULT_CYCLES
     warmup = getattr(args, "warmup", None)
     if (
-        cycles is not None and warmup is not None
-        and warmup >= cycles and not getattr(args, "resume", None)
+        warmup is not None and warmup >= cycles
+        and not (args.command == "run" and args.resume)
     ):
         parser.error(
             f"--warmup ({warmup}) must be smaller than --cycles ({cycles})"
@@ -1166,10 +1162,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "table5":
         print(table5.render())
     elif args.command == "fig8":
-        kwargs = _seeds(args)
-        if args.max_routers is not None:
-            kwargs["max_routers"] = args.max_routers
-        print(fig8.render(fig8.run_fig8(**kwargs)))
+        curves = fig8.run_fig8(max_routers=args.max_routers, **_seeds(args))
+        print(fig8.render(curves))
     elif args.command == "export":
         from .experiments.export import export_all
 
@@ -1207,17 +1201,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.apps is not None:
             kwargs["apps"] = tuple(args.apps)
         if args.store is not None:
-            from .experiments.runner import cached_runs
-            from .sweep.store import ResultStore
+            from .sweep import ResultStore
 
-            with cached_runs(ResultStore(args.store)):
-                result = run_arbiter_comparison(
-                    design=args.design, priority=args.priority, **kwargs
-                )
-        else:
-            result = run_arbiter_comparison(
-                design=args.design, priority=args.priority, **kwargs
-            )
+            kwargs["sweep"] = _cached_sweep(ResultStore(args.store))
+        result = run_arbiter_comparison(
+            design=args.design, priority=args.priority, **kwargs
+        )
         print(render_arbiter_comparison(result))
         if result.bound_violations():
             return 1

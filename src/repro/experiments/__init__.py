@@ -15,11 +15,8 @@ from .runner import (
     DEFAULT_CYCLES,
     DEFAULT_SEEDS,
     DEFAULT_WARMUP,
-    active_store,
-    cached_runs,
     experiment_config,
-    run_averaged,
-    run_once,
+    run_cells,
 )
 from .table1 import TABLE1_DESIGNS, run_table1
 from .table2 import TABLE2_DESIGNS, Table2Result, run_table2
@@ -46,16 +43,13 @@ __all__ = [
     "TABLE3_POINTS",
     "Table2Result",
     "Table3Row",
-    "active_store",
-    "cached_runs",
     "experiment_config",
     "knee_index",
-    "run_averaged",
+    "run_cells",
     "run_comparison",
     "run_fault_point",
     "run_fault_sweep",
     "run_fig8",
-    "run_once",
     "run_table1",
     "run_table2",
     "run_table3",

@@ -11,8 +11,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..sim.config import DdrGeneration, NocDesign, PAPER_CLOCK_POINTS
+from ..sweep import run_sweep
 from .report import format_table
-from .runner import AveragedMetrics, DEFAULT_SEEDS, experiment_config, run_averaged
+from .runner import (
+    AveragedMetrics, DEFAULT_SEEDS, SweepFn, experiment_config, run_cells,
+)
 
 #: Metric keys reported per design in Tables I-III.
 METRICS = ("utilization", "latency_all", "latency_demand")
@@ -77,30 +80,43 @@ def run_comparison(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    sweep: SweepFn = run_sweep,
 ) -> ComparisonResult:
     """Simulate every (app x DDR generation x design) cell of Section V."""
-    result = ComparisonResult(designs=list(designs))
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    for app, points in PAPER_CLOCK_POINTS.items():
-        for ddr, mhz in points.items():
-            for design in designs:
-                config = experiment_config(
-                    app=app,
-                    ddr=ddr,
-                    clock_mhz=mhz,
-                    design=design,
-                    priority_enabled=priority,
-                    **overrides,
-                )
-                metrics = run_averaged(config, seeds=seeds)
-                result.cells.append(
-                    ComparisonCell(app, ddr, mhz, design, metrics)
-                )
-    return result
+    cells = _run_paper_grid(
+        "design", designs, seeds, sweep,
+        priority_enabled=priority, cycles=cycles, warmup=warmup,
+    )
+    return ComparisonResult(
+        designs=list(designs), cells=[ComparisonCell(*cell) for cell in cells]
+    )
+
+
+def _run_paper_grid(
+    axis: str,
+    values: Sequence[object],
+    seeds: Iterable[int],
+    sweep: SweepFn,
+    apps: Optional[Sequence[str]] = None,
+    **fields,
+) -> List[tuple]:
+    """``(app, ddr, clock, value, metrics)`` for every (app x DDR
+    generation x ``axis`` value) cell, resolved in one sweep."""
+    points = [
+        (app, ddr, mhz, value)
+        for app, clocks in PAPER_CLOCK_POINTS.items()
+        if apps is None or app in apps
+        for ddr, mhz in clocks.items()
+        for value in values
+    ]
+    configs = [
+        experiment_config(
+            app=app, ddr=ddr, clock_mhz=mhz, **{axis: value}, **fields
+        )
+        for app, ddr, mhz, value in points
+    ]
+    metrics = run_cells(configs, seeds, sweep)
+    return [(*point, averaged) for point, averaged in zip(points, metrics)]
 
 
 # --------------------------------------------------------------------- #
@@ -163,6 +179,7 @@ def run_arbiter_comparison(
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
     apps: Optional[Sequence[str]] = None,
+    sweep: SweepFn = run_sweep,
 ) -> ArbiterComparisonResult:
     """Sweep the memory-arbiter axis over the (app x DDR) grid.
 
@@ -172,31 +189,15 @@ def run_arbiter_comparison(
     SDRAM arbiters" question.  ``apps`` restricts the application rows
     (the CI smoke job runs a single app).
     """
-    result = ArbiterComparisonResult(design=design, arbiters=list(arbiters))
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    for app, points in PAPER_CLOCK_POINTS.items():
-        if apps is not None and app not in apps:
-            continue
-        for ddr, mhz in points.items():
-            for arbiter in arbiters:
-                config = experiment_config(
-                    app=app,
-                    ddr=ddr,
-                    clock_mhz=mhz,
-                    design=design,
-                    priority_enabled=priority,
-                    arbiter=arbiter,
-                    **overrides,
-                )
-                metrics = run_averaged(config, seeds=seeds)
-                result.cells.append(
-                    ArbiterCell(app, ddr, mhz, arbiter, metrics)
-                )
-    return result
+    cells = _run_paper_grid(
+        "arbiter", arbiters, seeds, sweep, apps,
+        design=design, priority_enabled=priority, cycles=cycles, warmup=warmup,
+    )
+    return ArbiterComparisonResult(
+        design=design,
+        arbiters=list(arbiters),
+        cells=[ArbiterCell(*cell) for cell in cells],
+    )
 
 
 def render_arbiter_comparison(

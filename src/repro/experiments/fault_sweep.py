@@ -15,10 +15,11 @@ resilience machinery is not even built, so that row is bit-identical to
 the plain system and any difference against it is attributable to the
 faults, not the instrumentation.
 
-:func:`run_fault_point` is the single-point path the sweep
-orchestrator's ``fault-point`` job runner executes verbatim
-(:mod:`repro.sweep.runners`), which is what makes a sharded
-``repro sweep fault`` bit-identical to this serial driver.
+:func:`run_fault_sweep` resolves one ``fault-point`` job per (seed,
+rate) through a sweep callable; the job runner
+(:mod:`repro.sweep.runners`) executes :func:`run_fault_point`.  ``repro
+faults`` resolves them in-process, ``repro sweep fault`` shards them and
+keeps them in the result store.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from typing import Iterable, List, Optional
 
 from ..core.system import build_system
 from ..resilience.faults import FaultConfig
-from .runner import experiment_config
+from ..sweep import Job, run_sweep
+from .runner import SweepFn, _sweep_results, experiment_config
 
 #: Default sweep: clean control plus three decades of fault rate.
 FAULT_SWEEP_RATES = (0.0, 1e-4, 1e-3, 1e-2)
@@ -98,13 +100,10 @@ def run_fault_point(
     drain_cycles: int = DRAIN_CYCLES,
 ) -> FaultSweepPoint:
     """Simulate one fault rate on the paper's default GSS+SAGM point."""
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
     faults = FaultConfig.uniform(rate) if rate > 0.0 else None
-    config = experiment_config(app=app, seed=seed, faults=faults, **overrides)
+    config = experiment_config(
+        app=app, seed=seed, faults=faults, cycles=cycles, warmup=warmup
+    )
     system = build_system(config)
     metrics = system.run()
     quiesced = system.drain(drain_cycles)
@@ -144,21 +143,38 @@ def run_fault_sweep(
     rates: Iterable[float] = FAULT_SWEEP_RATES,
     cycles: Optional[int] = None,
     warmup: Optional[int] = None,
-    seed: int = 2010,
+    seeds: Iterable[int] = (2010,),
     app: str = "single_dtv",
     drain_cycles: int = DRAIN_CYCLES,
+    sweep: SweepFn = run_sweep,
 ) -> List[FaultSweepPoint]:
-    """Run the sweep on the paper's default GSS+SAGM operating point."""
-    return [
-        run_fault_point(
-            rate,
-            cycles=cycles,
-            warmup=warmup,
-            seed=seed,
-            app=app,
-            drain_cycles=drain_cycles,
+    """Run the sweep on the paper's default GSS+SAGM operating point.
+
+    One ``fault-point`` job per (seed, rate), resolved in one ``sweep``
+    call; the points come seed-major, each seed in rate order.  A hung
+    or unaccounted point is a failed job that still carries its partial
+    result, so it comes back as a point whose :meth:`failure_reason`
+    says why.
+    """
+    rates = list(rates)
+    horizon = experiment_config(app=app, cycles=cycles, warmup=warmup)
+    base = {
+        "app": app,
+        "cycles": horizon.cycles,
+        "warmup": horizon.warmup,
+        "drain_cycles": drain_cycles,
+    }
+    jobs = [
+        Job(
+            kind="fault-point",
+            params={**base, "seed": seed, "rate": rate},
+            label=f"seed={seed},rate={rate}",
         )
+        for seed in seeds
         for rate in rates
+    ]
+    return [
+        FaultSweepPoint(**result) for result in _sweep_results(sweep, jobs)
     ]
 
 

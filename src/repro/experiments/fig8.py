@@ -17,10 +17,11 @@ three GSS flow controllers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from ..sim.config import DdrGeneration, NocDesign
-from .runner import AveragedMetrics, DEFAULT_SEEDS, experiment_config, run_averaged
+from ..sweep import run_sweep
+from .runner import DEFAULT_SEEDS, SweepFn, experiment_config, run_cells
 
 #: Fig. 8 operating points: (application, DDR generation, clock MHz).
 FIG8_POINTS = [
@@ -50,47 +51,46 @@ def gss_router_counts(app: str, max_routers: int | None = None) -> List[int]:
     return list(range(0, top + 1))
 
 
-def fig8_config(app: str, ddr: DdrGeneration, mhz: int, k: int, **overrides):
-    """The configuration of one Fig. 8 point: ``k`` GSS routers on the
-    ``app`` operating point.  Shared with the sweep grid definition in
-    :mod:`repro.sweep.grids` so both paths enumerate identical configs."""
-    return experiment_config(
-        app=app,
-        ddr=ddr,
-        clock_mhz=mhz,
-        design=NocDesign.GSS_SAGM,
-        priority_enabled=True,
-        num_gss_routers=k,
-        **overrides,
-    )
-
-
 def run_fig8(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
     max_routers: int | None = None,
+    sweep: SweepFn = run_sweep,
 ) -> List[Fig8Curve]:
-    """Regenerate the three Fig. 8 sweeps."""
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
+    """Regenerate the three Fig. 8 sweeps: one ``metrics`` job per
+    (operating point, router count, seed), resolved in one sweep."""
+    points = [
+        (app, ddr, mhz, k)
+        for app, ddr, mhz in FIG8_POINTS
+        for k in gss_router_counts(app, max_routers)
+    ]
+    configs = [
+        experiment_config(
+            app=app,
+            ddr=ddr,
+            clock_mhz=mhz,
+            design=NocDesign.GSS_SAGM,
+            priority_enabled=True,
+            num_gss_routers=k,
+            cycles=cycles,
+            warmup=warmup,
+        )
+        for app, ddr, mhz, k in points
+    ]
+    labels = [f"{app}/gss={k}" for app, _, _, k in points]
+    averaged = iter(run_cells(configs, seeds, sweep, labels))
     curves: List[Fig8Curve] = []
     for app, ddr, mhz in FIG8_POINTS:
         counts = gss_router_counts(app, max_routers)
-        utilization: List[float] = []
-        latency_all: List[float] = []
-        latency_priority: List[float] = []
-        for k in counts:
-            config = fig8_config(app, ddr, mhz, k, **overrides)
-            metrics = run_averaged(config, seeds=seeds)
-            utilization.append(metrics.utilization)
-            latency_all.append(metrics.latency_all)
-            latency_priority.append(metrics.latency_demand)
+        cells = [next(averaged) for _ in counts]
         curves.append(
-            Fig8Curve(app, ddr, mhz, counts, utilization, latency_all, latency_priority)
+            Fig8Curve(
+                app, ddr, mhz, counts,
+                [cell.utilization for cell in cells],
+                [cell.latency_all for cell in cells],
+                [cell.latency_demand for cell in cells],
+            )
         )
     return curves
 

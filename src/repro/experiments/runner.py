@@ -10,19 +10,20 @@ run-to-run spread.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence
 
-from ..core.system import build_system
 from ..sim.config import SystemConfig
 from ..sim.stats import RunMetrics
+from ..sweep import Job, SweepReport, metrics_job, run_sweep
 
 #: Default experiment horizon (cycles) and warmup.
 DEFAULT_CYCLES = 20_000
 DEFAULT_WARMUP = 3_000
 DEFAULT_SEEDS = (2010, 2011)
+
+#: How an exhibit resolves its jobs: :func:`run_sweep` or a partial of it.
+SweepFn = Callable[[Sequence[Job]], SweepReport]
 
 
 @dataclass(frozen=True)
@@ -65,82 +66,71 @@ class AveragedMetrics:
         )
 
 
-#: When set (via :func:`cached_runs`), every :func:`run_once` consults
-#: this content-addressed store before simulating — the seam that makes
-#: a second ``repro all`` near-instant.
-_ACTIVE_STORE = None
-
-
-@contextmanager
-def cached_runs(store):
-    """Serve :func:`run_once` from ``store`` within the block.
-
-    ``store`` is a :class:`repro.sweep.store.ResultStore`; results are
-    addressed by the same ``metrics``-job key the sweep orchestrator
-    uses, so exhibits and sweeps share one cache.  Metrics round-trip
-    through JSON exactly (Python floats are repr-round-trip stable), so
-    a cache hit is bit-identical to a fresh simulation.
-    """
-    global _ACTIVE_STORE
-    previous = _ACTIVE_STORE
-    _ACTIVE_STORE = store
-    try:
-        yield store
-    finally:
-        _ACTIVE_STORE = previous
-
-
-def active_store():
-    """The store :func:`run_once` currently consults, if any."""
-    return _ACTIVE_STORE
-
-
-def run_once(config: SystemConfig) -> RunMetrics:
-    """Build and simulate one configuration.
-
-    Inside a :func:`cached_runs` block, a configuration whose result is
-    already stored is served from the store without simulating; a fresh
-    result is stored on the way out.
-    """
-    store = _ACTIVE_STORE
-    if store is None:
-        return build_system(config).run()
-    # Imported lazily: repro.sweep imports this module for the
-    # experiment defaults.
-    from ..sweep.runners import metrics_job
-    from ..sweep.store import make_record
-
-    job = metrics_job(config)
-    record = store.get(job.key)
-    if record is not None and record.get("status") == "ok":
-        return RunMetrics(**record["result"])
-    started = time.perf_counter()
-    system = build_system(config)
-    metrics = system.run()
-    store.put(
-        make_record(
-            job,
-            status="ok",
-            result=asdict(metrics),
-            elapsed_s=time.perf_counter() - started,
-        )
+def experiment_config(
+    cycles: Optional[int] = None,
+    warmup: Optional[int] = None,
+    **fields,
+) -> SystemConfig:
+    """A SystemConfig with the experiment-default horizon applied to
+    ``cycles``/``warmup`` left unset or ``None``."""
+    return SystemConfig(
+        cycles=DEFAULT_CYCLES if cycles is None else cycles,
+        warmup=DEFAULT_WARMUP if warmup is None else warmup,
+        **fields,
     )
-    return metrics
 
 
-def run_averaged(
-    config: SystemConfig,
+def run_cells(
+    cells: Sequence[SystemConfig],
     seeds: Iterable[int] = DEFAULT_SEEDS,
-) -> AveragedMetrics:
-    """Run ``config`` once per seed and average the headline metrics."""
-    runs: List[RunMetrics] = []
-    for seed in seeds:
-        runs.append(run_once(config.with_(seed=seed)))
-    return AveragedMetrics.from_runs(runs)
+    sweep: SweepFn = run_sweep,
+    labels: Optional[Sequence[str]] = None,
+) -> List[AveragedMetrics]:
+    """Simulate every cell once per seed and average each cell's runs.
+
+    The whole grid is one ``sweep`` call with one ``metrics`` job per
+    (cell, seed), so a caller chooses where the runs come from: the
+    default simulates in-process against a memory-only store, and
+    ``repro all`` passes a store-backed sweep, so exhibits and
+    ``repro sweep`` share one cache.  Each cell's runs are averaged in
+    seed order.  ``labels`` names the cells in job labels (default: the
+    configuration label).
+    """
+    seeds = list(seeds)
+    if labels is None:
+        labels = [config.label for config in cells]
+    jobs = [
+        metrics_job(config.with_(seed=seed), label=f"{label}/seed={seed}")
+        for config, label in zip(cells, labels)
+        for seed in seeds
+    ]
+    results = iter(_sweep_results(sweep, jobs))
+    return [
+        AveragedMetrics.from_runs([RunMetrics(**next(results)) for _ in seeds])
+        for _ in cells
+    ]
 
 
-def experiment_config(**overrides) -> SystemConfig:
-    """A SystemConfig with the experiment-default horizon applied."""
-    overrides.setdefault("cycles", DEFAULT_CYCLES)
-    overrides.setdefault("warmup", DEFAULT_WARMUP)
-    return SystemConfig(**overrides)
+def _sweep_results(
+    sweep: SweepFn, jobs: Sequence[Job]
+) -> List[Mapping[str, object]]:
+    """Resolve ``jobs`` with one ``sweep`` call; their results, in order.
+
+    A failed job that still carries a result (a hung fault point) yields
+    it.  A job that left none raises, naming the job and carrying its
+    recorded error and traceback.
+    """
+    report = sweep(jobs)
+    records = {outcome.job.key: outcome.record for outcome in report.outcomes}
+    results = []
+    for job in jobs:
+        record = records.get(job.key)
+        if record is None:
+            raise RuntimeError(f"job {job.label!r} was never run")
+        if record.get("result") is None:
+            raise RuntimeError(
+                f"job {job.label!r} failed: {record.get('error')}\n"
+                f"{record.get('traceback') or ''}".rstrip()
+            )
+        results.append(record["result"])
+    return results

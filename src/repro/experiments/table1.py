@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Iterable, List
 
 from ..sim.config import NocDesign, PAPER_CLOCK_POINTS
+from ..sweep import run_sweep
 from .comparison import ComparisonResult, METRICS, run_comparison
 from .report import format_table
-from .runner import DEFAULT_SEEDS
+from .runner import DEFAULT_SEEDS, SweepFn
 
 TABLE1_DESIGNS = [
     NocDesign.CONV,
@@ -30,10 +31,12 @@ def run_table1(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    sweep: SweepFn = run_sweep,
 ) -> ComparisonResult:
     """Regenerate Table I's measurements."""
     return run_comparison(
-        TABLE1_DESIGNS, priority=False, cycles=cycles, warmup=warmup, seeds=seeds
+        TABLE1_DESIGNS, priority=False, cycles=cycles, warmup=warmup,
+        seeds=seeds, sweep=sweep,
     )
 
 

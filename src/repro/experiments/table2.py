@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable
 
 from ..sim.config import NocDesign
+from ..sweep import run_sweep
 from .comparison import ComparisonResult, METRICS, run_comparison
-from .runner import DEFAULT_SEEDS
+from .runner import DEFAULT_SEEDS, SweepFn
 from .table1 import render as _render_shared
 
 TABLE2_DESIGNS = [
@@ -51,14 +52,13 @@ def run_table2(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    sweep: SweepFn = run_sweep,
 ) -> Table2Result:
     """Regenerate Table II's measurements."""
-    comparison = run_comparison(
-        TABLE2_DESIGNS, priority=True, cycles=cycles, warmup=warmup, seeds=seeds
-    )
+    shared = dict(cycles=cycles, warmup=warmup, seeds=seeds, sweep=sweep)
+    comparison = run_comparison(TABLE2_DESIGNS, priority=True, **shared)
     baseline = run_comparison(
-        [NocDesign.SDRAM_AWARE], priority=False,
-        cycles=cycles, warmup=warmup, seeds=seeds,
+        [NocDesign.SDRAM_AWARE], priority=False, **shared
     )
     return Table2Result(
         comparison=comparison,

@@ -12,10 +12,13 @@ latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Iterable, List
 
 from ..sim.config import DdrGeneration, NocDesign
-from .runner import AveragedMetrics, DEFAULT_SEEDS, experiment_config, run_averaged
+from ..sweep import run_sweep
+from .runner import (
+    AveragedMetrics, DEFAULT_SEEDS, SweepFn, experiment_config, run_cells,
+)
 
 #: The paper's Table III operating points (all DDR III).
 TABLE3_POINTS = [
@@ -55,30 +58,30 @@ def run_table3(
     cycles: int | None = None,
     warmup: int | None = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    sweep: SweepFn = run_sweep,
 ) -> List[Table3Row]:
     """Regenerate Table III: GSS+SAGM+STI vs GSS+SAGM on DDR III."""
-    overrides = {}
-    if cycles is not None:
-        overrides["cycles"] = cycles
-    if warmup is not None:
-        overrides["warmup"] = warmup
-    rows: List[Table3Row] = []
-    for app, mhz in TABLE3_POINTS:
-        variants: Dict[bool, AveragedMetrics] = {}
-        for sti in (False, True):
-            config = experiment_config(
-                app=app,
-                ddr=DdrGeneration.DDR3,
-                clock_mhz=mhz,
-                design=NocDesign.GSS_SAGM,
-                priority_enabled=True,
-                sti=sti,
-                num_gss_routers=TABLE3_GSS_ROUTERS,
-                **overrides,
-            )
-            variants[sti] = run_averaged(config, seeds=seeds)
-        rows.append(Table3Row(app, mhz, variants[False], variants[True]))
-    return rows
+    configs = [
+        experiment_config(
+            app=app,
+            ddr=DdrGeneration.DDR3,
+            clock_mhz=mhz,
+            design=NocDesign.GSS_SAGM,
+            priority_enabled=True,
+            sti=sti,
+            num_gss_routers=TABLE3_GSS_ROUTERS,
+            cycles=cycles,
+            warmup=warmup,
+        )
+        for app, mhz in TABLE3_POINTS
+        for sti in (False, True)
+    ]
+    # Each point's cells come without STI, then with it.
+    averaged = iter(run_cells(configs, seeds, sweep))
+    return [
+        Table3Row(app, mhz, next(averaged), next(averaged))
+        for app, mhz in TABLE3_POINTS
+    ]
 
 
 def render(rows: List[Table3Row]) -> str:

@@ -11,8 +11,9 @@ from typing import Dict, Iterable, Optional
 
 from ..cost.power import TABLE5_POINTS, estimate_power
 from ..sim.config import DdrGeneration, NocDesign
+from ..sweep import run_sweep
 from .report import format_table
-from .runner import DEFAULT_SEEDS, experiment_config, run_averaged
+from .runner import DEFAULT_SEEDS, SweepFn, experiment_config, run_cells
 
 #: design key in the cost model -> NocDesign for activity simulation
 DESIGN_MAP = {
@@ -29,30 +30,43 @@ def run_table5(
     with_activity: bool = False,
     cycles: Optional[int] = None,
     seeds: Iterable[int] = DEFAULT_SEEDS,
+    sweep: SweepFn = run_sweep,
 ) -> Dict[str, Dict[str, float]]:
     """Average power (mW) per design and operating point.
 
     With ``with_activity`` the simulator supplies each design's measured
     utilization as the switching-activity factor.
     """
-    result: Dict[str, Dict[str, float]] = {}
-    for app, mhz in TABLE5_POINTS:
-        row: Dict[str, float] = {}
-        for key, design in DESIGN_MAP.items():
-            activity = None
-            if with_activity:
-                config = experiment_config(
-                    app=app,
-                    ddr=POINT_DDR[mhz],
-                    clock_mhz=mhz,
-                    design=design,
-                    sti=design is NocDesign.GSS_SAGM,
-                    **({"cycles": cycles} if cycles else {}),
-                )
-                activity = min(1.0, run_averaged(config, seeds=seeds).raw_utilization)
-            row[key] = estimate_power(key, app, mhz, activity=activity).milliwatts
-        result[f"{app}@{mhz}MHz"] = row
-    return result
+    points = [
+        (app, mhz, key) for app, mhz in TABLE5_POINTS for key in DESIGN_MAP
+    ]
+    activity: Dict[tuple, float] = {}
+    if with_activity:
+        configs = [
+            experiment_config(
+                app=app,
+                ddr=POINT_DDR[mhz],
+                clock_mhz=mhz,
+                design=DESIGN_MAP[key],
+                sti=DESIGN_MAP[key] is NocDesign.GSS_SAGM,
+                cycles=cycles,
+            )
+            for app, mhz, key in points
+        ]
+        averaged = run_cells(configs, seeds, sweep)
+        activity = {
+            point: min(1.0, cell.raw_utilization)
+            for point, cell in zip(points, averaged)
+        }
+    return {
+        f"{app}@{mhz}MHz": {
+            key: estimate_power(
+                key, app, mhz, activity=activity.get((app, mhz, key))
+            ).milliwatts
+            for key in DESIGN_MAP
+        }
+        for app, mhz in TABLE5_POINTS
+    }
 
 
 def render(result: Optional[Dict[str, Dict[str, float]]] = None) -> str:

@@ -12,13 +12,7 @@ See ``docs/ARCHITECTURE.md`` (Sweep orchestration) for the job
 lifecycle, seed derivation, and cache-key composition.
 """
 
-from .grids import (
-    config_grid_spec,
-    fault_points,
-    fault_sweep_spec,
-    fig8_curves,
-    fig8_jobs,
-)
+from .grids import config_grid_spec
 from .orchestrator import (
     JobOutcome,
     ProgressPrinter,
@@ -52,10 +46,6 @@ __all__ = [
     "config_payload",
     "dedupe",
     "execute_job",
-    "fault_points",
-    "fault_sweep_spec",
-    "fig8_curves",
-    "fig8_jobs",
     "job_key",
     "make_record",
     "metrics_job",

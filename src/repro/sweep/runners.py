@@ -10,13 +10,13 @@ Two kinds are built in:
 
 * ``metrics`` — build one :class:`~repro.sim.config.SystemConfig` from
   a fully-resolved payload, simulate it, return the
-  :class:`~repro.sim.stats.RunMetrics` fields.  This is the kind the
-  generic ``repro sweep grid`` command and the Fig. 8 grid use, and the
-  one ``repro all`` consults for exhibit caching.
-* ``fault-point`` — one point of the fault-rate sweep, via exactly the
-  same code path as the serial
-  :func:`repro.experiments.fault_sweep.run_fault_point`, so parallel
-  sweeps are bit-identical to the serial baseline.  A point that hangs
+  :class:`~repro.sim.stats.RunMetrics` fields.  Every metric exhibit
+  (Tables I–III, Fig. 8, the arbiter comparison) and the generic
+  ``repro sweep grid`` command resolve their cells as these jobs.
+* ``fault-point`` — one point of the fault-rate sweep, run by
+  :func:`repro.experiments.fault_sweep.run_fault_point`; the fault
+  sweep resolves every point as one of these jobs, in-process or
+  sharded.  A point that hangs
   (fails to drain) or leaves injected faults unaccounted raises
   :class:`JobFailure` carrying the partial result, so the store records
   it as a *failed* job with the rate and drain budget in the error —
@@ -289,9 +289,10 @@ def config_from_payload(payload: Mapping[str, object]) -> SystemConfig:
 def metrics_job(config: SystemConfig, label: Optional[str] = None):
     """The ``metrics`` job for one configuration.
 
-    One seam shared by ``repro sweep`` and the ``repro all`` exhibit
-    cache: both address the store through this job's key, so a point
-    simulated by either is a hit for the other.
+    Exhibits (:func:`repro.experiments.runner.run_cells`) and ``repro
+    sweep grid`` both build their jobs here, so they address the store
+    by the same key and a point simulated by either is a hit for the
+    other.
     """
     from .spec import Job  # local: spec imports store, not runners
 

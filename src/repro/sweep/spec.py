@@ -10,13 +10,12 @@ parameters, so any field change is a cache miss and no field change is
 a re-run.
 
 Seeds are deterministic by construction.  If a grid names ``seed`` (in
-``base`` or as an axis) the explicit values pass through untouched —
-that is how the canonical fault-sweep and Fig. 8 grids stay
-bit-identical to their serial baselines.  Otherwise every job gets a
-seed derived with :func:`repro.sim.rng.derive_seed` from the spec's
-``root_seed``, the spec name, the job's axis coordinates, and its
-replicate index: decoupled streams, stable across processes, and
-independent of expansion order.
+``base`` or as an axis) the explicit values pass through untouched.
+Otherwise every job gets a seed derived with
+:func:`repro.sim.rng.derive_seed` from the spec's ``root_seed``, the
+spec name, the job's axis coordinates, and its replicate index:
+decoupled streams, stable across processes, and independent of
+expansion order.
 """
 
 from __future__ import annotations

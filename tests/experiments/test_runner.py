@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro import run_config
 from repro.experiments.runner import (
     AveragedMetrics,
     experiment_config,
-    run_averaged,
-    run_once,
+    run_cells,
 )
 from repro.sim.config import NocDesign, SystemConfig
 from repro.sim.stats import RunMetrics
+from repro.sweep import JOB_RUNNERS
 
 
 def _metrics(latency):
@@ -33,23 +34,33 @@ class TestAveraging:
 
 
 class TestRunning:
-    def test_run_once_returns_result(self):
-        config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        result = run_once(config)
-        assert result.completed > 0
-
     def test_run_averaged_uses_all_seeds(self):
         config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        averaged = run_averaged(config, seeds=(1, 2, 3))
+        [averaged] = run_cells([config], seeds=(1, 2, 3))
         assert averaged.runs == 3
 
     def test_seed_averaging_between_extremes(self):
         config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
-        a = run_once(config.with_(seed=1)).latency_all
-        b = run_once(config.with_(seed=2)).latency_all
-        averaged = run_averaged(config, seeds=(1, 2))
+        a = run_config(config.with_(seed=1)).latency_all
+        b = run_config(config.with_(seed=2)).latency_all
+        [averaged] = run_cells([config], seeds=(1, 2))
         low, high = sorted((a, b))
         assert low <= averaged.latency_all <= high
+
+    def test_failed_job_raises_with_label_error_and_traceback(
+        self, monkeypatch
+    ):
+        def planted(params):
+            raise ValueError("planted runner failure")
+
+        monkeypatch.setitem(JOB_RUNNERS, "metrics", planted)
+        config = SystemConfig(app="bluray", cycles=2_000, warmup=400)
+        with pytest.raises(RuntimeError) as raised:
+            run_cells([config], seeds=(7,))
+        message = str(raised.value)
+        assert f"{config.label}/seed=7" in message
+        assert "ValueError: planted runner failure" in message
+        assert "Traceback" in message
 
 
 class TestExperimentConfig:
@@ -57,6 +68,8 @@ class TestExperimentConfig:
         config = experiment_config(app="bluray")
         assert config.cycles == 20_000
         assert config.warmup == 3_000
+        unset = experiment_config(cycles=None, warmup=None)
+        assert (unset.cycles, unset.warmup) == (20_000, 3_000)
 
     def test_overrides_win(self):
         config = experiment_config(app="bluray", cycles=500, warmup=100)

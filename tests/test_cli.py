@@ -77,6 +77,15 @@ class TestInputHardening:
         ["monitor", STORE, "--max-seconds", "-1"],
         ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=500",
          "--set", "warmup=100", "--job-timeout", "0", "--store", STORE],
+        ["fig8", "--warmup", "25000", "--max-routers", "0", "--seeds", "2010"],
+        ["table3", "--warmup", "20000", "--seeds", "2010"],
+        ["faults", "--warmup", "25000", "--rates", "0"],
+        ["sweep", "fault", "--warmup", "25000", "--rates", "0",
+         "--store", STORE],
+        ["sweep", "grid", "--axis", "seed=1,2", "--replicates", "2",
+         "--store", STORE],
+        ["sweep", "grid", "--axis", "app=bluray", "--set", "app=single_dtv",
+         "--store", STORE],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
         store = str(tmp_path / "store.jsonl")
@@ -449,6 +458,31 @@ class TestSweepCommand:
         assert raised.value.code == 2
         assert "memory-arbiter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, kind, extra", [
+        ("fault", "fault-point", ["--rates", "0"]),
+        ("fig8", "metrics", ["--max-routers", "0"]),
+    ])
+    def test_job_without_result_prints_fail_lines(
+        self, grid, kind, extra, monkeypatch, capsys, tmp_path
+    ):
+        from repro.sweep import JOB_RUNNERS
+
+        def planted(params):
+            raise ValueError("planted runner failure")
+
+        monkeypatch.setitem(JOB_RUNNERS, kind, planted)
+        code = main([
+            "sweep", grid, "--cycles", "1000", "--warmup", "200",
+            "--seeds", "2010", *extra, "--jobs", "1",
+            "--store", str(tmp_path / "store.jsonl"), "--quiet",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAIL:" in captured.err
+        assert "ValueError: planted runner failure" in captured.err
+        assert "failed" in captured.out  # the summary line
+        assert "util" not in captured.out  # no exhibit table
+
     def test_fig8_sweep_small(self, capsys, tmp_path):
         store = tmp_path / "store.jsonl"
         code = main([
@@ -467,6 +501,36 @@ class TestAllCachedCommand:
         args = build_parser().parse_args(["all"])
         assert args.store.endswith("results.jsonl")
         assert not args.no_cache
+
+    def test_exhibit_store_serves_cells_and_resimulates_failures(
+        self, capsys, tmp_path
+    ):
+        import json
+
+        store = tmp_path / "store.jsonl"
+        argv = [
+            "arbiters", "--arbiters", "engine", "dpq", "--apps", "single_dtv",
+            "--cycles", "700", "--warmup", "100", "--seeds", "2010",
+            "--store", str(store),
+        ]
+        assert main(argv) == 0
+        table = capsys.readouterr().out
+        cold = store.read_text().splitlines()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+        assert store.read_text().splitlines() == cold  # all served
+        # A stored failure is simulated again, not served.
+        planted = dict(
+            json.loads(cold[0]), status="failed", result=None, error="planted"
+        )
+        with store.open("a") as handle:
+            handle.write(json.dumps(planted) + "\n")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == table
+        rerun = store.read_text().splitlines()
+        assert len(rerun) == len(cold) + 2
+        assert json.loads(rerun[-1])["key"] == planted["key"]
+        assert json.loads(rerun[-1])["status"] == "ok"
 
 
 class TestTelemetryCommands:

@@ -52,6 +52,28 @@ def test_building_a_system_loads_no_numpy():
     assert result.returncode == 0, result.stderr
 
 
+def test_import_loads_no_exhibit_layer():
+    """`import repro` stops at the simulator and the sweep layer: the
+    exhibit drivers and cost models load only when something asks for
+    them, so `repro.sweep` must not import `repro.experiments`."""
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith(\n"
+        "    ('repro.experiments', 'repro.cost')))))\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
+
+
 def test_design_enum_covers_paper_comparisons():
     values = {design.value for design in repro.NocDesign}
     assert values == {
