@@ -17,18 +17,22 @@ Quick start::
     print(metrics.utilization, metrics.latency_all, metrics.latency_demand)
 """
 
-from .core.system import SocSystem, build_system, run_config
-from .obs import MemoryTracer, MetricsRegistry, NullTracer, SimulatorProfiler
-from .resilience import FaultConfig, FaultInjector, FaultSite, ScheduledFault
-from .sim.config import (
-    ConfigError,
-    DdrGeneration,
-    NocDesign,
-    SystemConfig,
-    paper_configs,
-)
-from .sim.stats import RunMetrics
-from .sweep import Job, ResultStore, SweepSpec, run_sweep
+from ._lazy import lazy_exports
+
+# Each public name loads its submodule on first use, so `import repro`
+# loads no simulator layer and a run loads none of obs' exporters,
+# resilience or the sweep orchestrator unless it asks for them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".core.system": ("SocSystem", "build_system", "run_config"),
+    ".obs": ("MemoryTracer", "MetricsRegistry", "NullTracer",
+             "SimulatorProfiler"),
+    ".resilience": ("FaultConfig", "FaultInjector", "FaultSite",
+                    "ScheduledFault"),
+    ".sim.config": ("ConfigError", "DdrGeneration", "NocDesign",
+                    "SystemConfig", "paper_configs"),
+    ".sim.stats": ("RunMetrics",),
+    ".sweep": ("Job", "ResultStore", "SweepSpec", "run_sweep"),
+})
 
 __version__ = "1.3.0"
 

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional
 
 from .core.system import build_system
-from .experiments import fig8, table1, table2, table3, table4, table5
-from .experiments.runner import DEFAULT_CYCLES
 from .sim.config import (
     PAPER_CLOCK_POINTS, DdrGeneration, NocDesign, SystemConfig,
 )
@@ -133,6 +132,23 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _output_path(text: str) -> str:
+    """argparse ``type`` for a file a command writes.  A directory, or a
+    path under an existing file, can never be written, so it is a usage
+    error before anything is simulated; missing parent directories are
+    created when the file is written."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    for ancestor in Path(text).parents:
+        if os.path.exists(ancestor):
+            if not os.path.isdir(ancestor):
+                raise argparse.ArgumentTypeError(
+                    f"{ancestor} is not a directory"
+                )
+            break
+    return text
+
+
 def _ensure_parent(path: str) -> None:
     """Create the directory an output file goes into."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -155,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report p50/p95/p99 latency (keeps per-request samples)",
     )
     run.add_argument(
-        "--telemetry", metavar="PATH", default=None,
+        "--telemetry", type=_output_path, metavar="PATH", default=None,
         help="stream newline-JSON telemetry (run manifest, periodic "
         "samples, end-of-run summary) to PATH; watch live with "
         "`repro monitor PATH --follow`",
@@ -165,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="cycles per telemetry sample window (default: 1000)",
     )
     run.add_argument(
-        "--prom", metavar="PATH", default=None,
+        "--prom", type=_output_path, metavar="PATH", default=None,
         help="after the run, write the metrics registry as a "
         "Prometheus text-format snapshot",
     )
     run.add_argument(
-        "--checkpoint", metavar="PATH", default=None,
+        "--checkpoint", type=_output_path, metavar="PATH", default=None,
         help="snapshot the full simulator state to PATH — periodically "
         "with --checkpoint-every, on SIGINT/SIGTERM (checkpoint, then "
         "exit 130/143), and at the end of the run; continue "
@@ -236,12 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config_args(trace, default_cycles=5_000, default_warmup=0)
     trace.add_argument(
-        "-o", "--output", default="trace.json", metavar="PATH",
+        "-o", "--output", type=_output_path, default="trace.json",
+        metavar="PATH",
         help="Chrome trace-event JSON output (load in Perfetto / "
         "chrome://tracing)",
     )
     trace.add_argument(
-        "--jsonl", default=None, metavar="PATH",
+        "--jsonl", type=_output_path, default=None, metavar="PATH",
         help="also dump raw events as JSON Lines",
     )
     trace.add_argument(
@@ -267,9 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="most expensive windows to list",
     )
 
-    for name, module in [
-        ("table1", table1), ("table2", table2), ("table3", table3),
-    ]:
+    for name in ("table1", "table2", "table3"):
         exhibit = sub.add_parser(name, help=f"regenerate {name}")
         exhibit.add_argument("--cycles", type=_positive, default=None)
         exhibit.add_argument("--warmup", type=_non_negative, default=None)
@@ -309,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     arbiters_cmd.add_argument("--warmup", type=_non_negative, default=None)
     arbiters_cmd.add_argument("--seeds", type=int, nargs="+", default=None)
     arbiters_cmd.add_argument(
-        "--store", default=None, metavar="PATH",
+        "--store", type=_output_path, default=None, metavar="PATH",
         help="serve/record cells through a content-addressed result "
         "store (shared with `repro sweep` and `repro all`)",
     )
@@ -319,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--warmup", type=_non_negative, default=None)
     everything.add_argument("--seeds", type=int, nargs="+", default=None)
     everything.add_argument(
-        "--store", default=DEFAULT_STORE_PATH, metavar="PATH",
+        "--store", type=_output_path, default=DEFAULT_STORE_PATH,
+        metavar="PATH",
         help="content-addressed result store consulted before every "
         f"simulation (default: {DEFAULT_STORE_PATH}); a second "
         "invocation is served from it",
@@ -388,7 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
     export = sub.add_parser(
         "export", help="run every exhibit and write results as JSON"
     )
-    export.add_argument("output", help="path of the JSON document to write")
+    export.add_argument(
+        "output", type=_output_path,
+        help="path of the JSON document to write",
+    )
     export.add_argument("--cycles", type=_positive, default=None)
     export.add_argument("--warmup", type=_non_negative, default=None)
     export.add_argument("--seeds", type=int, nargs="+", default=None)
@@ -398,14 +417,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
     """The orchestration flags shared by every `repro sweep` grid."""
-    import os
-
     parser.add_argument(
         "--jobs", type=_positive, default=os.cpu_count() or 1, metavar="N",
         help="worker processes (default: all cores); 1 runs in-process",
     )
     parser.add_argument(
-        "--store", default=DEFAULT_STORE_PATH, metavar="PATH",
+        "--store", type=_output_path, default=DEFAULT_STORE_PATH,
+        metavar="PATH",
         help=f"result store JSONL (default: {DEFAULT_STORE_PATH})",
     )
     parser.add_argument(
@@ -437,7 +455,7 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         help="suppress the stderr progress line",
     )
     parser.add_argument(
-        "--telemetry", metavar="PATH", default=None,
+        "--telemetry", type=_output_path, metavar="PATH", default=None,
         help="stream sweep lifecycle telemetry (job events, worker "
         "heartbeats, progress/ETA) to PATH; watch live with "
         "`repro monitor PATH --follow`",
@@ -957,7 +975,7 @@ class _NoExhibit(Exception):
 def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
     import json
 
-    from .experiments import fault_sweep
+    from .experiments import fault_sweep, fig8
     from .sweep import ProgressPrinter, ResultStore, config_grid_spec, run_sweep
 
     store = ResultStore(args.store, fsync=args.fsync_store)
@@ -1090,6 +1108,8 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _render_all(kwargs) -> None:
+    from .experiments import fig8, table1, table2, table3, table4, table5
+
     print(table1.render(table1.run_table1(**kwargs)))
     print()
     print(table2.render(table2.run_table2(**kwargs)))
@@ -1132,17 +1152,19 @@ def _cmd_all(args) -> None:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # Exhibit and sweep commands leave an omitted --cycles to the
-    # experiment default; `run --resume` takes it from the snapshot.
-    cycles = getattr(args, "cycles", None) or DEFAULT_CYCLES
     warmup = getattr(args, "warmup", None)
-    if (
-        warmup is not None and warmup >= cycles
-        and not (args.command == "run" and args.resume)
-    ):
-        parser.error(
-            f"--warmup ({warmup}) must be smaller than --cycles ({cycles})"
-        )
+    if warmup is not None and not (args.command == "run" and args.resume):
+        # Exhibit and sweep commands leave an omitted --cycles to the
+        # experiment default; `run --resume` takes it from the snapshot.
+        cycles = args.cycles
+        if cycles is None:
+            from .experiments.runner import DEFAULT_CYCLES
+
+            cycles = DEFAULT_CYCLES
+        if warmup >= cycles:
+            parser.error(
+                f"--warmup ({warmup}) must be smaller than --cycles ({cycles})"
+            )
     if args.command == "run":
         return _cmd_run(args)
     elif args.command == "faults":
@@ -1152,16 +1174,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     elif args.command == "profile":
         _cmd_profile(args)
     elif args.command == "table1":
+        from .experiments import table1
+
         print(table1.render(table1.run_table1(**_seeds(args))))
     elif args.command == "table2":
+        from .experiments import table2
+
         print(table2.render(table2.run_table2(**_seeds(args))))
     elif args.command == "table3":
+        from .experiments import table3
+
         print(table3.render(table3.run_table3(**_seeds(args))))
     elif args.command == "table4":
+        from .experiments import table4
+
         print(table4.render())
     elif args.command == "table5":
+        from .experiments import table5
+
         print(table5.render())
     elif args.command == "fig8":
+        from .experiments import fig8
+
         curves = fig8.run_fig8(max_routers=args.max_routers, **_seeds(args))
         print(fig8.render(curves))
     elif args.command == "export":

@@ -29,41 +29,27 @@ plus ``repro monitor run.ndjson``; or ``repro trace`` / ``repro
 profile``.
 """
 
-from .events import (
-    LIFECYCLE_EVENT_TYPES,
-    RESILIENCE_EVENT_TYPES,
-    EventType,
-    TraceEvent,
-)
-from .exporters import (
-    RequestBreakdown,
-    chrome_trace,
-    latency_breakdowns,
-    read_jsonl,
-    render_latency_report,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .monitor import MonitorState, run_monitor
-from .profiler import SimulatorProfiler
-from .stream import (
-    TelemetryWriter,
-    host_manifest,
-    prometheus_exposition,
-    read_stream,
-    run_manifest,
-    validate_stream,
-)
-from .timeseries import (
-    RingBuffer,
-    Sample,
-    SampleSource,
-    SystemSampleSource,
-    TimeSeriesSampler,
-)
-from .tracer import NULL_TRACER, MemoryTracer, NullTracer, Tracer
+from .._lazy import lazy_exports
+
+# Resolved on first use: the simulator imports `repro.obs.events` on
+# every run, which must not load the exporters, the stream (socket,
+# subprocess) or the monitor.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".events": ("LIFECYCLE_EVENT_TYPES", "RESILIENCE_EVENT_TYPES",
+                "EventType", "TraceEvent"),
+    ".exporters": ("RequestBreakdown", "chrome_trace", "latency_breakdowns",
+                   "read_jsonl", "render_latency_report",
+                   "validate_chrome_trace", "write_chrome_trace",
+                   "write_jsonl"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".monitor": ("MonitorState", "run_monitor"),
+    ".profiler": ("SimulatorProfiler",),
+    ".stream": ("TelemetryWriter", "host_manifest", "prometheus_exposition",
+                "read_stream", "run_manifest", "validate_stream"),
+    ".timeseries": ("RingBuffer", "Sample", "SampleSource",
+                    "SystemSampleSource", "TimeSeriesSampler"),
+    ".tracer": ("NULL_TRACER", "MemoryTracer", "NullTracer", "Tracer"),
+})
 
 __all__ = [
     "Counter",

@@ -25,10 +25,17 @@ resilience object is built and simulation results are bit-identical to a
 system without this package.
 """
 
-from .faults import FaultConfig, FaultInjector, FaultSite, ScheduledFault
-from .invariants import InvariantChecker, InvariantViolation
-from .protection import ResilienceController
-from .watchdog import RequestWatchdog
+from .._lazy import lazy_exports
+
+# Resolved on first use: `SystemConfig` validation and `SocSystem`
+# import only the modules a faulty or checked run needs.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".faults": ("FaultConfig", "FaultInjector", "FaultSite",
+                "ScheduledFault"),
+    ".invariants": ("InvariantChecker", "InvariantViolation"),
+    ".protection": ("ResilienceController",),
+    ".watchdog": ("RequestWatchdog",),
+})
 
 __all__ = [
     "FaultConfig",

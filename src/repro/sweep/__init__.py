@@ -12,24 +12,19 @@ See ``docs/ARCHITECTURE.md`` (Sweep orchestration) for the job
 lifecycle, seed derivation, and cache-key composition.
 """
 
-from .grids import config_grid_spec
-from .orchestrator import (
-    JobOutcome,
-    ProgressPrinter,
-    SweepReport,
-    execute_job,
-    run_sweep,
-)
-from .runners import (
-    JOB_RUNNERS,
-    JobFailure,
-    config_from_payload,
-    config_payload,
-    metrics_job,
-    register_runner,
-)
-from .spec import Job, SweepSpec, dedupe
-from .store import SCHEMA_VERSION, ResultStore, job_key, make_record
+from .._lazy import lazy_exports
+
+# Resolved on first use, so the orchestrator's multiprocessing and the
+# store's logging load only in processes that run a sweep.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".grids": ("config_grid_spec",),
+    ".orchestrator": ("JobOutcome", "ProgressPrinter", "SweepReport",
+                      "execute_job", "run_sweep"),
+    ".runners": ("JOB_RUNNERS", "JobFailure", "config_from_payload",
+                 "config_payload", "metrics_job", "register_runner"),
+    ".spec": ("Job", "SweepSpec", "dedupe"),
+    ".store": ("SCHEMA_VERSION", "ResultStore", "job_key", "make_record"),
+})
 
 __all__ = [
     "JOB_RUNNERS",

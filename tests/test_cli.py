@@ -31,6 +31,10 @@ class TestParser:
 
 #: Stands for a result-store path under the test's ``tmp_path``.
 STORE = "<store>"
+#: Stands for the test's ``tmp_path`` directory itself.
+DIR = "<dir>"
+#: Stands for a path under a regular file in the test's ``tmp_path``.
+UNDER_FILE = "<under-file>"
 
 
 class TestInputHardening:
@@ -86,10 +90,38 @@ class TestInputHardening:
          "--store", STORE],
         ["sweep", "grid", "--axis", "app=bluray", "--set", "app=single_dtv",
          "--store", STORE],
+        ["export", DIR, "--cycles", "700", "--warmup", "100",
+         "--seeds", "2010"],
+        ["trace", "--cycles", "700", "-o", DIR],
+        ["trace", "--cycles", "700", "-o", STORE, "--jsonl", DIR],
+        ["trace", "--cycles", "700", "-o", UNDER_FILE],
+        ["run", "--cycles", "700", "--warmup", "100", "--telemetry", DIR],
+        ["run", "--cycles", "700", "--warmup", "100", "--prom", DIR],
+        ["run", "--cycles", "700", "--warmup", "100", "--prom", UNDER_FILE],
+        ["run", "--cycles", "700", "--warmup", "100", "--checkpoint", DIR],
+        ["sweep", "fault", "--cycles", "700", "--warmup", "100",
+         "--rates", "0", "--jobs", "1", "--store", DIR],
+        ["sweep", "fig8", "--cycles", "700", "--warmup", "100",
+         "--seeds", "2010", "--max-routers", "0", "--jobs", "1",
+         "--store", DIR],
+        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=700",
+         "--set", "warmup=100", "--jobs", "1", "--store", DIR],
+        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=700",
+         "--set", "warmup=100", "--jobs", "1", "--store", UNDER_FILE],
+        ["all", "--cycles", "700", "--warmup", "100", "--seeds", "2010",
+         "--store", DIR],
+        ["arbiters", "--apps", "single_dtv", "--arbiters", "engine",
+         "--cycles", "700", "--warmup", "100", "--seeds", "2010",
+         "--store", DIR],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
-        store = str(tmp_path / "store.jsonl")
-        argv = [store if arg == STORE else arg for arg in argv]
+        (tmp_path / "file").write_text("")
+        placeholders = {
+            STORE: str(tmp_path / "store.jsonl"),
+            DIR: str(tmp_path),
+            UNDER_FILE: str(tmp_path / "file" / "out"),
+        }
+        argv = [placeholders.get(arg, arg) for arg in argv]
         with pytest.raises(SystemExit) as raised:
             main(argv)
         assert raised.value.code == 2
