@@ -179,17 +179,10 @@ def select(
     # written back: a forced lax-tier schedule should not permanently
     # weaken the SDRAM filters for every packet still queued.
     if len(eligible) == 1:
-        # Every cascade stage returns a member of ``passing``, so with a
-        # single eligible candidate the only question is which bump tier
-        # first lets it through — the cascade itself is a tautology.
-        lone = eligible[0]
-        request = lone[1].request
-        tokens = table.tokens(lone[1])
-        for bump in range(MAX_TOKENS + 1):
-            if passes_filter(state, request, tokens + bump, cycle,
-                             sti_enabled):
-                return lone
-        raise AssertionError("GSS filter failed to converge")
+        # Every cascade stage returns a member of ``passing``, and the
+        # MAX_TOKENS bump tier passes everything, so a lone eligible
+        # candidate is selected whichever tier first lets it through.
+        return eligible[0]
     tiers = [(c, table.tokens(c[1])) for c in eligible]
     for bump in range(MAX_TOKENS + 1):
         passing = [

@@ -13,6 +13,17 @@ in-order window:
 * ACT and PRE for younger window entries may issue early, overlapping older
   bursts, provided they do not steal a row an older un-served entry needs.
 
+Each command issues as soon as the bank and bus timing registers allow
+(:mod:`repro.dram.bank`).  The engine is its device's only driver, so only
+an accept, an issue or refresh activity moves a register; a pending
+auto-precharge retires at a cycle it already names.  So the engine *plans*
+instead of polling: one pass over the window
+gives the earliest cycle any command can issue and the command the
+CAS > ACT > PRE order picks there.  The plan is cached until the next
+accept, issue or refresh; :meth:`CommandEngine.tick` returns at once before
+its cycle and issues it there, and :meth:`CommandEngine.next_event_cycle`
+reports that cycle as an exact wake.
+
 Page policies (Section IV-C):
 
 * ``OPEN_PAGE`` — banks stay open; conflicts pay a demand PRE (CONV, [4]);
@@ -25,6 +36,7 @@ Page policies (Section IV-C):
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -34,6 +46,9 @@ from .commands import CommandKind, DramCommand
 from .device import SdramDevice
 from .refresh import RefreshTimer
 from .request import MemoryRequest
+
+#: Plan cycle of an empty window: nothing issues before an accept.
+_NEVER = sys.maxsize
 
 
 class PagePolicy(enum.Enum):
@@ -73,6 +88,13 @@ class FinishedRequest:
 
 class CommandEngine:
     """In-order windowed PRE/RAS/CAS issue engine over one SDRAM device."""
+
+    # The cached plan: the cycle the next command issues (-1 = replan) and
+    # that command's kind and window entry.  Derived state, so class-level
+    # defaults: an engine restored from a snapshot without them replans.
+    _plan_at = -1
+    _plan_kind: Optional[CommandKind] = None
+    _plan_entry: Optional[WindowEntry] = None
 
     def __init__(
         self,
@@ -117,6 +139,7 @@ class CommandEngine:
                 f"{len(self.device.banks)} banks"
             )
         self.entries.append(WindowEntry(request, cycle))
+        self._plan_at = -1
 
     @property
     def pending(self) -> int:
@@ -138,50 +161,207 @@ class CommandEngine:
 
     def tick(self, cycle: int) -> Optional[DramCommand]:
         """Issue at most one command; retire fully-served entries."""
-        if self.refresh is not None and self.refresh.enabled:
-            blocking = self._refresh_tick(cycle)
-            if blocking is not None:
-                return blocking
-            if self.refresh.in_progress(cycle) or self.refresh.due(cycle):
-                return None
-        if not self.entries:
-            # Every _choose_command branch scans entries; with an empty
-            # window no command can be chosen.
+        refresh = self.refresh
+        if refresh is not None and refresh.enabled and (
+            refresh.due(cycle) or refresh.in_progress(cycle)
+        ):
+            self._plan_at = -1
+            return self._refresh_tick(cycle)
+        if cycle < self._plan_at:
             return None
-        command = self._choose_command(cycle)
-        if command is not None:
-            # Every chooser returns a command only after the same checks
-            # SdramDevice.can_issue makes at this cycle, so the vetted
-            # path skips the re-check.
-            completion = self.device.issue_vetted(cycle, command)
-            tracer = self.tracer
-            if tracer:
-                tracer.emit(
-                    EventType.DRAM_CMD,
-                    cycle,
-                    f"bank{command.bank}",
-                    request_id=command.request_id,
-                    kind=command.kind.value,
-                    row=command.row,
+        if cycle > self._plan_at:
+            # No plan, or one for a cycle this engine was not ticked on:
+            # more commands may be legal by now.
+            self._plan(cycle)
+            if cycle < self._plan_at:
+                return None
+        return self._issue(cycle)
+
+    def _issue(self, cycle: int) -> DramCommand:
+        """Issue the planned command: it passes every check
+        :meth:`SdramDevice.can_issue` makes at ``cycle``, so the vetted
+        path skips the re-check."""
+        kind = self._plan_kind
+        entry = self._plan_entry
+        self._plan_at = -1
+        request = entry.request
+        if kind is CommandKind.ACTIVATE:
+            entry.required_act = True
+            command = DramCommand(
+                kind=kind, bank=request.bank, row=request.row
+            )
+        elif kind is CommandKind.PRECHARGE:
+            self.demand_precharges += 1
+            command = DramCommand(kind=kind, bank=request.bank)
+        else:
+            burst = self._burst_for(entry)
+            last_burst = entry.beats_remaining <= burst
+            command = DramCommand(
+                kind=kind,
+                bank=request.bank,
+                row=request.row,
+                column=entry.next_column,
+                burst_beats=burst,
+                auto_precharge=last_burst and self._wants_auto_precharge(request),
+                useful_beats=min(entry.beats_remaining, burst),
+                request_id=request.request_id,
+            )
+        completion = self.device.issue_vetted(cycle, command)
+        tracer = self.tracer
+        if tracer:
+            tracer.emit(
+                EventType.DRAM_CMD,
+                cycle,
+                f"bank{command.bank}",
+                request_id=command.request_id,
+                kind=kind.value,
+                row=command.row,
+            )
+        if completion is not None:
+            # In-order data: the CAS always serves the oldest entry.
+            if entry.bursts_issued == 0 and self.device.stats is not None:
+                self.device.stats.record_row_outcome(
+                    cycle, hit=not entry.required_act, bank=command.bank
                 )
-            if command.kind.is_cas:
-                # In-order data: the CAS always serves the oldest entry.
-                entry = self.entries[0]
-                assert completion is not None
-                if entry.bursts_issued == 0 and self.device.stats is not None:
-                    self.device.stats.record_row_outcome(
-                        cycle, hit=not entry.required_act, bank=command.bank
-                    )
-                entry.bursts_issued += 1
-                entry.beats_remaining -= completion.useful_beats
-                entry.next_column += command.burst_beats
-                entry.last_data_end = completion.data_end
-                if entry.cas_done:
-                    self.finished.append(
-                        FinishedRequest(entry.request, entry.last_data_end)
-                    )
-                    del self.entries[0]
+            entry.bursts_issued += 1
+            entry.beats_remaining -= completion.useful_beats
+            entry.next_column += command.burst_beats
+            entry.last_data_end = completion.data_end
+            if entry.cas_done:
+                self.finished.append(
+                    FinishedRequest(request, entry.last_data_end)
+                )
+                del self.entries[0]
         return command
+
+    def _burst_for(self, entry: WindowEntry) -> int:
+        if self.otf and entry.beats_remaining <= 4:
+            return 4
+        return self.burst_beats
+
+    def _wants_auto_precharge(self, request: MemoryRequest) -> bool:
+        if self.page_policy is PagePolicy.CLOSED_PAGE:
+            return True
+        if self.page_policy is PagePolicy.PARTIALLY_OPEN:
+            return request.ap_tag
+        return False
+
+    # ------------------------------------------------------------------ #
+    # The plan: earliest legal command, CAS > ACT > PRE
+    # ------------------------------------------------------------------ #
+
+    def _plan(self, cycle: int) -> None:
+        """Plan the next command at or after ``cycle`` and the
+        one-command-per-cycle floor.
+
+        Candidates: CAS for the head entry while its row is open (in-order
+        data); ACT or PRE for the first entry per bank, oldest first — the
+        first is its bank's oldest, so no older entry needs the row a PRE
+        closes.  Each candidate's cycle is the latest of its registers; a
+        bank with a pending auto-precharge self-closes at
+        ``auto_precharge_at``, and its first entry's ACT is due from then.
+        The earliest candidate wins, CAS > ACT > PRE and older first on a
+        tie, as if every cycle up to it had been polled.
+        """
+        device = self.device
+        floor = device._last_command_cycle + 1
+        if floor < cycle:
+            floor = cycle
+        entries = self.entries
+        if not entries:
+            self._plan_at = _NEVER
+            return
+        banks = device.banks
+        best = _NEVER
+        head = entries[0]
+        request = head.request
+        bank = banks[request.bank]
+        if (
+            bank.state is BankState.ACTIVE
+            and bank.open_row == request.row
+            and bank.auto_precharge_at is None
+        ):
+            timing = device.timing
+            if request.is_write:
+                latency = timing.write_latency
+                turnaround = device._last_read_data_end
+                if turnaround >= 0:
+                    turnaround += timing.t_rtw - latency + 1
+            else:
+                latency = timing.cas_latency
+                turnaround = device._last_write_data_end
+                if turnaround >= 0:
+                    turnaround += timing.t_wtr + 1
+            best = max(
+                floor, bank.cas_ready_at, device._next_cas_ok,
+                device._bus_free_at - latency, turnaround,
+            )
+            self._plan_kind = (
+                CommandKind.WRITE if request.is_write else CommandKind.READ
+            )
+            self._plan_entry = head
+            if best == floor:
+                self._plan_at = best
+                return
+        act_ok = device._next_act_ok
+        pre_at = _NEVER
+        pre_entry = None
+        seen = 0  # bitmask of banks whose first entry was considered
+        for entry in entries:
+            request = entry.request
+            bit = 1 << request.bank
+            if seen & bit:
+                continue
+            seen |= bit
+            bank = banks[request.bank]
+            at = bank.auto_precharge_at
+            if at is None:
+                if bank.state is BankState.ACTIVE:
+                    if bank.open_row != request.row:
+                        at = bank.precharge_ok_at
+                        if at < floor:
+                            at = floor
+                        if at < pre_at:
+                            pre_at = at
+                            pre_entry = entry
+                    continue
+                at = bank.idle_at
+            if at < act_ok:
+                at = act_ok
+            if at < floor:
+                at = floor
+            if at < best:
+                best = at
+                self._plan_kind = CommandKind.ACTIVATE
+                self._plan_entry = entry
+                if at == floor:
+                    break  # nothing younger or a PRE can beat it
+        if pre_at < best:
+            best = pre_at
+            self._plan_kind = CommandKind.PRECHARGE
+            self._plan_entry = pre_entry
+        self._plan_at = best
+
+    def next_event_cycle(self, cycle: int) -> Optional[int]:
+        """Event dispatch: the next cycle :meth:`tick` acts — issues a
+        command or starts a refresh — absent new accepts (``None`` =
+        never).  Exact: no tick before it changes anything, and that one
+        does."""
+        floor = cycle + 1
+        refresh = self.refresh
+        if refresh is not None and refresh.enabled:
+            if refresh.in_progress(floor):
+                floor = refresh.busy_until + 1
+            if refresh.due(floor):
+                return self._refresh_wake(floor)
+        if self._plan_at < floor:
+            self._plan(floor)
+        at = self._plan_at
+        if refresh is not None and refresh.enabled:
+            due = refresh.next_due_cycle
+            if due <= at:
+                return self._refresh_wake(due)
+        return None if at == _NEVER else at
 
     # ------------------------------------------------------------------ #
     # Refresh handling (opt-in)
@@ -192,7 +372,7 @@ class CommandEngine:
         start the all-bank refresh.  Returns a PRE command when one was
         issued this cycle (it occupies the command bus)."""
         assert self.refresh is not None
-        if self.refresh.in_progress(cycle) or not self.refresh.due(cycle):
+        if self.refresh.in_progress(cycle):
             return None
         # Close any open bank as soon as its timing allows.
         for bank in self.device.banks:
@@ -213,219 +393,21 @@ class CommandEngine:
                 bank.idle_at = max(bank.idle_at, done + 1)
         return None
 
-    # ------------------------------------------------------------------ #
-    # Command selection: CAS (oldest first) > ACT > PRE
-    # ------------------------------------------------------------------ #
-
-    def _choose_command(self, cycle: int) -> Optional[DramCommand]:
-        if cycle <= self.device._last_command_cycle:
-            return None  # one command per cycle on the shared command bus
-        cas = self._cas_command(cycle)
-        if cas is not None:
-            return cas
-        act = self._activate_command(cycle)
-        if act is not None:
-            return act
-        return self._precharge_command(cycle)
-
-    # Each chooser checks the bank and device timing registers first and
-    # builds a DramCommand only for a command that is legal this cycle:
-    # most ticks end in a timing stall, and building and vetting commands
-    # that cannot issue would dominate them.
-
-    def _cas_command(self, cycle: int) -> Optional[DramCommand]:
-        """CAS for the oldest entry whose row is open (in-order data)."""
+    def _refresh_wake(self, cycle: int) -> int:
+        """First cycle at or after ``cycle`` at which :meth:`_refresh_tick`
+        acts on a due refresh: it precharges an open bank or, once every
+        bank is closed past tRP and the data bus is free, starts."""
         device = self.device
-        if cycle < device._next_cas_ok:
-            # Device-global tCCD gate, checked before touching the bank.
-            return None
-        entry = self.entries[0]
-        request = entry.request
-        bank = device.banks[request.bank]
-        if (
-            not bank.row_is_open(request.row, cycle)
-            or cycle < bank.cas_ready_at
-            or not device.cas_bus_ready(cycle, request.is_write)
-        ):
-            return None
-        burst = self._burst_for(entry)
-        last_burst = entry.beats_remaining <= burst
-        return DramCommand(
-            kind=CommandKind.WRITE if request.is_write else CommandKind.READ,
-            bank=request.bank,
-            row=request.row,
-            column=entry.next_column,
-            burst_beats=burst,
-            auto_precharge=last_burst and self._wants_auto_precharge(request),
-            useful_beats=min(entry.beats_remaining, burst),
-            request_id=request.request_id,
-        )
-
-    def _burst_for(self, entry: WindowEntry) -> int:
-        if self.otf and entry.beats_remaining <= 4:
-            return 4
-        return self.burst_beats
-
-    def _wants_auto_precharge(self, request: MemoryRequest) -> bool:
-        if self.page_policy is PagePolicy.CLOSED_PAGE:
-            return True
-        if self.page_policy is PagePolicy.PARTIALLY_OPEN:
-            return request.ap_tag
-        return False
-
-    def _activate_command(self, cycle: int) -> Optional[DramCommand]:
-        """ACT for the first entry whose bank is idle (bank-prep overlap)."""
-        if cycle < self.device._next_act_ok:
-            # Device-global tRRD gate: no ACT can issue this cycle.
-            return None
-        banks = self.device.banks
-        prepared = 0  # bitmask of banks already considered
-        for entry in self.entries:
-            request = entry.request
-            bit = 1 << request.bank
-            if prepared & bit:
-                continue
-            prepared |= bit
-            bank = banks[request.bank]
-            if bank.row_is_open(request.row, cycle):
-                continue
-            if bank.can_activate(cycle):
-                entry.required_act = True
-                return DramCommand(
-                    kind=CommandKind.ACTIVATE, bank=request.bank,
-                    row=request.row,
-                )
-        return None
-
-    def _precharge_command(self, cycle: int) -> Optional[DramCommand]:
-        """Demand PRE for a bank conflicting with a window entry's row.
-
-        A bank may not be precharged while an older un-served entry still
-        needs its currently-open row.
-        """
-        banks = self.device.banks
-        handled = 0  # bitmask of banks already considered
-        for index, entry in enumerate(self.entries):
-            request = entry.request
-            bit = 1 << request.bank
-            if handled & bit:
-                continue
-            handled |= bit
-            bank = banks[request.bank]
-            if not bank.is_active or bank.open_row == request.row:
-                continue
-            if self._older_entry_needs_row(index, request.bank, bank.open_row):
-                continue
-            if bank.can_precharge(cycle):
-                self.demand_precharges += 1
-                return DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
-        return None
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event-dispatch: next cycle :meth:`tick` could act, absent new
-        accepts (``None`` = never).  A refresh that is due or running
-        polls every cycle: its phases issue PREs and wait for quiet on
-        sub-cycle conditions, and they are rare and short.  Otherwise the
-        earlier of the next refresh due cycle and, while the window holds
-        entries, :meth:`next_attempt_cycle`."""
-        refresh = self.refresh
-        due = None
-        if refresh is not None and refresh.enabled:
-            if refresh.due(cycle) or refresh.in_progress(cycle):
-                return cycle + 1
-            due = refresh.next_due_cycle
-        if not self.entries:
-            return due
-        nxt = self.next_attempt_cycle(cycle)
-        return due if due is not None and due < nxt else nxt
-
-    def next_attempt_cycle(self, cycle: int) -> int:
-        """Earliest future cycle :meth:`_choose_command` could return a
-        command, assuming no new accepts or external events.
-
-        Event-dispatch support: when the engine stalls on SDRAM timing
-        (tRC/tRP/tRCD, bus turnaround, tCCD/tRRD) the memory interface
-        sleeps until this cycle instead of polling.  The bound mirrors the
-        three choosers and is *conservative-early*: it may wake the engine
-        before a command is actually legal (ordering constraints such as
-        "an older entry still needs this row" resolve on retirement, which
-        is itself an engine activity) — a spurious wake re-stalls
-        bit-identically — but it is never later than the true earliest
-        issue cycle, because every time-gated threshold of every candidate
-        command is included.  Pure: no lazy auto-precharge retirement is
-        applied (pending AP windows are read, not retired).
-        """
-        device = self.device
-        banks = device.banks
-        timing = device.timing
-        floor = cycle + 1
-        bound = None
-        entries = self.entries
-        if not entries:
-            return floor
-        # CAS: in-order, head entry only, and only while its row is open
-        # (a pending auto-precharge will close it — the re-ACT path below
-        # covers that bank instead).
-        head = entries[0]
-        request = head.request
-        bank = banks[request.bank]
-        if (
-            bank.state is BankState.ACTIVE
-            and bank.open_row == request.row
-            and bank.auto_precharge_at is None
-        ):
-            latency = (
-                timing.write_latency if request.is_write
-                else timing.cas_latency
-            )
-            cas_at = max(
-                bank.cas_ready_at,
-                device._next_cas_ok,
-                device._bus_free_at - latency,
-            )
-            if request.is_write:
-                if device._last_read_data_end >= 0:
-                    cas_at = max(
-                        cas_at,
-                        device._last_read_data_end + timing.t_rtw - latency + 1,
-                    )
-            elif device._last_write_data_end >= 0:
-                cas_at = max(
-                    cas_at, device._last_write_data_end + timing.t_wtr + 1
-                )
-            bound = cas_at
-        # ACT / PRE: first entry per bank, as the choosers scan.
-        seen = 0
-        for index, entry in enumerate(entries):
-            request = entry.request
-            key = request.bank
-            bit = 1 << key
-            if seen & bit:
-                continue
-            seen |= bit
-            bank = banks[key]
+        precharge = _NEVER
+        quiet = max(cycle, device._bus_free_at)
+        for bank in device.banks:
             if bank.auto_precharge_at is not None:
-                # Bank self-closes at the AP window's end, then an ACT
-                # for this entry's row becomes the pending command.
-                candidate = max(device._next_act_ok, bank.auto_precharge_at)
+                quiet = max(quiet, bank.auto_precharge_at)
             elif bank.state is BankState.ACTIVE:
-                if bank.open_row == request.row:
-                    continue  # row already open: nothing to prepare
-                if self._older_entry_needs_row(index, key, bank.open_row):
-                    continue  # unblocked by retirement, not by time
-                candidate = bank.precharge_ok_at
+                precharge = min(precharge, max(
+                    cycle, bank.precharge_ok_at,
+                    device._last_command_cycle + 1,
+                ))
             else:
-                candidate = max(device._next_act_ok, bank.idle_at)
-            if bound is None or candidate < bound:
-                bound = candidate
-        if bound is None:
-            # Every bank is order-blocked; retirement (an engine activity)
-            # unblocks them, so any wake cycle is safe.
-            return floor
-        return bound if bound > floor else floor
-
-    def _older_entry_needs_row(self, index: int, bank: int, open_row) -> bool:
-        for other in self.entries[:index]:
-            if other.request.bank == bank and other.request.row == open_row:
-                return True
-        return False
+                quiet = max(quiet, bank.idle_at)
+        return quiet if precharge == _NEVER else precharge

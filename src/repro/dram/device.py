@@ -89,16 +89,11 @@ class SdramDevice:
         row = command.row if command.row is not None else bank.open_row
         if row is None or not bank.can_cas(cycle, row):
             return False
-        return self.cas_bus_ready(cycle, command.is_write)
-
-    def cas_bus_ready(self, cycle: int, is_write: bool) -> bool:
-        """The device-global half of CAS legality at ``cycle``: tCCD, a
-        free data bus, and the bus-turnaround gaps (the per-bank half is
-        :meth:`Bank.can_cas`)."""
+        # Device-global half: tCCD, a free data bus, bus turnaround.
         if cycle < self._next_cas_ok:
             return False
         timing = self.timing
-        if is_write:
+        if command.is_write:
             data_start = cycle + timing.write_latency
             if data_start < self._bus_free_at:
                 return False
@@ -122,8 +117,8 @@ class SdramDevice:
         return self._apply(cycle, command)
 
     def issue_vetted(self, cycle: int, command: DramCommand) -> Optional[BurstCompletion]:
-        """Apply a command the caller has *just* vetted with
-        :meth:`can_issue` at the same cycle — skips the redundant second
+        """Apply a command the caller has vetted at ``cycle`` against the
+        registers :meth:`can_issue` reads — skips the redundant second
         legality pass :meth:`issue` would run.  The independent
         :class:`~repro.dram.protocol.ProtocolChecker` still audits the
         resulting command stream in the test suite."""
@@ -220,22 +215,6 @@ class SdramDevice:
         if self.stats is not None:
             self.stats.record_idle_cycles(start, stop)
 
-    def row_is_open(self, bank: int, row: int, cycle: int) -> bool:
-        return self.banks[bank].row_is_open(row, cycle)
-
-    def bank_state(self, bank: int) -> BankState:
-        return self.banks[bank].state
-
     @property
     def data_bus_free_at(self) -> int:
         return self._bus_free_at
-
-    @property
-    def next_cas_ok(self) -> int:
-        """Earliest cycle a CAS can pass the device-global tCCD gate."""
-        return self._next_cas_ok
-
-    @property
-    def next_act_ok(self) -> int:
-        """Earliest cycle an ACT can pass the device-global tRRD gate."""
-        return self._next_act_ok

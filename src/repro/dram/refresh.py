@@ -52,6 +52,11 @@ class RefreshTimer:
     def in_progress(self, cycle: int) -> bool:
         return cycle <= self._busy_until
 
+    @property
+    def busy_until(self) -> int:
+        """Last cycle of the latest refresh (``-1`` before the first)."""
+        return self._busy_until
+
     def start(self, cycle: int) -> int:
         """Begin an all-bank refresh; returns the cycle it completes."""
         if not self.enabled:

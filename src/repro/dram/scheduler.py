@@ -39,10 +39,12 @@ class Scheduler:
 
     Admission contract: ``can_accept`` changes only through ``enqueue``
     and ``tick`` — never through the passage of time alone — and
-    ``next_event_cycle(cycle)`` is a conservative-early bound on the next
-    ``tick`` that can change any state (``None`` = only an ``enqueue``
-    can).  The memory NI relies on both to sleep while its sink head is
-    refused: room can appear only inside a ``tick`` that bound covers.
+    ``next_event_cycle(cycle)`` is never later than the next ``tick``
+    that can change any state (``None`` = only an ``enqueue`` can).  The
+    engine's part of it is exact; a front-end may wake early (``bank-reg``
+    at its window boundary).  The memory NI relies on both to sleep while
+    its sink head is refused: room can appear only inside a ``tick`` that
+    bound covers.
 
     *Service latency* is measured from admission (``enqueue``) to the
     request's final data beat — the span the memory arbiter actually
@@ -124,17 +126,6 @@ class Scheduler:
     @property
     def refresh(self):
         return self.engine.refresh
-
-    # --- bank-state queries ------------------------------------------ #
-
-    def open_rows(self) -> Dict[int, Optional[int]]:
-        """Per-bank open row (``None`` = precharged/idle).  Read-only:
-        pending auto-precharge windows are reported as still open, which
-        is what the command choosers see too."""
-        return {
-            bank.index: (bank.open_row if bank.is_active else None)
-            for bank in self.device.banks
-        }
 
     # --- stats surface ----------------------------------------------- #
 

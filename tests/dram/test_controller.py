@@ -1,11 +1,15 @@
 """CommandEngine tests: windowed in-order PRE/RAS/CAS pipelining."""
 
+import math
+import random
+
 import pytest
 
 from tests.helpers import make_request
 from repro.dram.controller import CommandEngine, PagePolicy
-from repro.dram.commands import CommandKind
+from repro.dram.commands import CommandKind, DramCommand
 from repro.dram.device import SdramDevice
+from repro.dram.refresh import RefreshTimer
 from repro.sim.stats import StatsCollector
 
 
@@ -183,9 +187,9 @@ def test_accept_validates_bank_range(ddr1_timing):
 
 
 class TestChosenCommandsAreLegal:
-    """The choosers check timing registers themselves and hand the device
-    pre-vetted commands; every command they choose must still pass the
-    public legality predicate, ``SdramDevice.can_issue``."""
+    """The engine plans from the timing registers itself and hands the
+    device pre-vetted commands; every command it issues must still pass
+    the public legality predicate, ``SdramDevice.can_issue``."""
 
     @staticmethod
     def _audited(device):
@@ -204,8 +208,6 @@ class TestChosenCommandsAreLegal:
     @pytest.mark.parametrize("generation", ["ddr2", "ddr3"])
     def test_random_streams(self, policy, generation, ddr2_timing,
                             ddr3_timing):
-        import random
-
         timing = ddr2_timing if generation == "ddr2" else ddr3_timing
         device = SdramDevice(timing, stats=StatsCollector())
         chosen = self._audited(device)
@@ -242,3 +244,144 @@ class TestChosenCommandsAreLegal:
         chosen = self._audited(system.subsystem.device)
         system.run(1_500)
         assert CommandKind.READ in chosen
+
+
+def _key(command):
+    """What identifies an issued command: kind, bank, and the row (ACT)
+    or the request served (CAS)."""
+    if command is None:
+        return None
+    if command.kind.is_cas:
+        return (command.kind, command.bank, command.request_id)
+    return (command.kind, command.bank, command.row)
+
+
+def _reference(engine, cycle):
+    """The command a brute-force chooser issues at ``cycle``, polling
+    every candidate through ``SdramDevice.can_issue``: CAS for the head;
+    else ACT for the first entry per bank; else PRE for the first entry
+    per bank whose open row no older entry needs.  A due refresh instead
+    precharges the first open bank it can; one in flight issues nothing."""
+    device = engine.device
+    refresh = engine.refresh
+    if refresh is not None and (
+        refresh.due(cycle) or refresh.in_progress(cycle)
+    ):
+        if refresh.in_progress(cycle):
+            return None
+        for bank in device.banks:
+            pre = DramCommand(kind=CommandKind.PRECHARGE, bank=bank.index)
+            if bank.is_active and device.can_issue(cycle, pre):
+                return _key(pre)
+        return None
+    entries = engine.entries
+    if not entries:
+        return None
+    head = entries[0].request
+    cas = DramCommand(
+        kind=CommandKind.WRITE if head.is_write else CommandKind.READ,
+        bank=head.bank, row=head.row, burst_beats=engine.burst_beats,
+        request_id=head.request_id,
+    )
+    if device.can_issue(cycle, cas):
+        return _key(cas)
+    firsts = []
+    for index, entry in enumerate(entries):
+        if all(entries[i].request.bank != entry.request.bank for i in firsts):
+            firsts.append(index)
+    for index in firsts:
+        request = entries[index].request
+        act = DramCommand(
+            kind=CommandKind.ACTIVATE, bank=request.bank, row=request.row
+        )
+        if device.can_issue(cycle, act):
+            return _key(act)
+    for index in firsts:
+        request = entries[index].request
+        open_row = device.banks[request.bank].open_row
+        if open_row is None or open_row == request.row:
+            continue
+        if any(
+            older.request.bank == request.bank
+            and older.request.row == open_row
+            for older in entries[:index]
+        ):
+            continue
+        pre = DramCommand(kind=CommandKind.PRECHARGE, bank=request.bank)
+        if device.can_issue(cycle, pre):
+            return _key(pre)
+    return None
+
+
+class TestPlannerMatchesReference:
+    """The engine plans its next command once per state change instead of
+    polling.  Driven cycle by cycle on random streams, every ``tick`` must
+    issue exactly what the brute-force reference picks at that cycle, and
+    ``next_event_cycle(c)`` must be exact: no tick before it acts (issues
+    a command or starts a refresh), and the tick at it does."""
+
+    @pytest.mark.parametrize(
+        "refresh", [False, True], ids=["norefresh", "refresh"]
+    )
+    @pytest.mark.parametrize("window", [1, 4, 6])
+    @pytest.mark.parametrize("generation", ["ddr2-bl4", "ddr3-bl8-otf"])
+    @pytest.mark.parametrize("policy", list(PagePolicy))
+    def test_random_stream(self, policy, generation, window, refresh,
+                           ddr2_timing, ddr3_timing):
+        ddr3 = generation == "ddr3-bl8-otf"
+        timing = ddr3_timing if ddr3 else ddr2_timing
+        device = SdramDevice(timing, stats=StatsCollector())
+        timer = None
+        if refresh:
+            timer = RefreshTimer(timing)
+            timer.t_refi = timer._next_due = 300  # many refreshes per run
+        engine = CommandEngine(
+            device, burst_beats=8 if ddr3 else 4, page_policy=policy,
+            window=window, otf=ddr3, refresh=timer,
+        )
+        rng = random.Random(f"{policy.value}/{generation}/{window}/{refresh}")
+        arrival = 0
+        arrivals = []
+        for _ in range(150):
+            arrival += rng.choice((0, 0, 0, 1, 3, 12, 60))
+            arrivals.append((arrival, make_request(
+                bank=rng.randrange(timing.banks), row=rng.randrange(3),
+                beats=rng.choice((2, 4, 8, 12, 16, 32)),
+                is_read=rng.random() < 0.6, ap_tag=rng.random() < 0.5,
+            )))
+        arrivals.reverse()
+        wake = None  # the engine's promise: next acting cycle (inf: never)
+        served = issued = 0
+        cycle = 0
+        while arrivals or not engine.idle:
+            assert cycle < 100_000, "stream did not drain"
+            expected = _reference(engine, cycle)
+            started = timer.refreshes_issued if timer else 0
+            command = engine.tick(cycle)
+            assert _key(command) == expected, f"cycle {cycle}"
+            acted = command is not None or (
+                timer is not None and timer.refreshes_issued != started
+            )
+            if wake is not None:
+                assert acted == (cycle == wake), (
+                    f"cycle {cycle}: acted={acted}, promised wake {wake}"
+                )
+            issued += command is not None
+            served += len(engine.drain_finished())
+            accepted = False
+            while arrivals and arrivals[-1][0] <= cycle and engine.has_space:
+                engine.accept(arrivals.pop()[1], cycle)
+                accepted = True
+            # Query on about half the cycles, so ticks also replan alone.
+            if rng.random() < 0.5:
+                wake = engine.next_event_cycle(cycle)
+                if wake is None:
+                    wake = math.inf
+                assert wake > cycle
+            elif acted or accepted:
+                wake = None  # the last promise assumed neither
+            cycle += 1
+        assert served == 150
+        assert issued == device.issued_commands
+        if timer is not None:
+            assert timer.refreshes_issued >= 2

@@ -234,6 +234,29 @@ def test_resume_identity_every_arbiter(tmp_path, arbiter, faults):
     assert not diffs, f"{arbiter} resume diverged: {diffs}"
 
 
+@pytest.mark.parametrize("design", [NocDesign.GSS_SAGM, NocDesign.CONV])
+def test_resume_without_engine_plan(tmp_path, design):
+    """A snapshot whose command engine carries no plan attributes resumes
+    bit-identically: the plan is derived state with class-level
+    defaults, so the restored engine replans on first use."""
+    baseline = build_system(_config(design, None))
+    baseline.simulator.run(CYCLES)
+    expected = _observe(baseline)
+
+    system = build_system(_config(design, None))
+    system.simulator.run(MID)
+    restored = load_checkpoint(save_checkpoint(tmp_path / "plan.ckpt", system))
+    engine = restored.subsystem.engine
+    stripped = [
+        name for name in ("_plan_at", "_plan_kind", "_plan_entry")
+        if vars(engine).pop(name, None) is not None
+    ]
+    assert stripped, "the engine had planned before the snapshot"
+    restored.simulator.run(CYCLES - MID)
+    diffs = _diffs(_observe(restored), expected)
+    assert not diffs, f"resume without a plan diverged: {diffs}"
+
+
 # ---------------------------------------------------------------------- #
 # checkpoint_every segmentation
 # ---------------------------------------------------------------------- #
