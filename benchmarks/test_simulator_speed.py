@@ -1,11 +1,12 @@
 """Overhead guards on the simulator's observability hooks.
 
 A disabled tracer and a telemetry sampler must each cost at most 5% of
-an unobserved run.  CI runs both guards by node ID.  Simulator speed
-itself is measured by the repository benchmark, ``python3 -m bench``
-(see ``bench/README.md``).
+an unobserved run, and a disabled tracer must add no Python call at all.
+CI runs these guards by node ID.  Simulator speed itself is measured by
+the repository benchmark, ``python3 -m bench`` (see ``bench/README.md``).
 """
 
+import sys
 import time
 
 from repro.core.system import build_system
@@ -47,6 +48,42 @@ def test_null_tracer_overhead_bounded():
     assert overhead <= 1.05, (
         f"NullTracer path is {overhead:.3f}x the untraced baseline "
         f"({traced_best:.4f}s vs {baseline_best:.4f}s per 2k cycles)"
+    )
+
+
+def test_null_tracer_adds_no_python_calls():
+    """Deterministic twin of the timing guard above.
+
+    Over 2,000 stepped cycles a system built with a ``NullTracer`` makes
+    exactly as many Python function calls as an untraced one: the system
+    stores a falsy tracer as ``None``, so no emission site calls
+    ``NullTracer.__bool__``.
+    """
+    config = SystemConfig(app="single_dtv", cycles=100_000,
+                          design=NocDesign.GSS_SAGM)
+
+    def python_calls(system, cycles=2_000):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call":
+                calls += 1
+
+        step = system.simulator.step
+        sys.setprofile(profile)
+        try:
+            for _ in range(cycles):
+                step()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    untraced = python_calls(build_system(config))
+    traced = python_calls(build_system(config, tracer=NullTracer()))
+    assert traced == untraced, (
+        f"NullTracer system made {traced - untraced:+d} Python calls over "
+        f"the untraced one's {untraced}"
     )
 
 

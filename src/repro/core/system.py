@@ -43,7 +43,9 @@ class SocSystem:
     ``tracer`` (any :class:`~repro.obs.tracer.Tracer`) threads through every
     layer — NIs, routers, GSS controllers, MemMax, command engine, device —
     so one object collects the full packet lifecycle.  The default ``None``
-    keeps every emission site on its zero-cost fast path.
+    keeps every emission site on its zero-cost fast path; a falsy tracer
+    (a :class:`~repro.obs.tracer.NullTracer`) is stored as ``None``, so its
+    ``__bool__`` is never called on that path.
     ``keep_samples`` retains per-completion latency samples so percentiles
     can be reported after the run.
     """
@@ -55,9 +57,11 @@ class SocSystem:
         keep_samples: bool = False,
     ) -> None:
         self.config = config
-        self.tracer = tracer
+        self.tracer = tracer = tracer or None
+        self.simulator = Simulator()
         self.stats = StatsCollector(
-            warmup=config.warmup, keep_samples=keep_samples
+            warmup=config.warmup, keep_samples=keep_samples,
+            clock=self.simulator,
         )
         self.app = get_app_model(config.app)
         self.placement = place(self.app)
@@ -124,7 +128,6 @@ class SocSystem:
             tracer=tracer,
             resilience=self.resilience,
         )
-        self.simulator = Simulator()
         self.watchdog = None
         if self.resilience is not None:
             for interface in self.core_interfaces:

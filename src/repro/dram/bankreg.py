@@ -129,7 +129,6 @@ class BankRegulatedScheduler(Scheduler):
             self.queued -= 1
             self.engine.accept(released, cycle)
         self.engine.tick(cycle)
-        self.device.tick(cycle)
 
     def _release(self) -> Optional[MemoryRequest]:
         """Next head request within budget, round-robin over masters.

@@ -112,7 +112,11 @@ class CommandEngine:
         the paper's evaluation)."""
         if window <= 0:
             raise ValueError("window must be positive")
+        # Every burst length this engine can issue, checked once here: the
+        # device's vetted issue path does not re-check it.
         device.timing.validate_burst(burst_beats)
+        if otf:
+            device.timing.validate_burst(4)
         self.device = device
         self.burst_beats = burst_beats
         self.page_policy = page_policy

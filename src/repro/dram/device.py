@@ -114,14 +114,16 @@ class SdramDevice:
         """Apply ``command`` at ``cycle``; return the burst completion for CAS."""
         if not self.can_issue(cycle, command):
             raise TimingViolation(f"cannot issue {command} at cycle {cycle}")
+        if command.kind.is_cas:
+            self.timing.validate_burst(command.burst_beats)
         return self._apply(cycle, command)
 
     def issue_vetted(self, cycle: int, command: DramCommand) -> Optional[BurstCompletion]:
         """Apply a command the caller has vetted at ``cycle`` against the
-        registers :meth:`can_issue` reads — skips the redundant second
-        legality pass :meth:`issue` would run.  The independent
-        :class:`~repro.dram.protocol.ProtocolChecker` still audits the
-        resulting command stream in the test suite."""
+        registers :meth:`can_issue` reads, in a burst length the device
+        supports — skips the redundant checks :meth:`issue` would run.
+        The independent :class:`~repro.dram.protocol.ProtocolChecker`
+        still audits the resulting command stream in the test suite."""
         return self._apply(cycle, command)
 
     def _apply(self, cycle: int, command: DramCommand) -> Optional[BurstCompletion]:
@@ -144,7 +146,6 @@ class SdramDevice:
             return None
 
         # READ / WRITE burst
-        self.timing.validate_burst(command.burst_beats)
         row = command.row if command.row is not None else bank.open_row
         assert row is not None
         burst_cycles = self.timing.burst_cycles(command.burst_beats)
@@ -170,7 +171,9 @@ class SdramDevice:
             burst_beats=command.burst_beats,
         )
         if self.stats is not None:
-            self._account_burst(completion)
+            self.stats.record_burst(
+                data_start, command.useful_beats, command.burst_beats
+            )
         tracer = self.tracer
         if tracer:
             tracer.emit(
@@ -185,35 +188,9 @@ class SdramDevice:
             )
         return completion
 
-    def _account_burst(self, completion: BurstCompletion) -> None:
-        """Spread the burst's useful/total beats over its bus cycles."""
-        assert self.stats is not None
-        cycles = completion.data_end - completion.data_start + 1
-        remaining_useful = completion.useful_beats
-        remaining_total = completion.burst_beats
-        for offset in range(cycles):
-            beats = min(2, remaining_total)
-            useful = min(beats, remaining_useful)
-            self.stats.record_bus_cycle(
-                completion.data_start + offset, useful, beats
-            )
-            remaining_total -= beats
-            remaining_useful -= useful
-
     # ------------------------------------------------------------------ #
     # Observation helpers
     # ------------------------------------------------------------------ #
-
-    def tick(self, cycle: int) -> None:
-        """Per-cycle accounting (observed-cycle counter for utilization)."""
-        if self.stats is not None:
-            self.stats.record_idle_cycle(cycle)
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        """Account for fast-forwarded cycles ``[start, stop)`` the device
-        was never ticked for (idle by definition)."""
-        if self.stats is not None:
-            self.stats.record_idle_cycles(start, stop)
 
     @property
     def data_bus_free_at(self) -> int:

@@ -166,7 +166,6 @@ class DpqScheduler(Scheduler):
             self.queued -= 1
             self.engine.accept(granted, cycle)
         self.engine.tick(cycle)
-        self.device.tick(cycle)
 
     def _grant(self) -> Optional[MemoryRequest]:
         """Pop the head of the highest-priority non-empty FIFO and drop

@@ -15,7 +15,7 @@ plumbing; a backend supplies only its front-end:
   raising ``RuntimeError`` when it is full;
 * ``tick(cycle)`` — hand front-end requests to the engine while its
   window has space (decrementing ``queued`` for each), then tick the
-  engine and the device: at most one SDRAM command per cycle.
+  engine: at most one SDRAM command per cycle.
 
 Backends self-register in :data:`SCHEDULER_BACKENDS` under a short name
 (``engine``, ``memmax``, ``databahn``, ``dpq``, ``bank-reg``); the
@@ -106,7 +106,7 @@ class Scheduler:
     @property
     def idle(self) -> bool:
         """Nothing queued, nothing in the engine window, nothing awaiting
-        drain: apart from device accounting, :meth:`tick` is a no-op."""
+        drain: :meth:`tick` can only run a due refresh."""
         engine = self.engine
         return not (self.queued or engine.entries or engine.finished)
 
@@ -119,9 +119,6 @@ class Scheduler:
         if engine.finished or (self.queued and engine.has_space):
             return cycle + 1
         return engine.next_event_cycle(cycle)
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        self.device.on_cycles_skipped(start, stop)
 
     @property
     def refresh(self):

@@ -83,7 +83,6 @@ class ThinMemorySubsystem(Scheduler):
             self.queued -= 1
             self.engine.accept(self.queue.popleft(), cycle)
         self.engine.tick(cycle)
-        self.device.tick(cycle)
 
     def scheduler_stats(self) -> Dict[str, float]:
         stats = super().scheduler_stats()
@@ -145,7 +144,6 @@ class ConvMemorySubsystem(Scheduler):
             self.queued -= 1
             self.engine.accept(request, cycle)
         self.engine.tick(cycle)
-        self.device.tick(cycle)
 
     def drain_finished(self) -> List[FinishedRequest]:
         engine = self.engine

@@ -366,12 +366,6 @@ class MemoryInterface:
         self._wake = None
 
     def tick(self, cycle: int) -> None:
-        if self._quiet(cycle):
-            # Quiet fast path: with nothing buffered anywhere and no
-            # refresh due, the full pipeline below reduces to the SDRAM
-            # device's per-cycle observed-cycle accounting.
-            self.subsystem.device.tick(cycle)
-            return
         resilience = self.resilience
         self._admit(cycle)
         self.subsystem.tick(cycle)
@@ -393,24 +387,6 @@ class MemoryInterface:
                 (ready, rank, next(self._sequence), finished.request),
             )
         self._respond(cycle)
-
-    def _quiet(self, cycle: int) -> bool:
-        """True iff a tick would only perform the device's per-cycle
-        accounting: nothing buffered at any stage, no ECC retries queued,
-        and no refresh due or in flight."""
-        if self._ready or self.sink.entries:
-            return False
-        resilience = self.resilience
-        if resilience is not None and resilience.dram_retries:
-            return False
-        if not self.subsystem.idle:
-            return False
-        refresh = self.subsystem.refresh
-        if refresh is not None and refresh.enabled and (
-            refresh.due(cycle) or refresh.in_progress(cycle)
-        ):
-            return False
-        return True
 
     def _admit(self, cycle: int) -> None:
         resilience = self.resilience
@@ -503,12 +479,6 @@ class MemoryInterface:
     # ------------------------------------------------------------------ #
     # Event-dispatch contract
     # ------------------------------------------------------------------ #
-
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        """Cycles event dispatch never ticked this NI for still elapse for
-        the SDRAM utilization denominator (the per-cycle accounting the
-        skipped ticks carry)."""
-        self.subsystem.on_cycles_skipped(start, stop)
 
     def attach_wake(self, wake) -> None:
         self._wake = wake

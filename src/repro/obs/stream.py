@@ -10,7 +10,7 @@ has a ``type`` and a wall-clock ``ts``:
   sampling interval, and the host manifest (python, cpu count, git
   describe);
 * ``sample`` — one :class:`~repro.obs.timeseries.Sample`, as emitted by
-  the interval sampler (coalesced gap samples included);
+  the interval sampler (coalesced and partial samples included);
 * ``run_end`` — end-of-run summary (the headline RunMetrics fields);
 * ``sweep_start`` / ``job_start`` / ``job_done`` / ``job_fail`` /
   ``job_hit`` / ``heartbeat`` / ``sweep_progress`` / ``sweep_end`` —

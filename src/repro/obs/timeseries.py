@@ -14,12 +14,12 @@ dispatch contract (see :mod:`repro.sim.engine`):
 
 * it arms the calendar wake-queue for each window boundary via
   ``event_wake_at``, so event dispatch still jumps idle gaps — a jump
-  simply lands on the next window boundary — and sampling never forces
-  per-cycle ticking;
-* gaps that overshoot boundaries anyway (run-exit flushes, ``until``
-  predicates, bulk skip accounting) are reported through
-  ``on_cycles_skipped`` and emit one **coalesced** sample covering every
-  window in the gap (``windows > 1``) instead of replaying them;
+  simply lands on the next window boundary, never past it — and sampling
+  never forces per-cycle ticking;
+* a tick or flush that lands past several boundaries (a sampler attached
+  to a system that has already run) emits one **coalesced** sample
+  covering every window passed (``windows > 1``) instead of replaying
+  them;
 * it only *reads* counters, so enabling it at any interval leaves every
   simulated metric bit-identical — and when it is not attached, no
   sampling code exists on any hot path at all.
@@ -44,9 +44,9 @@ class Sample:
     ``cycle`` is the last simulated cycle the window covers; the window
     spans the half-open range ``(cycle - span, cycle]``.  ``windows`` is
     the number of nominal sampling intervals folded into this sample
-    (``> 1`` means the simulator jumped a gap and the sample is
-    coalesced); ``partial`` marks an end-of-run flush shorter than one
-    full interval.
+    (``> 1`` means the sampler was ticked past several boundaries and the
+    sample is coalesced); ``partial`` marks an end-of-run flush shorter
+    than one full interval.
     """
 
     cycle: int
@@ -242,7 +242,7 @@ class TimeSeriesSampler:
         self._latency_counts: Dict[str, int] = {}
         self._latency_totals: Dict[str, float] = {}
         self._latency_seen: Dict[str, int] = {}
-        #: Total samples emitted (coalesced gaps count once).
+        #: Total samples emitted (a coalesced sample counts once).
         self.emitted = 0
 
     def __getstate__(self):
@@ -272,12 +272,6 @@ class TimeSeriesSampler:
     def event_wake_at(self, cycle: int) -> Optional[int]:
         return self._next if self._next > cycle else cycle + 1
 
-    def on_cycles_skipped(self, start: int, stop: int) -> None:
-        """Account a never-ticked gap ``[start, stop)``: any window
-        boundaries inside it collapse into one coalesced sample."""
-        if stop - 1 >= self._next:
-            self._catch_up(stop - 1)
-
     def on_run_start(self, cycle: int) -> None:
         # Capture the counter baseline lazily so attach order (and any
         # pre-run warm state) is irrelevant.
@@ -303,8 +297,8 @@ class TimeSeriesSampler:
         """Emit every sample due at or before ``now`` as one record.
 
         ``now >= self._next`` must hold.  When more than one boundary
-        passed (a jumped gap), the boundaries coalesce into a single
-        sample whose ``windows`` counts them.
+        passed, the boundaries coalesce into a single sample whose
+        ``windows`` counts them.
         """
         windows = (now - self._next) // self.interval + 1
         boundary = self._next + (windows - 1) * self.interval

@@ -7,9 +7,12 @@ emission with a plain truthiness test::
     if tracer:
         tracer.emit(EventType.HOP, cycle, self._label, packet_id=...)
 
-:class:`NullTracer` is *falsy* (as is ``None``), so the untraced hot path
-pays exactly one truth test per site — no call, no string formatting, no
-event construction.  :class:`MemoryTracer` is truthy and records
+:class:`NullTracer` is *falsy* (as is ``None``), so a site skips it: no
+``emit`` call, no string formatting, no event construction.  Testing
+``None`` is free, but testing a ``NullTracer`` calls its Python-level
+``__bool__`` once per site visited, so
+:class:`~repro.core.system.SocSystem` stores a falsy tracer as ``None``.
+:class:`MemoryTracer` is truthy and records
 :class:`~repro.obs.events.TraceEvent` objects for the exporters.
 """
 

@@ -222,6 +222,12 @@ class FaultInjector:
         self.config = config
         root = config.seed if config.seed is not None else seed
         self._rngs = {site: derive_rng(root, "fault", site.value) for site in FaultSite}
+        # The per-flit and per-cycle streams, bound once: an Enum-keyed
+        # lookup costs a class-attribute load and a Python-level hash.
+        # ``_rngs`` still owns them (one object each, also when pickled).
+        self._link_corrupt_rng = self._rngs[FaultSite.LINK_CORRUPT]
+        self._link_drop_rng = self._rngs[FaultSite.LINK_DROP]
+        self._buffer_flip_rng = self._rngs[FaultSite.BUFFER_FLIP]
         self.tracer = tracer
         self.enabled = True
         self.network = None
@@ -262,14 +268,14 @@ class FaultInjector:
                 self._flip_buffer(cycle, fault.node)
         rate = self.config.buffer_flip_rate
         if rate > 0.0 and self.enabled:
-            if self._rngs[FaultSite.BUFFER_FLIP].random() < rate:
+            if self._buffer_flip_rng.random() < rate:
                 self._flip_buffer(cycle, None)
 
     def _flip_buffer(self, cycle: int, node: Optional[int]) -> None:
         """An SEU strikes one random input-buffer cell of one router."""
         if self.network is None:
             return
-        rng = self._rngs[FaultSite.BUFFER_FLIP]
+        rng = self._buffer_flip_rng
         routers = self.network.routers
         router = routers[node] if node is not None else rng.choice(routers)
         buffers = [b for lanes in router.inputs.values() for b in lanes]
@@ -296,10 +302,10 @@ class FaultInjector:
             return
         config = self.config
         if config.link_corrupt_rate > 0.0:
-            if self._rngs[FaultSite.LINK_CORRUPT].random() < config.link_corrupt_rate:
+            if self._link_corrupt_rng.random() < config.link_corrupt_rate:
                 self._poison(cycle, FaultSite.LINK_CORRUPT, node, port, packet)
         if config.link_drop_rate > 0.0:
-            if self._rngs[FaultSite.LINK_DROP].random() < config.link_drop_rate:
+            if self._link_drop_rng.random() < config.link_drop_rate:
                 self._poison(cycle, FaultSite.LINK_DROP, node, port, packet)
 
     def _poison(self, cycle: int, site: FaultSite, node, port, packet) -> None:

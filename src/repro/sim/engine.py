@@ -44,12 +44,9 @@ Component contract
   tick that naive stepping would have run as a state-gated no-op, so
   extra wakes are always bit-identical.  Only a *missed* wake can diverge
   — which is what the golden-identity and property suites hunt.
-* ``on_cycles_skipped(start, stop)`` (optional) — account for the
-  half-open cycle range ``[start, stop)`` the component was never ticked
-  for (per-cycle bookkeeping such as the SDRAM observed-cycle counter).
-  The kernel bulk-accounts each component's un-ticked gaps lazily (before
-  its next tick and at run exit), so per-cycle denominators stay exact
-  even when other components keep the cycle busy.
+* A component is never told which cycles it was not ticked for.  A
+  count of elapsed cycles (the SDRAM utilization denominator) reads
+  :attr:`Simulator.cycle`, which advances over jumped cycles too.
 * ``on_run_mode(event_dispatch)`` (optional) — notified at every
   :meth:`Simulator.run` entry whether event dispatch is active, so
   components can enable internal event-only shortcuts (e.g. router sleep
@@ -140,11 +137,9 @@ class Simulator:
         #: Event dispatch when true; naive stepping (the reference) when
         #: false.
         self.idle_skip = idle_skip
-        # Parallel to _components: bound contract methods (None where a
-        # component does not account skipped cycles).
+        # Parallel to _components: bound contract methods.
         self._ticks: List[Callable[[int], None]] = []
         self._event_wakes: List[Callable[[int], Optional[int]]] = []
-        self._skip_accounts: List[Optional[Callable[[int, int], None]]] = []
         self._labels: List[str] = []
         self._mode_hooks: List[Callable[[bool], None]] = []
         self._run_starts: List[Callable[[int], None]] = []
@@ -160,8 +155,6 @@ class Simulator:
         #: Indices due in the cycle currently being processed (sorted);
         #: wake handles insort into it past the processing position.
         self._ready: List[int] = []
-        #: Next cycle still unaccounted per component (skip accounting).
-        self._accounted: List[int] = []
         self._now = -1        # cycle being processed (-1 = between cycles)
         self._progress = -1   # index being processed within _now
         self._event_live = False
@@ -198,11 +191,8 @@ class Simulator:
         self._event_wakes.append(
             event_wake if callable(event_wake) else _next_cycle
         )
-        skipped = getattr(component, "on_cycles_skipped", None)
-        self._skip_accounts.append(skipped if callable(skipped) else None)
         self._armed.append(_NEVER)
         self._queued.append(0)
-        self._accounted.append(self._cycle)
         attach = getattr(component, "attach_wake", None)
         if callable(attach):
             attach(self._make_wake(index))
@@ -341,18 +331,13 @@ class Simulator:
         ready = self._ready
         ticks = self._ticks
         event_wakes = self._event_wakes
-        accounts = self._skip_accounts
-        accounted = self._accounted
         labels = self._labels
         # Arm everything for the entry cycle: external state may have
         # changed between runs (drain flags, reconfiguration); the ticks
-        # are state-gated no-ops when nothing did.  Every cycle before the
-        # entry was either ticked (step() or a naive run) or accounted at
-        # the previous event run's exit, so skip accounting restarts here.
+        # are state-gated no-ops when nothing did.
         entry = self._cycle
         for index in range(len(ticks)):
             armed[index] = entry
-            accounted[index] = entry
             heappush(heap, (entry, index))
         # Post-tick re-arms for exactly the next cycle — the dominant case
         # while the system is busy — bypass the heap entirely: they land in
@@ -399,12 +384,6 @@ class Simulator:
                 self._progress = index
                 queued[index] = 0
                 armed[index] = _NEVER
-                account = accounts[index]
-                if account is not None:
-                    start = accounted[index]
-                    if start < cycle:
-                        account(start, cycle)
-                    accounted[index] = cycle + 1
                 if profiler is None:
                     ticks[index](cycle)
                 else:
@@ -425,15 +404,6 @@ class Simulator:
             if profiler is not None:
                 profiler.end_cycle(cycle)
             self._cycle = cycle + 1
-        # Flush skip accounting for components still asleep at run exit,
-        # so denominators cover the full horizon.
-        stop = self._cycle
-        for index, account in enumerate(accounts):
-            if account is not None:
-                start = accounted[index]
-                if start < stop:
-                    account(start, stop)
-                accounted[index] = stop
 
     # ------------------------------------------------------------------ #
 

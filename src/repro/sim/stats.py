@@ -12,7 +12,10 @@ The paper reports three metrics per configuration (Tables I–III, Fig. 8):
   demand class.
 
 A single :class:`StatsCollector` instance is threaded through the system and
-records request completions plus per-cycle bus activity.
+records request completions plus the data-bus occupancy of every burst.
+The denominator, total cycles, is read from the run's clock (the system's
+:class:`~repro.sim.engine.Simulator`), not counted: every cycle elapses
+whether or not any component was ticked for it.
 """
 
 from __future__ import annotations
@@ -114,13 +117,18 @@ class StatsCollector:
 
     ``warmup`` cycles at the start of the run are excluded from every
     statistic so that cold-start transients (empty buffers, closed banks) do
-    not bias the averages.
+    not bias the averages.  ``clock`` is anything with a ``cycle``
+    attribute, normally the system's simulator; without one no cycle has
+    been observed.
     """
 
-    def __init__(self, warmup: int = 0, keep_samples: bool = False) -> None:
+    def __init__(
+        self, warmup: int = 0, keep_samples: bool = False, clock=None
+    ) -> None:
         if warmup < 0:
             raise ValueError("warmup must be non-negative")
         self.warmup = warmup
+        self.clock = clock
         self.all_packets = LatencySeries(keep_samples=keep_samples)
         self.demand_packets = LatencySeries(keep_samples=keep_samples)
         self.per_master: Dict[int, LatencySeries] = {}
@@ -130,7 +138,6 @@ class StatsCollector:
         self.useful_cycles = 0.0    # fraction of each busy cycle moving requested beats
         self.wasted_beats = 0
         self.useful_beats = 0
-        self.observed_cycles = 0
         # Command-bus activity (for ablations / command congestion analysis).
         self.commands_issued: Dict[str, int] = {}
         self.row_hits = 0
@@ -172,32 +179,38 @@ class StatsCollector:
     # SDRAM bus activity
     # ------------------------------------------------------------------ #
 
-    def record_bus_cycle(self, cycle: int, useful_beats: int, total_beats: int) -> None:
-        """Record one data-bus-busy cycle transferring ``total_beats`` beats,
-        of which ``useful_beats`` were actually requested by a core."""
-        if cycle < self.warmup:
-            return
-        if total_beats <= 0:
-            raise ValueError("bus cycle must transfer at least one beat")
-        if not 0 <= useful_beats <= total_beats:
+    def record_burst(
+        self, data_start: int, useful_beats: int, burst_beats: int
+    ) -> None:
+        """Record a burst of ``burst_beats`` beats on the data bus from
+        cycle ``data_start``, of which ``useful_beats`` were requested by
+        a core.
+
+        The bus moves two beats per cycle, useful ones first, so the burst
+        is busy for ceil(beats / 2) cycles and each cycle is 0, 1/2 or 1
+        useful: the useful-cycle sum is a multiple of 1/2, exact in a
+        float.  Only bus cycles at or after warm-up are counted.
+        """
+        if burst_beats <= 0:
+            raise ValueError("burst must transfer at least one beat")
+        if not 0 <= useful_beats <= burst_beats:
             raise ValueError("useful beats out of range")
-        self.busy_cycles += 1
-        self.useful_cycles += useful_beats / total_beats
+        early = self.warmup - data_start
+        if early > 0:
+            # Drop the bus cycles before warm-up, two beats each.
+            burst_beats -= 2 * early
+            if burst_beats <= 0:
+                return
+            useful_beats = max(0, useful_beats - 2 * early)
+        busy = (burst_beats + 1) >> 1
+        self.busy_cycles += busy
         self.useful_beats += useful_beats
-        self.wasted_beats += total_beats - useful_beats
-
-    def record_idle_cycle(self, cycle: int) -> None:
-        """Record that ``cycle`` elapsed (whether or not the bus was busy)."""
-        if cycle < self.warmup:
-            return
-        self.observed_cycles += 1
-
-    def record_idle_cycles(self, start: int, stop: int) -> None:
-        """Bulk form of :meth:`record_idle_cycle` for the half-open range
-        ``[start, stop)`` — used for cycles event dispatch never ticked the
-        device for, so the utilization denominator stays exactly what
-        per-cycle accounting would have produced."""
-        self.observed_cycles += max(0, stop - max(start, self.warmup))
+        self.wasted_beats += burst_beats - useful_beats
+        # A fully useful odd burst ends on a one-beat cycle that is whole.
+        if useful_beats == burst_beats:
+            self.useful_cycles += busy
+        else:
+            self.useful_cycles += useful_beats / 2
 
     def record_command(self, cycle: int, kind: str) -> None:
         if cycle < self.warmup:
@@ -222,6 +235,14 @@ class StatsCollector:
     # ------------------------------------------------------------------ #
     # Derived metrics
     # ------------------------------------------------------------------ #
+
+    @property
+    def observed_cycles(self) -> int:
+        """Cycles elapsed on the clock since warm-up."""
+        clock = self.clock
+        if clock is None:
+            return 0
+        return max(0, clock.cycle - self.warmup)
 
     @property
     def utilization(self) -> float:

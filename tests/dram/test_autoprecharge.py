@@ -10,13 +10,15 @@ import pytest
 from tests.helpers import make_request
 from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 
 
 def serve_conflicting_stream(ddr_timing, page_policy, n=12):
     """Every request misses (same banks, alternating rows): worst case for
     command traffic in BL 4 mode."""
-    stats = StatsCollector()
+    clock = Simulator()
+    stats = StatsCollector(clock=clock)
     device = SdramDevice(ddr_timing, stats=stats)
     engine = CommandEngine(device, burst_beats=4, page_policy=page_policy,
                            window=8)
@@ -32,7 +34,7 @@ def serve_conflicting_stream(ddr_timing, page_policy, n=12):
             engine.accept(pending.pop(0), cycle)
         engine.tick(cycle)
         served += len(engine.drain_finished())
-        device.tick(cycle)
+        clock.step()
         cycle += 1
     return stats, cycle
 

@@ -1,5 +1,6 @@
 """CommandEngine tests: windowed in-order PRE/RAS/CAS pipelining."""
 
+import dataclasses
 import math
 import random
 
@@ -169,6 +170,17 @@ class TestValidation:
     def test_burst_must_be_supported(self, device):
         with pytest.raises(ValueError):
             CommandEngine(device, burst_beats=16)
+
+    def test_otf_needs_bl4_support(self, ddr3_timing):
+        """OTF issues BL 4 chunks through the device's vetted path, which
+        does not re-check burst lengths, so the engine checks BL 4 up
+        front."""
+        bl8_only = dataclasses.replace(
+            ddr3_timing, supported_burst_beats=(8,)
+        )
+        CommandEngine(SdramDevice(bl8_only), burst_beats=8)
+        with pytest.raises(ValueError, match="BL4"):
+            CommandEngine(SdramDevice(bl8_only), burst_beats=8, otf=True)
 
     def test_accept_beyond_window_raises(self, device):
         engine = CommandEngine(device, burst_beats=8, window=1)

@@ -91,6 +91,15 @@ class TestDataBus:
         with pytest.raises(TimingViolation):
             device.issue(0, cas(0, 0))
 
+    def test_issue_rejects_unsupported_burst_length(self, device):
+        """The public path validates the burst length (DDR II has no
+        BL 2), before any register moves."""
+        ready = open_row(device, 0, 0)
+        with pytest.raises(ValueError, match="BL2"):
+            device.issue(ready, cas(0, 0, burst=2))
+        assert device.issued_commands == 1
+        assert device.can_issue(ready, cas(0, 0, burst=4))
+
 
 class TestAccounting:
     def test_stats_record_useful_and_waste(self, ddr2_timing):
@@ -101,13 +110,6 @@ class TestAccounting:
         assert stats.useful_beats == 2
         assert stats.wasted_beats == 6
         assert stats.busy_cycles == 4
-
-    def test_tick_counts_observed_cycles(self, ddr2_timing):
-        stats = StatsCollector()
-        device = SdramDevice(ddr2_timing, stats=stats)
-        for cycle in range(10):
-            device.tick(cycle)
-        assert stats.observed_cycles == 10
 
     def test_issued_command_counter(self, device):
         device.issue(0, act(0, 0))

@@ -10,12 +10,14 @@ import pytest
 from tests.helpers import make_request
 from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 
 
 def serve(ddr_timing, burst_beats, requests, page_policy=PagePolicy.OPEN_PAGE,
           otf=False):
-    stats = StatsCollector()
+    clock = Simulator()
+    stats = StatsCollector(clock=clock)
     device = SdramDevice(ddr_timing, stats=stats)
     engine = CommandEngine(device, burst_beats=burst_beats,
                            page_policy=page_policy, otf=otf)
@@ -27,7 +29,7 @@ def serve(ddr_timing, burst_beats, requests, page_policy=PagePolicy.OPEN_PAGE,
             engine.accept(pending.pop(0), cycle)
         engine.tick(cycle)
         served += len(engine.drain_finished())
-        device.tick(cycle)
+        clock.step()
         cycle += 1
     return stats, cycle
 

@@ -13,6 +13,7 @@ from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
 from repro.dram.timing import DramTiming
 from repro.sim.config import DdrGeneration
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 
 request_strategy = st.builds(
@@ -28,7 +29,8 @@ request_strategy = st.builds(
 
 def serve_all(generation, clock, burst, policy, otf, specs):
     timing = DramTiming.for_clock(generation, clock)
-    stats = StatsCollector()
+    simulator = Simulator()
+    stats = StatsCollector(clock=simulator)
     device = SdramDevice(timing, stats=stats)
     engine = CommandEngine(device, burst_beats=burst, page_policy=policy,
                            otf=otf, window=4)
@@ -50,7 +52,7 @@ def serve_all(generation, clock, burst, policy, otf, specs):
             engine.accept(pending.pop(0), cycle)
         engine.tick(cycle)
         finished.extend(engine.drain_finished())
-        device.tick(cycle)
+        simulator.step()
         cycle += 1
     return finished, stats, expected, expected_beats
 

@@ -100,7 +100,6 @@ class TestConformance:
     def test_event_contract_idle_none(self, name):
         backend = build_backend(name)
         assert backend.next_event_cycle(0) is None
-        backend.on_cycles_skipped(0, 100)  # must be a safe no-op when idle
         assert backend.idle
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)

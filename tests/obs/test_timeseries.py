@@ -118,8 +118,9 @@ class TestSampler:
         sampler = TimeSeriesSampler(source, 10, clock=lambda: 0.0)
         sampler.on_run_start(0)
         source.done = 35.0
-        # The simulator jumped cycles [0, 35) without ticking anyone.
-        sampler.on_cycles_skipped(0, 35)
+        # Ticked first at cycle 34, three window boundaries late: a
+        # sampler attached to a system that has already run starts so.
+        sampler.tick(34)
         assert sampler.emitted == 1
         sample = sampler.samples.last()
         assert sample.windows == 3  # boundaries 9, 19, 29 folded

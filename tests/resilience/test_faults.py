@@ -1,5 +1,7 @@
 """FaultConfig validation and FaultInjector determinism / independence."""
 
+import pickle
+
 import pytest
 
 from repro.core.system import build_system
@@ -147,6 +149,27 @@ class TestInjectorStreams:
             packet = _FakePacket(i)
             injector.on_link_flit(0, node=0, port=None, packet=packet)
         assert injector.injected[FaultSite.LINK_CORRUPT] == len(only_ids)
+
+    def test_pickled_injector_keeps_one_stream_per_site(self):
+        """A restored injector's link draws continue the site streams
+        ``_rngs`` owns, exactly where the original's would."""
+        config = FaultConfig(link_corrupt_rate=5e-3, link_drop_rate=5e-3)
+        original = FaultInjector(config, seed=7)
+        for i in range(500):
+            original.on_link_flit(0, node=0, port=None, packet=_FakePacket(i))
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored._link_corrupt_rng is restored._rngs[FaultSite.LINK_CORRUPT]
+        assert restored._link_drop_rng is restored._rngs[FaultSite.LINK_DROP]
+        for injector in (original, restored):
+            for i in range(500, 3000):
+                injector.on_link_flit(
+                    0, node=0, port=None, packet=_FakePacket(i)
+                )
+        assert restored.injected == original.injected
+        assert all(
+            restored._rngs[site].getstate() == original._rngs[site].getstate()
+            for site in FaultSite
+        )
 
     def test_disabled_injector_samples_nothing(self):
         injector = FaultInjector(FaultConfig(link_corrupt_rate=1.0), seed=7)

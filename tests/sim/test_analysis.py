@@ -8,18 +8,20 @@ from repro.obs.analysis import (
     render_master_report,
     tail_latencies,
 )
+from repro.sim.engine import Simulator
 from repro.sim.stats import StatsCollector
 
 
 def populated_stats(keep_samples=True):
-    stats = StatsCollector(keep_samples=keep_samples)
+    clock = Simulator()
+    clock.step()
+    stats = StatsCollector(keep_samples=keep_samples, clock=clock)
     for latency, master, demand in [
         (50, 0, True), (70, 0, True), (200, 1, False), (220, 1, False),
         (90, 2, False),
     ]:
         stats.record_completion(latency, 0, master=master, is_demand=demand)
-    stats.record_idle_cycle(0)
-    stats.record_bus_cycle(0, useful_beats=1, total_beats=2)
+    stats.record_burst(0, useful_beats=1, burst_beats=2)
     return stats
 
 

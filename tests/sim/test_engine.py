@@ -21,12 +21,11 @@ class Recorder:
 
 class Sleeper:
     """Quiet until ``wake`` (None = purely reactive), then ticks once and
-    goes quiet again; records the ranges it was never ticked for."""
+    goes quiet again."""
 
     def __init__(self, log, wake=None):
         self.log = log
         self.wake = wake
-        self.skipped = []
 
     def tick(self, cycle):
         self.log.append(cycle)
@@ -36,9 +35,6 @@ class Sleeper:
     def event_wake_at(self, cycle):
         return self.wake
 
-    def on_cycles_skipped(self, start, stop):
-        self.skipped.append((start, stop))
-
 
 class EventRecorder:
     """Event-capable component: self-arms at its scheduled cycles."""
@@ -47,7 +43,6 @@ class EventRecorder:
         self.log = log
         self.name = name
         self.schedule = sorted(set(schedule))
-        self.skipped = []
 
     def tick(self, cycle):
         self.log.append((cycle, self.name))
@@ -55,9 +50,6 @@ class EventRecorder:
     def event_wake_at(self, cycle):
         index = bisect_right(self.schedule, cycle)
         return self.schedule[index] if index < len(self.schedule) else None
-
-    def on_cycles_skipped(self, start, stop):
-        self.skipped.append((start, stop))
 
 
 class Reactive:
@@ -211,44 +203,41 @@ def test_on_cycle_hook_runs_after_components():
 def test_fast_forward_disabled_with_cycle_hooks():
     """A per-cycle observer needs every cycle, so while one is registered
     no cycle is jumped; the quiet component beside it still ticks only
-    when armed, and the cycles it sat out are skip-accounted once."""
+    when armed."""
     log, hooks = [], []
     sim = Simulator()
-    sleeper = sim.add(Sleeper(log, wake=40))
+    sim.add(Sleeper(log, wake=40))
     sim.add(Recorder(hooks, "hook"))
     sim.run(100)
     assert [cycle for cycle, _ in hooks] == list(range(100))
     assert sim.fast_forwarded_cycles == 0
     assert log == [0, 40]
-    assert sleeper.skipped == [(1, 40), (41, 100)]
 
 
 # ---------------------------------------------------------------------- #
-# Gap jumping and skip accounting
+# Gap jumping
 # ---------------------------------------------------------------------- #
 
 
 def test_fast_forward_jumps_to_wake_cycle():
     log = []
     sim = Simulator()
-    component = sim.add(Sleeper(log, wake=40))
+    sim.add(Sleeper(log, wake=40))
     sim.run(100)
     # Run entry ticks cycle 0; 1-39 are jumped in one step; 40 ticks;
     # 41-99 jump to the end.
     assert log == [0, 40]
     assert sim.cycle == 100
     assert sim.fast_forwarded_cycles == 98
-    assert component.skipped == [(1, 40), (41, 100)]
 
 
 def test_fast_forward_clamps_to_run_horizon():
     log = []
     sim = Simulator()
-    component = sim.add(Sleeper(log, wake=500))
+    sim.add(Sleeper(log, wake=500))
     sim.run(100)
     assert log == [0]
     assert sim.cycle == 100
-    assert component.skipped == [(1, 100)]
     sim.run(500)
     # The next run arms everything at its entry cycle, then jumps on.
     assert log == [0, 100, 500]
@@ -257,11 +246,10 @@ def test_fast_forward_clamps_to_run_horizon():
 
 def test_fast_forward_with_no_wake_jumps_to_end():
     sim = Simulator()
-    component = sim.add(Sleeper([], wake=None))
+    sim.add(Sleeper([], wake=None))
     sim.run(1_000)
     assert sim.cycle == 1_000
     assert sim.fast_forwarded_cycles == 999
-    assert component.skipped == [(1, 1_000)]
 
 
 def test_fast_forward_disabled_without_idle_skip():
@@ -277,31 +265,13 @@ def test_fast_forward_disabled_without_idle_skip():
 
 def test_step_always_ticks_components_with_skip_accounting():
     """step() is naive stepping: it ticks every component, even one that
-    never arms itself, so nothing is left for bulk skip accounting."""
+    never arms itself."""
     log = []
     sim = Simulator()
-    sleeper = sim.add(Sleeper(log, wake=None))
+    sim.add(Sleeper(log, wake=None))
     for _ in range(10):
         sim.step()
     assert log == list(range(10))
-    assert sleeper.skipped == []
-
-
-def test_skip_accounting_restarts_at_each_event_run():
-    """Cycles that step() or a naive run ticked between two event runs
-    were observed already; resuming event dispatch must not bulk-account
-    them a second time."""
-    sim = Simulator()
-    sleeper = sim.add(Sleeper([], wake=None))
-    sim.run(10)
-    for _ in range(5):
-        sim.step()
-    sim.idle_skip = False
-    sim.run(5)
-    sim.idle_skip = True
-    sim.run(10)
-    assert sim.cycle == 30
-    assert sleeper.skipped == [(1, 10), (21, 30)]
 
 
 # ---------------------------------------------------------------------- #
@@ -361,15 +331,6 @@ def test_event_wake_with_deadline_arms_that_cycle():
     sim.add(reactive)
     sim.run(100)
     assert log == [(0, "a"), (0, "b"), (3, "a"), (50, "b")]
-
-
-def test_event_skip_accounting_covers_exactly_the_unticked_cycles():
-    log = []
-    sim = Simulator()
-    component = sim.add(EventRecorder(log, "a", schedule=[10, 20]))
-    sim.run(30)
-    assert [c for c, _ in log] == [0, 10, 20]
-    assert component.skipped == [(1, 10), (11, 20), (21, 30)]
 
 
 def test_event_until_predicate_checked_before_each_cycle():

@@ -3,7 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.engine import Simulator
 from repro.sim.stats import LatencySeries, RunMetrics, StatsCollector
+
+
+def clocked_collector(cycles, **kwargs):
+    """A collector whose clock has run ``cycles`` cycles."""
+    clock = Simulator()
+    clock.run(cycles)
+    return StatsCollector(clock=clock, **kwargs)
 
 
 class TestLatencySeries:
@@ -105,28 +113,38 @@ class TestStatsCollector:
         assert stats.per_master[3].mean == 20
 
     def test_utilization_counts_useful_fraction(self):
-        stats = StatsCollector()
-        for cycle in range(10):
-            stats.record_idle_cycle(cycle)
+        stats = clocked_collector(10)
         # 4 busy cycles, half useful each
         for cycle in range(4):
-            stats.record_bus_cycle(cycle, useful_beats=1, total_beats=2)
+            stats.record_burst(cycle, useful_beats=1, burst_beats=2)
         assert stats.raw_utilization == pytest.approx(0.4)
         assert stats.utilization == pytest.approx(0.2)
 
     def test_bus_cycle_validation(self):
         stats = StatsCollector()
         with pytest.raises(ValueError):
-            stats.record_bus_cycle(0, useful_beats=3, total_beats=2)
+            stats.record_burst(0, useful_beats=3, burst_beats=2)
         with pytest.raises(ValueError):
-            stats.record_bus_cycle(0, useful_beats=0, total_beats=0)
+            stats.record_burst(0, useful_beats=0, burst_beats=0)
 
     def test_warmup_excludes_bus_activity(self):
         stats = StatsCollector(warmup=10)
-        stats.record_bus_cycle(5, 2, 2)
+        stats.record_burst(5, 2, 2)
         assert stats.busy_cycles == 0
-        stats.record_bus_cycle(15, 2, 2)
+        stats.record_burst(15, 2, 2)
         assert stats.busy_cycles == 1
+
+    def test_observed_cycles_read_the_clock(self):
+        clock = Simulator()
+        stats = StatsCollector(warmup=4, clock=clock)
+        assert stats.observed_cycles == 0
+        clock.run(3)
+        assert stats.observed_cycles == 0
+        clock.run(7)
+        assert stats.observed_cycles == 6
+        clock.step()
+        assert stats.observed_cycles == 7
+        assert StatsCollector().observed_cycles == 0
 
     def test_row_hit_rate(self):
         stats = StatsCollector()
@@ -155,11 +173,68 @@ class TestStatsCollector:
             StatsCollector(warmup=-1)
 
 
+def per_cycle_reference(warmup, data_start, useful_beats, burst_beats):
+    """Bus accounting one data-bus cycle at a time: two beats per cycle,
+    useful ones first, cycles before warm-up dropped.  Returns
+    ``(busy_cycles, useful_cycles, useful_beats, wasted_beats)``."""
+    busy = useful = wasted = 0
+    useful_cycles = 0.0
+    remaining_useful, remaining_total = useful_beats, burst_beats
+    for offset in range((burst_beats + 1) // 2):
+        beats = min(2, remaining_total)
+        moved = min(beats, remaining_useful)
+        if data_start + offset >= warmup:
+            busy += 1
+            useful_cycles += moved / beats
+            useful += moved
+            wasted += beats - moved
+        remaining_total -= beats
+        remaining_useful -= moved
+    return busy, useful_cycles, useful, wasted
+
+
+class TestRecordBurst:
+    WARMUP = 10
+
+    def test_matches_per_cycle_reference_exhaustively(self):
+        """Every burst length 1-16, every useful count, and start cycles
+        from wholly before warm-up, across it, to wholly after."""
+        cases = mismatches = 0
+        for burst in range(1, 17):
+            for useful in range(burst + 1):
+                for start in range(self.WARMUP - 9, self.WARMUP + 5):
+                    stats = StatsCollector(warmup=self.WARMUP)
+                    stats.record_burst(start, useful, burst)
+                    observed = (
+                        stats.busy_cycles, stats.useful_cycles,
+                        stats.useful_beats, stats.wasted_beats,
+                    )
+                    expected = per_cycle_reference(
+                        self.WARMUP, start, useful, burst
+                    )
+                    cases += 1
+                    if observed != expected:
+                        mismatches += 1
+        assert cases == 2_128
+        assert mismatches == 0
+
+    @pytest.mark.parametrize(
+        "useful, burst",
+        [(3, 2), (9, 8), (-1, 4), (0, 0), (0, -2)],
+    )
+    def test_range_checks_raise(self, useful, burst):
+        # Checked once per burst, before warm-up too.
+        for warmup in (0, 100):
+            stats = StatsCollector(warmup=warmup)
+            with pytest.raises(ValueError):
+                stats.record_burst(0, useful, burst)
+            assert stats.busy_cycles == stats.useful_beats == 0
+
+
 class TestRunMetrics:
     def test_from_collector_snapshot(self):
-        stats = StatsCollector()
-        stats.record_idle_cycle(0)
-        stats.record_bus_cycle(0, 2, 2)
+        stats = clocked_collector(1)
+        stats.record_burst(0, 2, 2)
         stats.record_completion(40, 0, master=0, is_demand=True)
         metrics = RunMetrics.from_collector(stats, cycles=100)
         assert metrics.cycles == 100
