@@ -15,6 +15,7 @@ machinery so enabling it never becomes a performance decision:
 
 import time
 
+from conftest import paired_overhead
 from repro.core.system import build_system
 from repro.sim.checkpoint import load_checkpoint, save_checkpoint
 from repro.sim.config import NocDesign, SystemConfig
@@ -32,40 +33,28 @@ def test_checkpoint_machinery_overhead_bounded():
     segment: the run loop re-enters once per 1000 cycles (the CLI's
     signal-poll cadence) and invokes the callback.  No snapshot is
     written here — save cost is cadence policy, measured separately —
-    so the guard isolates the segmentation machinery itself.
-    Interleaved min-of-trials timing keeps the comparison robust on
-    noisy CI hosts.
+    so the guard isolates the segmentation machinery itself.  Fresh
+    systems are compared in alternated pairs
+    (:func:`conftest.paired_overhead`).
     """
-    baseline = build_system(CONFIG)
-    segmented = build_system(CONFIG)
-
-    def time_chunk(system, cycles=4_000, **kwargs):
-        start = time.perf_counter()
-        system.simulator.run(cycles, **kwargs)
-        return time.perf_counter() - start
 
     def no_save(cycle):
         return False
 
-    # warm both systems past startup transients
-    time_chunk(baseline)
-    time_chunk(segmented, checkpoint_every=1_000, on_checkpoint=no_save)
+    def plain():
+        system = build_system(CONFIG)
+        return lambda: system.simulator.run(4_000)
 
-    baseline_times, segmented_times = [], []
-    for _ in range(5):
-        baseline_times.append(time_chunk(baseline))
-        segmented_times.append(
-            time_chunk(
-                segmented, checkpoint_every=1_000, on_checkpoint=no_save
-            )
+    def segmented():
+        system = build_system(CONFIG)
+        return lambda: system.simulator.run(
+            4_000, checkpoint_every=1_000, on_checkpoint=no_save
         )
-    baseline_best = min(baseline_times)
-    segmented_best = min(segmented_times)
 
-    overhead = segmented_best / baseline_best
+    overhead = paired_overhead(plain, segmented)
     assert overhead <= 1.05, (
         f"segmented run is {overhead:.3f}x the plain run "
-        f"({segmented_best:.4f}s vs {baseline_best:.4f}s per 4k cycles)"
+        "(median of 10 pairs of 4k cycles)"
     )
 
 

@@ -2,52 +2,50 @@
 
 A disabled tracer and a telemetry sampler must each cost at most 5% of
 an unobserved run, and a disabled tracer must add no Python call at all.
-CI runs these guards by node ID.  Simulator speed itself is measured by
-the repository benchmark, ``python3 -m bench`` (see ``bench/README.md``).
+The timing guards compare fresh systems in alternated pairs
+(:func:`conftest.paired_overhead`); the last test shows that this
+comparison fails a real 10% overhead.  CI runs these guards by node ID.
+Simulator speed itself is measured by the repository benchmark,
+``python3 -m bench`` (see ``bench/README.md``).
 """
 
 import sys
 import time
 
+from conftest import paired_overhead
 from repro.core.system import build_system
 from repro.obs import NullTracer
 from repro.sim.config import NocDesign, SystemConfig
+
+CONFIG = SystemConfig(app="single_dtv", cycles=100_000,
+                      design=NocDesign.GSS_SAGM)
+
+
+def _stepper(system, cycles=2_000):
+    """The timed trial: ``cycles`` stepped cycles of ``system``."""
+    step = system.simulator.step
+
+    def run():
+        for _ in range(cycles):
+            step()
+
+    return run
 
 
 def test_null_tracer_overhead_bounded():
     """A disabled tracer must not slow the simulator down.
 
-    Every emission site guards with ``if tracer:`` — falsy for both
-    ``None`` and ``NullTracer`` — so the hot path with a NullTracer
-    attached must stay within 5% of the untraced baseline.  Interleaved
-    min-of-trials timing keeps the comparison robust on noisy CI hosts.
+    Every emission site guards with ``if tracer:``, and a system stores
+    a falsy tracer as ``None``, so the hot path with a NullTracer
+    attached must stay within 5% of the untraced baseline.
     """
-    config = SystemConfig(app="single_dtv", cycles=100_000,
-                          design=NocDesign.GSS_SAGM)
-    baseline = build_system(config)
-    traced = build_system(config, tracer=NullTracer())
-
-    def time_chunk(system, cycles=2_000):
-        start = time.perf_counter()
-        for _ in range(cycles):
-            system.simulator.step()
-        return time.perf_counter() - start
-
-    # warm both systems past startup transients (and JIT-ish dict warmup)
-    time_chunk(baseline)
-    time_chunk(traced)
-
-    baseline_times, traced_times = [], []
-    for _ in range(5):
-        baseline_times.append(time_chunk(baseline))
-        traced_times.append(time_chunk(traced))
-    baseline_best = min(baseline_times)
-    traced_best = min(traced_times)
-
-    overhead = traced_best / baseline_best
+    overhead = paired_overhead(
+        lambda: _stepper(build_system(CONFIG)),
+        lambda: _stepper(build_system(CONFIG, tracer=NullTracer())),
+    )
     assert overhead <= 1.05, (
         f"NullTracer path is {overhead:.3f}x the untraced baseline "
-        f"({traced_best:.4f}s vs {baseline_best:.4f}s per 2k cycles)"
+        "(median of 10 pairs of 2k stepped cycles)"
     )
 
 
@@ -59,9 +57,6 @@ def test_null_tracer_adds_no_python_calls():
     stores a falsy tracer as ``None``, so no emission site calls
     ``NullTracer.__bool__``.
     """
-    config = SystemConfig(app="single_dtv", cycles=100_000,
-                          design=NocDesign.GSS_SAGM)
-
     def python_calls(system, cycles=2_000):
         calls = 0
 
@@ -79,8 +74,8 @@ def test_null_tracer_adds_no_python_calls():
             sys.setprofile(None)
         return calls
 
-    untraced = python_calls(build_system(config))
-    traced = python_calls(build_system(config, tracer=NullTracer()))
+    untraced = python_calls(build_system(CONFIG))
+    traced = python_calls(build_system(CONFIG, tracer=NullTracer()))
     assert traced == untraced, (
         f"NullTracer system made {traced - untraced:+d} Python calls over "
         f"the untraced one's {untraced}"
@@ -94,33 +89,52 @@ def test_sampler_overhead_bounded():
     per stepped cycle, one wake per window under event dispatch), so a
     system with a 1000-cycle sampler attached must stay within 5% of the
     unsampled baseline — the same guard discipline as the NullTracer.
-    Interleaved min-of-trials timing keeps the comparison robust.
     """
-    config = SystemConfig(app="single_dtv", cycles=1_000_000,
-                          design=NocDesign.GSS_SAGM)
-    baseline = build_system(config)
-    sampled = build_system(config)
-    sampled.attach_sampler(1_000)
 
-    def time_chunk(system, cycles=2_000):
-        start = time.perf_counter()
-        for _ in range(cycles):
-            system.simulator.step()
-        return time.perf_counter() - start
+    def sampled():
+        system = build_system(CONFIG)
+        sampler = system.attach_sampler(1_000)
+        run = _stepper(system)
 
-    time_chunk(baseline)
-    time_chunk(sampled)
+        def run_and_check():
+            run()
+            assert sampler.emitted > 0
 
-    baseline_times, sampled_times = [], []
-    for _ in range(5):
-        baseline_times.append(time_chunk(baseline))
-        sampled_times.append(time_chunk(sampled))
-    baseline_best = min(baseline_times)
-    sampled_best = min(sampled_times)
+        return run_and_check
 
-    overhead = sampled_best / baseline_best
+    overhead = paired_overhead(lambda: _stepper(build_system(CONFIG)), sampled)
     assert overhead <= 1.05, (
         f"sampler path is {overhead:.3f}x the unsampled baseline "
-        f"({sampled_best:.4f}s vs {baseline_best:.4f}s per 2k cycles)"
+        "(median of 10 pairs of 2k stepped cycles)"
     )
-    assert sampled.sampler.emitted > 0
+
+
+class BusyWait:
+    """Tick-only component that spins for ``seconds`` every cycle."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def tick(self, cycle):
+        end = time.perf_counter() + self.seconds
+        while time.perf_counter() < end:
+            pass
+
+
+def test_paired_overhead_fails_an_injected_ten_percent():
+    """The guards' timing can fail: a component that busy-waits a tenth
+    of a measured step every cycle reads above the 1.05 bound."""
+    probe = _stepper(build_system(CONFIG))
+    start = time.perf_counter()
+    probe()
+    step_seconds = (time.perf_counter() - start) / 2_000
+
+    def injected():
+        system = build_system(CONFIG)
+        system.simulator.add(BusyWait(step_seconds / 10))
+        return _stepper(system)
+
+    overhead = paired_overhead(lambda: _stepper(build_system(CONFIG)), injected)
+    assert overhead > 1.05, (
+        f"a 10% injected overhead read {overhead:.3f}x, within the bound"
+    )

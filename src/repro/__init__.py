@@ -25,7 +25,7 @@ from ._lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(globals(), {
     ".core.system": ("SocSystem", "build_system", "run_config"),
     ".obs": ("MemoryTracer", "MetricsRegistry", "NullTracer",
-             "SimulatorProfiler"),
+             "profile_run"),
     ".resilience": ("FaultConfig", "FaultInjector", "FaultSite",
                     "ScheduledFault"),
     ".sim.config": ("ConfigError", "DdrGeneration", "NocDesign",
@@ -50,12 +50,12 @@ __all__ = [
     "ResultStore",
     "RunMetrics",
     "ScheduledFault",
-    "SimulatorProfiler",
     "SocSystem",
     "SweepSpec",
     "SystemConfig",
     "build_system",
     "paper_configs",
+    "profile_run",
     "run_config",
     "run_sweep",
     "__version__",

@@ -272,16 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="simulate one configuration and profile simulator wall-time",
+        help="simulate one configuration and profile simulator time per layer",
     )
     _add_config_args(profile, default_cycles=20_000, default_warmup=0)
     profile.add_argument(
         "--window", type=_positive, default=1_000, metavar="CYCLES",
-        help="profiling window size in cycles",
+        help="simulated cycles per profiling window",
     )
     profile.add_argument(
         "--windows", type=_positive, default=3, metavar="N",
-        help="most expensive windows to list",
+        help="most recent windows to list",
     )
 
     for name in ("table1", "table2", "table3"):
@@ -846,17 +846,14 @@ def _cmd_faults(args) -> int:
 
 
 def _cmd_profile(args) -> None:
-    from .obs import SimulatorProfiler
+    from .obs import profile_run
 
     config = _config_from(args)
-    profiler = SimulatorProfiler(window_cycles=args.window)
     system = build_system(config)
-    system.simulator.attach_profiler(profiler)
-    metrics = system.run()
+    profile = profile_run(system, config.cycles, args.window)
     print(f"configuration : {config.label}")
-    print(f"cycles        : {metrics.cycles}")
-    print()
-    print(profiler.report(windows=args.windows))
+    print(f"cycles        : {system.simulator.cycle}")
+    print(profile.report(windows=args.windows))
 
 
 #: SystemConfig fields the generic grid can sweep or pin, with their

@@ -21,10 +21,7 @@ class CommandKind(enum.Enum):
 
     @property
     def is_cas(self) -> bool:
-        return self in _CAS_KINDS
-
-
-_CAS_KINDS = frozenset((CommandKind.READ, CommandKind.WRITE))
+        return self is CommandKind.READ or self is CommandKind.WRITE
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,15 +45,18 @@ class DramCommand:
     def __post_init__(self) -> None:
         if self.bank < 0:
             raise ValueError("bank must be non-negative")
-        if self.auto_precharge and not self.kind.is_cas:
-            raise ValueError("auto-precharge is only legal on READ/WRITE")
-        if self.kind is CommandKind.ACTIVATE and self.row is None:
-            raise ValueError("ACT requires a row")
-        if self.kind.is_cas:
+        kind = self.kind
+        # Identity tests, as in ``is_cas``: a command makes no call into
+        # ``enum`` (hashing a member is a Python-level call).
+        if kind is CommandKind.READ or kind is CommandKind.WRITE:
             if self.burst_beats <= 0:
                 raise ValueError("CAS requires a positive burst length")
             if not 0 <= self.useful_beats <= self.burst_beats:
                 raise ValueError("useful beats exceed burst length")
+        elif self.auto_precharge:
+            raise ValueError("auto-precharge is only legal on READ/WRITE")
+        elif kind is CommandKind.ACTIVATE and self.row is None:
+            raise ValueError("ACT requires a row")
 
     @property
     def is_read(self) -> bool:

@@ -133,7 +133,8 @@ class SdramDevice:
         self.issued_commands += 1
         bank = self.banks[command.bank]
         if self.stats is not None:
-            self.stats.record_command(cycle, command.kind.value)
+            # ``_value_``: what ``Enum.value`` returns, minus its call.
+            self.stats.record_command(cycle, command.kind._value_)
 
         if command.kind is CommandKind.ACTIVATE:
             assert command.row is not None

@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional
 
-from ..sim.engine import is_engine_wake
 from .packet import Packet
 
 
@@ -102,17 +101,6 @@ class InputBuffer:
         #: these None and keep the full hooks).
         self.consumer_router = None
         self.credit_router = None
-
-    def __getstate__(self):
-        """Router-owned hooks (bound methods) pickle by reference; engine
-        wake closures installed by an NI's ``attach_wake`` do not, and are
-        dropped here — simulator rebind reinstalls them on restore."""
-        state = self.__dict__.copy()
-        if is_engine_wake(state.get("wake_consumer")):
-            state["wake_consumer"] = None
-        if is_engine_wake(state.get("wake_credit")):
-            state["wake_credit"] = None
-        return state
 
     # ------------------------------------------------------------------ #
     # Upstream (writer) side

@@ -149,13 +149,6 @@ class CoreInterface:
         # Response flits landing in the sink must wake this NI.
         self.sink.wake_consumer = wake
 
-    def __getstate__(self):
-        # The engine wake handle is a process-local closure; a restored
-        # simulator re-issues it through attach_wake on rebind.
-        state = self.__dict__.copy()
-        state["_wake"] = None
-        return state
-
     def event_wake_at(self, cycle: int) -> Optional[int]:
         if self._pending:
             return cycle + 1
@@ -484,12 +477,6 @@ class MemoryInterface:
         self._wake = wake
         # Request flits landing in the sink must wake this NI.
         self.sink.wake_consumer = wake
-
-    def __getstate__(self):
-        # Engine wake handles are process-local; rebind re-issues them.
-        state = self.__dict__.copy()
-        state["_wake"] = None
-        return state
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
         """Next cycle with possible work.

@@ -221,13 +221,6 @@ class Router:
         if wake is not None:
             wake(at)
 
-    def __getstate__(self):
-        # The network's engine wake handle is a process-local closure;
-        # MeshNetwork.attach_wake redistributes it on simulator rebind.
-        state = self.__dict__.copy()
-        state["_net_wake"] = None
-        return state
-
     def input_buffer(self, port: Port, lane: int = 0) -> InputBuffer:
         return self.inputs[port][lane]
 

@@ -11,8 +11,8 @@ One subsystem answers "where did this packet's cycles go?" at every layer
   a deterministic :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`;
 * :mod:`repro.obs.exporters` — Chrome trace-event JSON (Perfetto /
   chrome://tracing), JSONL dumps, per-request latency breakdowns;
-* :mod:`repro.obs.profiler` — wall-time attribution per simulator
-  component class, for finding the Python hot spots;
+* :mod:`repro.obs.profiler` — :func:`profile_run`: simulator time and
+  calls per layer (``repro`` module) under cProfile, for hot spots;
 * :mod:`repro.obs.timeseries` — interval sampler riding the event-core
   wake queue: ring-buffered per-window rates and latency percentiles;
 * :mod:`repro.obs.stream` — the newline-JSON telemetry stream protocol
@@ -43,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                    "write_jsonl"),
     ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
     ".monitor": ("MonitorState", "run_monitor"),
-    ".profiler": ("SimulatorProfiler",),
+    ".profiler": ("profile_run",),
     ".stream": ("TelemetryWriter", "host_manifest", "prometheus_exposition",
                 "read_stream", "run_manifest", "validate_stream"),
     ".timeseries": ("RingBuffer", "Sample", "SampleSource",
@@ -67,7 +67,6 @@ __all__ = [
     "RingBuffer",
     "Sample",
     "SampleSource",
-    "SimulatorProfiler",
     "SystemSampleSource",
     "TelemetryWriter",
     "TimeSeriesSampler",
@@ -76,6 +75,7 @@ __all__ = [
     "chrome_trace",
     "host_manifest",
     "latency_breakdowns",
+    "profile_run",
     "prometheus_exposition",
     "read_jsonl",
     "read_stream",

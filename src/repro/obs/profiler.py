@@ -1,122 +1,156 @@
-"""Wall-clock profiling of the simulation kernel itself.
+"""Simulator time per layer, under :mod:`cProfile`.
 
-The ROADMAP's "as fast as the hardware allows" goal needs attribution
-before optimization: which component *class* burns the Python time, and
-does its share drift as buffers fill?  :class:`SimulatorProfiler` plugs
-into :meth:`repro.sim.engine.Simulator.attach_profiler` and times every
-``tick`` call, aggregating per component class and per N-cycle window —
-behavioral tracing tells you where packets wait, this tells you where the
-*simulator* waits.
-
-In both dispatch modes the engine hands every tick to
-:meth:`SimulatorProfiler.timed_tick` and closes every processed cycle
-with :meth:`SimulatorProfiler.end_cycle`; the unprofiled loops stay
-untouched (zero overhead when detached).
+A *layer* is the ``repro`` module defining a function; the paper's
+mechanisms live in separate ones (``core.gss_filter``, ``core.tokens``,
+``noc.router``, ``dram.device``).  :func:`profile_run` runs windows of
+exactly ``window`` simulated cycles, each one ``Simulator.run`` call
+under its own profile, so the kernel needs no hook.  Time and calls
+outside ``repro`` (built-ins, the stdlib, generated dataclass
+``__init__``s) are charged to the calling layer, through callers outside
+``repro`` in proportion to their calls.  Calls are deterministic; the
+seconds include cProfile's overhead.  Entries come from
+``Profile.getstats()``: :mod:`pstats` keys by (file, line, name) and so
+merges the generated ``__init__``s.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-from typing import Callable, Dict, List, Tuple
+import cProfile
+import gc
+import os
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Dict, List, Optional
+
+#: Source prefix of the ``repro`` package, in the form code objects use.
+_PREFIX = os.path.dirname(os.path.dirname(__file__)) + os.sep
 
 
-class SimulatorProfiler:
-    """Per-component-class wall-time accounting, in N-cycle windows."""
+def layer_of(code) -> Optional[str]:
+    """The ``repro`` module defining ``code`` (``noc.router``), or
+    ``None`` outside ``repro`` (cProfile names built-ins by a string)."""
+    filename = getattr(code, "co_filename", "")
+    if not filename.startswith(_PREFIX) or not filename.endswith(".py"):
+        return None
+    module = filename[len(_PREFIX):-3].replace(os.sep, ".")
+    return module.removesuffix("__init__").rstrip(".") or "repro"
 
-    def __init__(self, window_cycles: int = 1_000) -> None:
-        if window_cycles <= 0:
-            raise ValueError("window_cycles must be positive")
-        self.window_cycles = window_cycles
-        self.totals: Dict[str, float] = {}
-        self.calls: Dict[str, int] = {}
-        #: Closed windows: (first_cycle, {label: seconds}).
-        self.windows: List[Tuple[int, Dict[str, float]]] = []
-        self._window_start: int = 0
-        self._window_totals: Dict[str, float] = {}
-        self.cycles_profiled = 0
 
-    # ------------------------------------------------------------------ #
-    # Engine-facing: called from the dispatch loops
-    # ------------------------------------------------------------------ #
+@dataclass
+class LayerStat:
+    seconds: float = 0.0
+    calls: float = 0.0
 
-    def timed_tick(
-        self, label: str, tick: Callable[[int], None], cycle: int
-    ) -> None:
-        """Run and time one ``tick`` under component class ``label``.
 
-        Event dispatch only runs the components actually due a cycle, so
-        attribution covers exactly the work performed: skipped components
-        contribute no calls (their absence *is* the speedup).  The engine
-        closes each processed cycle with :meth:`end_cycle`."""
-        start = perf_counter()
-        tick(cycle)
-        elapsed = perf_counter() - start
-        self.totals[label] = self.totals.get(label, 0.0) + elapsed
-        self.calls[label] = self.calls.get(label, 0) + 1
-        window = self._window_totals
-        window[label] = window.get(label, 0.0) + elapsed
+@dataclass
+class Window:
+    start: int
+    cycles: int
+    layers: Dict[str, LayerStat]
 
-    def end_cycle(self, cycle: int) -> None:
-        """Close one *processed* cycle (cycles event dispatch jumps do not
-        count: no work ran in them)."""
-        self.cycles_profiled += 1
-        if self.cycles_profiled % self.window_cycles == 0:
-            self._roll_window(cycle + 1)
 
-    def _roll_window(self, next_start: int) -> None:
-        if self._window_totals:
-            self.windows.append((self._window_start, self._window_totals))
-        self._window_start = next_start
-        self._window_totals = {}
+def _charge(entries) -> Dict[str, LayerStat]:
+    """Charge raw ``Profile.getstats()`` entries to layers."""
+    callers = defaultdict(list)
+    for entry in entries:
+        for sub in entry.calls or ():
+            callers[sub.code].append((entry.code, sub))
+    memo: Dict[object, Dict[str, float]] = {}
 
-    # ------------------------------------------------------------------ #
-    # Reporting
-    # ------------------------------------------------------------------ #
+    def owners(code) -> Dict[str, float]:
+        """Layer -> share of ``code``'s calls made on its behalf."""
+        layer = layer_of(code)
+        if layer is not None:
+            return {layer: 1.0}
+        if code not in memo:
+            memo[code] = {}  # a call cycle outside repro charges nothing
+            shares = defaultdict(float)
+            edges = callers.get(code, ())
+            total = sum(sub.callcount for _, sub in edges)
+            for caller, sub in edges:
+                for name, share in owners(caller).items():
+                    shares[name] += share * sub.callcount / total
+            memo[code] = shares
+        return memo[code]
 
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.totals.values())
+    layers: Dict[str, LayerStat] = defaultdict(LayerStat)
+    for entry in entries:
+        own = layer_of(entry.code) is not None
+        for code, row in [(entry.code, entry)] if own else callers[entry.code]:
+            for name, share in owners(code).items():
+                layers[name].seconds += share * row.inlinetime
+                layers[name].calls += share * row.callcount
+    return dict(layers)
 
-    def shares(self) -> Dict[str, float]:
-        """Fraction of measured wall time per component class."""
-        total = self.total_seconds
-        if total <= 0:
-            return {label: 0.0 for label in self.totals}
-        return {label: value / total for label, value in self.totals.items()}
+
+@dataclass
+class LayerProfile:
+    window: int
+    windows: List[Window]
+    #: Self time of every profiled function, charged to a layer or not.
+    total_seconds: float
+
+    def layers(self) -> Dict[str, LayerStat]:
+        """Totals over every window, per layer."""
+        totals: Dict[str, LayerStat] = defaultdict(LayerStat)
+        for window in self.windows:
+            for name, stat in window.layers.items():
+                totals[name].seconds += stat.seconds
+                totals[name].calls += stat.calls
+        return dict(totals)
 
     def report(self, windows: int = 3) -> str:
-        """Share table plus the ``windows`` most recent per-window rows."""
-        total = self.total_seconds
+        """Layer table, busiest first, then the busiest layers of the
+        ``windows`` most recent windows."""
+        layers = self.layers()
+        total = self.total_seconds or 1.0
+        kcycles = max(1, sum(w.cycles for w in self.windows)) / 1000
+        covered = sum(stat.seconds for stat in layers.values()) / total
         lines = [
-            f"simulator profile: {self.cycles_profiled} cycles, "
-            f"{total:.3f}s measured"
-            + (
-                f" ({self.cycles_profiled / total:,.0f} cycles/s)"
-                if total > 0 else ""
-            ),
-            f"{'component class':<24s} {'share':>7s} {'seconds':>9s} "
-            f"{'calls':>9s} {'us/call':>8s}",
+            f"profiled      : {len(self.windows)} window(s) of {self.window}"
+            f" cycles, {self.total_seconds:.3f}s self time, {covered:.1%}"
+            " of it in repro layers",
+            "",
+            f"{'layer':<24s} {'share':>7s} {'seconds':>9s} "
+            f"{'calls/kcycle':>13s}",
         ]
-        shares = self.shares()
-        for label in sorted(self.totals, key=self.totals.get, reverse=True):
-            seconds = self.totals[label]
-            calls = self.calls[label]
-            per_call = seconds / calls * 1e6 if calls else 0.0
+        for name, stat in sorted(layers.items(), key=lambda kv: -kv[1].seconds):
             lines.append(
-                f"{label:<24s} {shares[label]:>6.1%} {seconds:>9.3f} "
-                f"{calls:>9d} {per_call:>8.1f}"
+                f"{name:<24s} {stat.seconds / total:>7.1%} "
+                f"{stat.seconds:>9.3f} {stat.calls / kcycles:>13.1f}"
             )
-        recent = self.windows[-windows:]
+        recent = self.windows[max(0, len(self.windows) - windows):]
         if recent:
-            lines.append("")
-            lines.append(
-                f"per-{self.window_cycles}-cycle windows "
-                "(seconds by component class):"
-            )
-            for start, window_totals in recent:
-                busiest = sorted(
-                    window_totals.items(), key=lambda kv: kv[1], reverse=True
-                )[:3]
-                row = ", ".join(f"{k}={v * 1e3:.1f}ms" for k, v in busiest)
-                lines.append(f"  cycle {start:>8d}+: {row}")
+            lines += ["", f"most recent {len(recent)} window(s), busiest "
+                      "layers (ms of self time):"]
+        for window in recent:
+            busiest = sorted(window.layers.items(),
+                             key=lambda kv: -kv[1].seconds)[:3]
+            lines.append(f"  cycle {window.start:>8d}+: " + ", ".join(
+                f"{name}={stat.seconds * 1e3:.1f}" for name, stat in busiest
+            ))
         return "\n".join(lines)
+
+
+def profile_run(system, cycles: int, window: int = 1_000) -> LayerProfile:
+    """Advance ``system`` (a :class:`~repro.core.system.SocSystem` or a
+    :class:`~repro.sim.engine.Simulator`) by ``cycles`` cycles in
+    profiled windows of ``window`` cycles (the last may be shorter)."""
+    if window <= 0 or cycles < 0:
+        raise ValueError("window must be positive and cycles non-negative")
+    simulator = getattr(system, "simulator", system)
+    end = simulator.cycle + cycles
+    windows: List[Window] = []
+    total = 0.0
+    while simulator.cycle < end:
+        start = simulator.cycle
+        # Empty young generations: collections, and any ``gc.callbacks``
+        # code cProfile charges to the frame it interrupts, then fall on
+        # the same allocations in every run.
+        gc.collect()
+        profile = cProfile.Profile()
+        profile.runcall(simulator.run, min(window, end - start))
+        entries = profile.getstats()
+        total += sum(entry.inlinetime for entry in entries)
+        windows.append(Window(start, simulator.cycle - start, _charge(entries)))
+    return LayerProfile(window, windows, total)

@@ -172,12 +172,6 @@ class ResilienceController:
     def attach_wake(self, wake) -> None:
         self._wake = wake
 
-    def __getstate__(self):
-        # Engine wake handles are process-local; rebind re-issues them.
-        state = self.__dict__.copy()
-        state["_wake"] = None
-        return state
-
     def event_wake_at(self, cycle: int) -> Optional[int]:
         """Rate-driven buffer flips draw per-cycle randomness, so they
         force per-cycle ticking; otherwise the controller sleeps until the

@@ -13,10 +13,10 @@ without fault injection.
 Why whole-graph pickling: the simulator's components share live objects
 (a packet sitting in a router buffer is the *same* object a watchdog
 tracker holds).  Serializing per component would sever that aliasing;
-one pickle of the root preserves it through the pickle memo.  The only
-state excluded is process-local plumbing — engine wake closures,
-telemetry callbacks, open file handles — which the engine rebuilds on
-first use after restore (see :mod:`repro.sim.engine`, "Serialization").
+one pickle of the root preserves it through the pickle memo, engine
+wake handles included (see :mod:`repro.sim.engine`, "Serialization").
+The only state excluded is process-local plumbing — telemetry callbacks
+and open file handles — which the components holding it drop.
 
 File format (version :data:`SCHEMA_VERSION`)::
 
@@ -51,7 +51,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 MAGIC = b"REPROCKP"
 
 #: Bump on any change to the serialized component-graph shape.
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _HEADER_STRUCT = struct.Struct("<I")
 
@@ -188,8 +188,7 @@ def load_checkpoint(path: PathLike):
     Verification order: magic → schema version → payload length →
     CRC-32 → unpickle.  Any failure raises :class:`CheckpointError`
     naming the failing stage; a valid snapshot returns the restored
-    system, ready to ``run()`` (the simulator rebuilds its dispatch
-    state and wake handles on first use).
+    system, ready to ``run()`` or to be saved again.
     """
     path = Path(path)
     try:

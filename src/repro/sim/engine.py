@@ -59,32 +59,21 @@ Component contract
   sampler is just another registered component, armed on the wake queue
   like everything else.
 
-An attached profiler (:class:`repro.obs.profiler.SimulatorProfiler`)
-times every tick in both modes through ``timed_tick`` and closes each
-processed cycle with ``end_cycle``; under event dispatch it attributes
-exactly the ticks that actually ran.
-
 Serialization
 -------------
 
-A :class:`Simulator` pickles as its registered components plus the clock
-and telemetry — none of the derived dispatch state (parallel tick lists,
-calendar heap, armed deadlines, wake closures) is serialized.  That
-state is only meaningful *between* ``run()`` calls, where it is
-redundant by construction: ``_event_run`` re-arms every component at run
-entry and spurious ticks are state-gated no-ops, so ``run(k); run(N-k)``
-is bit-identical to ``run(N)``.  Checkpoints (see
-:mod:`repro.sim.checkpoint`) are therefore taken at run boundaries, and
-a restored simulator rebuilds its dispatch state by re-registering its
-components lazily on first use (:meth:`Simulator._rebind`), which also
-re-issues every ``attach_wake`` handle.  Wake handles themselves are
-process-local closures and are never serialized: components that store
-one drop it in ``__getstate__`` (identified via :func:`is_engine_wake`).
+A :class:`Simulator` pickles as an ordinary object graph.  Wake handles
+are ``functools.partial(simulator._wake, index)``, so they pickle with
+the system, and a restored system can run or be saved again at once.
+Checkpoints (:mod:`repro.sim.checkpoint`) are taken at run boundaries:
+``_event_run`` re-arms every component at run entry, so ``run(k);
+run(N-k)`` is bit-identical to ``run(N)``, pickled in between or not.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, List, Optional, Protocol, runtime_checkable
 
@@ -95,17 +84,6 @@ _NEVER = 1 << 62
 def _next_cycle(cycle: int) -> int:
     """``event_wake_at`` of a component that implements only ``tick``."""
     return cycle + 1
-
-
-def is_engine_wake(hook) -> bool:
-    """Whether ``hook`` is a wake handle issued by a :class:`Simulator`.
-
-    Wake handles are process-local closures over live dispatch state, so
-    they must never be pickled; components that may hold one (directly or
-    through a buffer hook) consult this in ``__getstate__`` and drop it —
-    restore re-issues handles through :meth:`Simulator._rebind`.
-    """
-    return getattr(hook, "_engine_wake", False) is True
 
 
 @runtime_checkable
@@ -133,14 +111,12 @@ class Simulator:
     def __init__(self, idle_skip: bool = True) -> None:
         self._components: List[Clocked] = []
         self._cycle = 0
-        self._profiler = None
         #: Event dispatch when true; naive stepping (the reference) when
         #: false.
         self.idle_skip = idle_skip
         # Parallel to _components: bound contract methods.
         self._ticks: List[Callable[[int], None]] = []
         self._event_wakes: List[Callable[[int], Optional[int]]] = []
-        self._labels: List[str] = []
         self._mode_hooks: List[Callable[[bool], None]] = []
         self._run_starts: List[Callable[[int], None]] = []
         self._run_ends: List[Callable[[int], None]] = []
@@ -164,9 +140,6 @@ class Simulator:
         #: Dispatch mode of the most recent run(): "event" or "naive"
         #: (introspection for tests and reports).
         self.last_dispatch_mode: Optional[str] = None
-        #: Components restored from a pickle but not yet re-registered
-        #: (see __setstate__/_rebind); None once dispatch state is live.
-        self._pending_rebind: Optional[List[Clocked]] = None
 
     @property
     def cycle(self) -> int:
@@ -175,18 +148,12 @@ class Simulator:
 
     def add(self, component: Clocked) -> Clocked:
         """Register ``component`` and return it (for fluent wiring)."""
-        if self._pending_rebind is not None:
-            # Restored-from-pickle simulator: re-register the saved
-            # components first so they keep their original indices (and
-            # therefore their original intra-cycle ordering).
-            self._rebind()
         tick = getattr(component, "tick", None)
         if not callable(tick):
             raise TypeError(f"{component!r} does not implement tick()")
         index = len(self._components)
         self._components.append(component)
         self._ticks.append(tick)
-        self._labels.append(type(component).__name__)
         event_wake = getattr(component, "event_wake_at", None)
         self._event_wakes.append(
             event_wake if callable(event_wake) else _next_cycle
@@ -195,7 +162,7 @@ class Simulator:
         self._queued.append(0)
         attach = getattr(component, "attach_wake", None)
         if callable(attach):
-            attach(self._make_wake(index))
+            attach(partial(self._wake, index))
         mode_hook = getattr(component, "on_run_mode", None)
         if callable(mode_hook):
             self._mode_hooks.append(mode_hook)
@@ -212,92 +179,41 @@ class Simulator:
         for component in components:
             self.add(component)
 
-    def attach_profiler(self, profiler) -> None:
-        """Route every subsequent cycle through the profiler (see
-        :class:`repro.obs.profiler.SimulatorProfiler`); ``None`` detaches.
-        The unprofiled dispatch loops are untouched when detached."""
-        self._profiler = profiler
-
-    @property
-    def profiler(self):
-        return self._profiler
-
     # ------------------------------------------------------------------ #
     # Wake handles
     # ------------------------------------------------------------------ #
 
-    def _make_wake(self, index: int) -> Callable[..., None]:
-        """Build the wake handle for component ``index``.
+    def _wake(self, index: int, at: Optional[int] = None) -> None:
+        """Wake handle body for component ``index`` (each component gets
+        ``partial(self._wake, index)``).
 
         ``wake()`` — arm as early as ordering allows (see module docs);
         ``wake(at)`` — arm at the future cycle ``at``.
         Handles are inert (cheap early return) outside event dispatch, so
         producer-side hook calls cost one branch under naive stepping.
         """
-
-        def wake(at: Optional[int] = None) -> None:
-            if not self._event_live:
-                return
-            armed = self._armed
-            now = self._now
-            if now >= 0:
-                if at is None or at <= now:
-                    if index > self._progress:
-                        # Not yet processed this cycle: run it this cycle,
-                        # exactly as ordered stepping would.
-                        if not self._queued[index]:
-                            self._queued[index] = 1
-                            armed[index] = now
-                            insort(self._ready, index)
-                        return
-                    at = now + 1
-            else:
-                base = self._cycle
-                if at is None or at < base:
-                    at = base
-            if at < armed[index]:
-                armed[index] = at
-                heappush(self._heap, (at, index))
-
-        # Serialization marker (see is_engine_wake): holders drop tagged
-        # closures in __getstate__; _rebind re-issues them.
-        wake._engine_wake = True
-        return wake
-
-    # ------------------------------------------------------------------ #
-    # Serialization (see module docs, "Serialization")
-    # ------------------------------------------------------------------ #
-
-    def __getstate__(self):
-        """Components, clock, and telemetry — no derived dispatch state."""
-        return {
-            "components": self._components,
-            "cycle": self._cycle,
-            "idle_skip": self.idle_skip,
-            "fast_forwarded_cycles": self.fast_forwarded_cycles,
-            "last_dispatch_mode": self.last_dispatch_mode,
-        }
-
-    def __setstate__(self, state):
-        # Re-registration is deferred: at __setstate__ time the component
-        # graph may still be mid-unpickle (cyclic references), so calling
-        # attach_wake here could hand handles to half-restored objects —
-        # and a component's own later __setstate__ would clobber them
-        # anyway.  _rebind runs on first use instead, when the graph is
-        # guaranteed complete.
-        self.__init__(idle_skip=state["idle_skip"])
-        self._cycle = state["cycle"]
-        self.fast_forwarded_cycles = state["fast_forwarded_cycles"]
-        self.last_dispatch_mode = state["last_dispatch_mode"]
-        self._pending_rebind = state["components"]
-
-    def _rebind(self) -> None:
-        """Rebuild dispatch state after unpickling: re-register every
-        saved component (original order), re-issuing wake handles."""
-        components = self._pending_rebind
-        self._pending_rebind = None
-        if components:
-            self.add_all(components)
+        if not self._event_live:
+            return
+        armed = self._armed
+        now = self._now
+        if now >= 0:
+            if at is None or at <= now:
+                if index > self._progress:
+                    # Not yet processed this cycle: run it this cycle,
+                    # exactly as ordered stepping would.
+                    if not self._queued[index]:
+                        self._queued[index] = 1
+                        armed[index] = now
+                        insort(self._ready, index)
+                    return
+                at = now + 1
+        else:
+            base = self._cycle
+            if at is None or at < base:
+                at = base
+        if at < armed[index]:
+            armed[index] = at
+            heappush(self._heap, (at, index))
 
     # ------------------------------------------------------------------ #
     # Naive stepping
@@ -306,17 +222,9 @@ class Simulator:
     def step(self) -> int:
         """Advance the system by exactly one cycle, ticking every component
         in registration order; return the new cycle count."""
-        if self._pending_rebind is not None:
-            self._rebind()
         cycle = self._cycle
-        profiler = self._profiler
-        if profiler is None:
-            for tick in self._ticks:
-                tick(cycle)
-        else:
-            for label, tick in zip(self._labels, self._ticks):
-                profiler.timed_tick(label, tick, cycle)
-            profiler.end_cycle(cycle)
+        for tick in self._ticks:
+            tick(cycle)
         self._cycle = cycle + 1
         return self._cycle
 
@@ -324,17 +232,19 @@ class Simulator:
     # Event dispatch
     # ------------------------------------------------------------------ #
 
-    def _event_run(self, end: int, until, profiler) -> None:
+    def _event_run(self, end: int, until) -> None:
         heap = self._heap
         armed = self._armed
         queued = self._queued
         ready = self._ready
         ticks = self._ticks
         event_wakes = self._event_wakes
-        labels = self._labels
         # Arm everything for the entry cycle: external state may have
         # changed between runs (drain flags, reconfiguration); the ticks
-        # are state-gated no-ops when nothing did.
+        # are state-gated no-ops when nothing did.  Queued flags are
+        # cleared too, so a snapshot taken mid-cycle (the watchdog's
+        # post-mortem dump) resumes like one taken between runs.
+        queued[:] = bytes(len(queued))
         entry = self._cycle
         for index in range(len(ticks)):
             armed[index] = entry
@@ -384,10 +294,7 @@ class Simulator:
                 self._progress = index
                 queued[index] = 0
                 armed[index] = _NEVER
-                if profiler is None:
-                    ticks[index](cycle)
-                else:
-                    profiler.timed_tick(labels[index], ticks[index], cycle)
+                ticks[index](cycle)
                 wake = event_wakes[index](cycle)
                 if wake is not None:
                     if wake <= cycle:
@@ -401,8 +308,6 @@ class Simulator:
                 pos += 1
             self._now = -1
             self._progress = -1
-            if profiler is not None:
-                profiler.end_cycle(cycle)
             self._cycle = cycle + 1
 
     # ------------------------------------------------------------------ #
@@ -436,8 +341,6 @@ class Simulator:
         gaps as one long run would, clamped to the segment end, and only
         processes its entry cycle in addition.
         """
-        if self._pending_rebind is not None:
-            self._rebind()
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
         if checkpoint_every is None:
@@ -472,7 +375,7 @@ class Simulator:
             self._announce_mode(True)
             self._event_live = True
             try:
-                self._event_run(end, until, self._profiler)
+                self._event_run(end, until)
             finally:
                 self._event_live = False
             return self._cycle

@@ -1,8 +1,13 @@
 """DramCommand validation tests."""
 
+import enum
+import sys
+
 import pytest
 
+from repro.core.system import build_system
 from repro.dram.commands import CommandKind, DramCommand
+from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
 
 
 def test_cas_kinds_flagged():
@@ -60,3 +65,30 @@ def test_read_write_flags():
     write = DramCommand(kind=CommandKind.WRITE, bank=0, row=0, column=0, burst_beats=4)
     assert read.is_read and not read.is_write
     assert write.is_write and not write.is_read
+
+
+def test_issuing_commands_makes_no_enum_call():
+    """Deterministic cost guard: 2,000 stepped cycles of the conv_dual
+    configuration issue hundreds of SDRAM commands and make no Python
+    call into ``enum`` (``Enum.value`` is a descriptor call, hashing a
+    member a Python-level ``Enum.__hash__``)."""
+    system = build_system(SystemConfig(
+        app="dual_dtv", ddr=DdrGeneration.DDR2, clock_mhz=400,
+        design=NocDesign.CONV, cycles=100_000,
+    ))
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename == enum.__file__:
+            calls += 1
+
+    step = system.simulator.step
+    sys.setprofile(profile)
+    try:
+        for _ in range(2_000):
+            step()
+    finally:
+        sys.setprofile(None)
+    assert system.device.issued_commands > 100
+    assert calls == 0, f"{calls} Python calls into enum"

@@ -257,6 +257,21 @@ def test_resume_without_engine_plan(tmp_path, design):
     assert not diffs, f"resume without a plan diverged: {diffs}"
 
 
+def test_restored_system_saves_again_before_running(tmp_path):
+    """A restored system is a complete object graph: saving it again
+    before it runs (a resumed run checkpointing at once) keeps every
+    component, so the twice-restored run matches a straight one."""
+    config = SystemConfig(app="single_dtv", cycles=6_000, warmup=1_000,
+                          seed=2010)
+    expected = build_system(config).run()
+
+    system = build_system(config)
+    system.run(3_000)
+    for name in ("first.ckpt", "second.ckpt"):
+        system = load_checkpoint(save_checkpoint(tmp_path / name, system))
+    assert system.run(3_000) == expected
+
+
 # ---------------------------------------------------------------------- #
 # checkpoint_every segmentation
 # ---------------------------------------------------------------------- #

@@ -1,11 +1,15 @@
 """Simulator kernel tests: ordering, dispatch modes, run control."""
 
+import pickle
 from bisect import bisect_right
 
 import pytest
 
-from repro.obs.profiler import SimulatorProfiler
+from repro.core.system import build_system
+from repro.obs import profile_run
+from repro.sim.config import SystemConfig
 from repro.sim.engine import Simulator
+from repro.sim.stats import RunMetrics
 
 
 class Recorder:
@@ -343,16 +347,91 @@ def test_event_until_predicate_checked_before_each_cycle():
 
 
 def test_profiler_rides_event_dispatch_without_inhibition():
+    """profile_run wraps run() from outside the kernel: dispatch still
+    jumps unarmed gaps, and a profiled system's metrics equal an
+    unprofiled one's."""
     log = []
     sim = Simulator()
     sim.add(EventRecorder(log, "a", schedule=[2, 4]))
-    profiler = SimulatorProfiler()
-    sim.attach_profiler(profiler)
-    sim.run(10)
+    profile = profile_run(sim, 10, window=10)
     assert sim.last_dispatch_mode == "event"
-    # Only the cycles that actually processed ticks are attributed.
-    assert profiler.cycles_profiled == 3
-    assert profiler.totals.get("EventRecorder", 0) > 0
+    assert [c for c, _ in log] == [0, 2, 4]
+    assert sim.fast_forwarded_cycles == 7
+    # The double lives outside repro: its ticks are charged to the
+    # kernel layer that called them.
+    assert "sim.engine" in profile.layers()
+
+    config = SystemConfig(app="single_dtv", cycles=2_000, warmup=500,
+                          seed=2010)
+    expected = build_system(config).run()
+    system = build_system(config)
+    profile_run(system, config.cycles, window=700)
+    assert system.simulator.last_dispatch_mode == "event"
+    assert RunMetrics.from_collector(
+        system.stats, system.simulator.cycle, scheduler=system.subsystem
+    ) == expected
+
+
+def test_wake_handles_pickle_with_the_simulator():
+    """A wake handle is a partial over the simulator, so a pickled
+    simulator restores with its components' handles bound to it, and a
+    restored simulator pickles again before it runs; either way it
+    continues exactly as the never-pickled one does."""
+
+    def build():
+        log = []
+        sim = Simulator()
+        reactive = Reactive(log, "b")
+        sim.add(Firer(log, "a", schedule=[3, 8], fire_at=8,
+                      target=reactive))
+        sim.add(reactive)
+        return sim, log
+
+    continued, expected = build()
+    continued.run(5)
+    continued.run(7)
+
+    sim, _ = build()
+    sim.run(5)
+    restored = pickle.loads(pickle.dumps(pickle.loads(pickle.dumps(sim))))
+    reactive = restored._components[1]
+    assert reactive.wake.func.__self__ is restored
+    assert restored._components[0].target is reactive
+    restored.run(7)
+    assert reactive.log == expected
+
+
+class Snapshotter(EventRecorder):
+    """Pickles its simulator from inside its own tick at ``at``."""
+
+    def __init__(self, log, sim, at):
+        super().__init__(log, "snap", schedule=[at])
+        self.sim = sim
+        self.at = at
+        self.snapshot = None
+
+    def tick(self, cycle):
+        super().tick(cycle)
+        if cycle == self.at and self.snapshot is None:
+            self.snapshot = pickle.dumps(self.sim)
+
+
+def test_snapshot_taken_mid_cycle_resumes():
+    """A pickle taken inside a tick (the watchdog's post-mortem dump)
+    holds components queued but not yet ticked that cycle; the restored
+    simulator re-arms them at run entry instead of leaving them stuck."""
+    log = []
+    sim = Simulator()
+    snapper = sim.add(Snapshotter(log, sim, at=3))
+    sim.add(EventRecorder(log, "b", schedule=[3, 6]))
+    sim.run(4)
+    restored = pickle.loads(snapper.snapshot)
+    assert restored.cycle == 3
+    restored.run(7)
+    later = restored._components[1].log
+    assert [entry for entry in later if entry[1] == "b"] == [
+        (0, "b"), (3, "b"), (6, "b"),
+    ]
 
 
 def test_on_run_mode_announces_the_dispatch_tier():

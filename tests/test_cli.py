@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -378,10 +380,15 @@ class TestProfileCommand:
         code = main(["profile", "--cycles", "1500", "--window", "500"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "simulator profile" in out
-        assert "MeshNetwork" in out
-        assert "component class" in out
-        assert "windows" in out
+        assert "3 window(s) of 500 cycles" in out
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines()
+            if re.match(r"[a-z_.]+ +\d+\.\d% +\d+\.\d{3} +\d+\.\d$", line)
+        }
+        for layer in ("noc.router", "dram.controller", "sim.engine"):
+            assert layer in rows
+        assert "cycle     1000+" in out
 
 
 class TestSweepCommand:
