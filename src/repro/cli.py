@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also dump raw events as JSON Lines",
     )
     trace.add_argument(
-        "--limit", type=_non_negative, default=None, metavar="N",
+        "--limit", type=_positive, default=None, metavar="N",
         help="cap recorded events (overflow is counted, not silent)",
     )
     trace.add_argument(

@@ -59,16 +59,6 @@ class SchedulerState:
     sti_distance: int = 0
     recent: Deque = field(default_factory=deque)
 
-    def bank_conflict(self, request: MemoryRequest) -> bool:
-        return self.last_request is not None and request.bank_conflict_with(
-            self.last_request
-        )
-
-    def data_contention(self, request: MemoryRequest) -> bool:
-        return self.last_request is not None and request.data_contention_with(
-            self.last_request
-        )
-
     def row_hit(self, request: MemoryRequest) -> bool:
         return self.last_request is not None and request.row_hit_with(
             self.last_request

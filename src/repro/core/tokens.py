@@ -78,15 +78,6 @@ class TokenTable:
             self._pending_priority[packet.packet_id] = (packet.request.bank, port)
 
     # ------------------------------------------------------------------ #
-    # Algorithm 1, lines 19-24: starvation escape
-    # ------------------------------------------------------------------ #
-
-    def age_all(self) -> None:
-        """Give every queued packet one extra token (line 21)."""
-        for entry in self._entries.values():
-            entry.tokens = min(MAX_TOKENS, entry.tokens + 1)
-
-    # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
 
@@ -130,7 +121,3 @@ class TokenTable:
 
     def token_counts(self) -> List[Tuple[int, Packet]]:
         return [(e.tokens, e.packet) for e in self._entries.values()]
-
-    @property
-    def pending_priority_banks(self) -> List[int]:
-        return [bank for bank, _ in self._pending_priority.values()]

@@ -5,7 +5,6 @@ from .bank import Bank, BankState, TimingViolation
 from .bankreg import BankRegulatedScheduler
 from .commands import CommandKind, DramCommand
 from .controller import CommandEngine, FinishedRequest, PagePolicy, WindowEntry
-from .databahn import DATABAHN_LOOKAHEAD, DatabahnController
 from .device import BurstCompletion, SdramDevice
 from .dpq import DpqScheduler, dpq_latency_bound, service_slot_cycles
 from .memmax import MemMaxScheduler, ThreadQueue
@@ -21,6 +20,7 @@ from .scheduler import (
 from .waveform import WaveformCapture, attach as attach_waveform
 from .request import MemoryRequest, ServiceClass
 from .subsystem import (
+    DATABAHN_LOOKAHEAD,
     ConvMemorySubsystem,
     ThinMemorySubsystem,
     build_memory_subsystem,
@@ -39,7 +39,6 @@ __all__ = [
     "CommandKind",
     "ConvMemorySubsystem",
     "DATABAHN_LOOKAHEAD",
-    "DatabahnController",
     "DpqScheduler",
     "DramCommand",
     "DramTiming",

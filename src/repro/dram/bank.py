@@ -111,6 +111,17 @@ class Bank:
         self.idle_at = cycle + self.timing.t_rp
         self.precharges += 1
 
+    def refresh(self, cycle: int) -> None:
+        """Take part in an all-bank REF at ``cycle``: the bank must be
+        precharged past tRP (a pending auto-precharge retires first), and
+        it stays idle for tRFC."""
+        if not self.can_activate(cycle):
+            raise TimingViolation(
+                f"bank {self.index}: REF at {cycle} illegal "
+                f"(state={self.state.value}, idle_at={self.idle_at})"
+            )
+        self.idle_at = cycle + self.timing.t_rfc + 1
+
     # ------------------------------------------------------------------ #
 
     def _apply_auto_precharge(self, cycle: int) -> None:
@@ -129,7 +140,3 @@ class Bank:
             and self.open_row == row
             and self.auto_precharge_at is None
         )
-
-    @property
-    def is_active(self) -> bool:
-        return self.state is BankState.ACTIVE

@@ -3,7 +3,8 @@
 The device understands three access commands — row access strobe (ACT,
 "RAS" in the paper), column access strobe (READ/WRITE, "CAS"), and
 precharge (PRE) — plus the auto-precharge (AP) variant of a CAS command
-that the paper's SAGM controller leans on (Section IV-C)."""
+that the paper's SAGM controller leans on (Section IV-C), and the
+all-bank auto-refresh (REF) an opt-in refresh schedule adds."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ class CommandKind(enum.Enum):
     READ = "RD"
     WRITE = "WR"
     PRECHARGE = "PRE"
+    REFRESH = "REF"
     NOP = "NOP"
 
     @property
@@ -30,7 +32,8 @@ class DramCommand:
 
     ``auto_precharge`` may only be set on CAS commands; it closes the bank
     automatically ``tWR + tRP`` (write) or ``tRTP + tRP`` (read) after the
-    burst, without occupying a command-bus slot for a PRE.
+    burst, without occupying a command-bus slot for a PRE.  A REF refreshes
+    every bank; its ``bank`` is 0.
     """
 
     kind: CommandKind
@@ -67,6 +70,8 @@ class DramCommand:
         return self.kind is CommandKind.WRITE
 
     def __str__(self) -> str:
+        if self.kind is CommandKind.REFRESH:
+            return self.kind.value
         parts = [self.kind.value, f"b{self.bank}"]
         if self.row is not None:
             parts.append(f"r{self.row}")

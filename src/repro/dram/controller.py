@@ -15,14 +15,21 @@ in-order window:
 
 Each command issues as soon as the bank and bus timing registers allow
 (:mod:`repro.dram.bank`).  The engine is its device's only driver, so only
-an accept, an issue or refresh activity moves a register; a pending
-auto-precharge retires at a cycle it already names.  So the engine *plans*
-instead of polling: one pass over the window
-gives the earliest cycle any command can issue and the command the
-CAS > ACT > PRE order picks there.  The plan is cached until the next
-accept, issue or refresh; :meth:`CommandEngine.tick` returns at once before
-its cycle and issues it there, and :meth:`CommandEngine.next_event_cycle`
-reports that cycle as an exact wake.
+an accept or an issue moves a register; a pending auto-precharge retires
+at a cycle it already names.  So the engine *plans* instead of polling:
+one pass over the window gives the earliest cycle any command can issue
+and the command the CAS > ACT > PRE order picks there.  The plan is cached
+until the next accept or issue; :meth:`CommandEngine.tick` returns at once
+before its cycle and issues it there, and
+:meth:`CommandEngine.next_event_cycle` reports that cycle as an exact
+wake.
+
+Refresh is opt-in (assign a :class:`~repro.dram.refresh.RefreshTimer` to
+``engine.refresh`` before the run).  A refresh due at or before the
+planned command takes its place: the plan becomes a PRE for each open
+bank in turn, then a REF once every bank is closed past tRP and the data
+bus is free.  The REF issues like any other command, and the device holds
+the banks idle for tRFC.
 
 Page policies (Section IV-C):
 
@@ -90,11 +97,13 @@ class CommandEngine:
     """In-order windowed PRE/RAS/CAS issue engine over one SDRAM device."""
 
     # The cached plan: the cycle the next command issues (-1 = replan) and
-    # that command's kind and window entry.  Derived state, so class-level
-    # defaults: an engine restored from a snapshot without them replans.
+    # that command's kind and window entry; refresh work has no entry and
+    # names its bank.  Derived state, so class-level defaults: an engine
+    # restored from a snapshot without them replans.
     _plan_at = -1
     _plan_kind: Optional[CommandKind] = None
     _plan_entry: Optional[WindowEntry] = None
+    _plan_bank = 0
 
     def __init__(
         self,
@@ -165,12 +174,6 @@ class CommandEngine:
 
     def tick(self, cycle: int) -> Optional[DramCommand]:
         """Issue at most one command; retire fully-served entries."""
-        refresh = self.refresh
-        if refresh is not None and refresh.enabled and (
-            refresh.due(cycle) or refresh.in_progress(cycle)
-        ):
-            self._plan_at = -1
-            return self._refresh_tick(cycle)
         if cycle < self._plan_at:
             return None
         if cycle > self._plan_at:
@@ -188,16 +191,22 @@ class CommandEngine:
         kind = self._plan_kind
         entry = self._plan_entry
         self._plan_at = -1
-        request = entry.request
-        if kind is CommandKind.ACTIVATE:
+        if entry is None:
+            # Refresh work: a PRE closing a bank for it, or the REF.
+            command = DramCommand(kind=kind, bank=self._plan_bank)
+            if kind is CommandKind.REFRESH:
+                self.refresh.issued(cycle)
+        elif kind is CommandKind.ACTIVATE:
+            request = entry.request
             entry.required_act = True
             command = DramCommand(
                 kind=kind, bank=request.bank, row=request.row
             )
         elif kind is CommandKind.PRECHARGE:
             self.demand_precharges += 1
-            command = DramCommand(kind=kind, bank=request.bank)
+            command = DramCommand(kind=kind, bank=entry.request.bank)
         else:
+            request = entry.request
             burst = self._burst_for(entry)
             last_burst = entry.beats_remaining <= burst
             command = DramCommand(
@@ -265,15 +274,23 @@ class CommandEngine:
         bank with a pending auto-precharge self-closes at
         ``auto_precharge_at``, and its first entry's ACT is due from then.
         The earliest candidate wins, CAS > ACT > PRE and older first on a
-        tie, as if every cycle up to it had been polled.
+        tie, as if every cycle up to it had been polled.  A refresh due
+        by then replaces it with refresh work (:meth:`_plan_refresh`).
         """
         device = self.device
         floor = device._last_command_cycle + 1
         if floor < cycle:
             floor = cycle
+        refresh = self.refresh
+        if refresh is not None and refresh.next_due_cycle <= floor:
+            self._plan_refresh(floor)
+            return
         entries = self.entries
         if not entries:
-            self._plan_at = _NEVER
+            if refresh is None:
+                self._plan_at = _NEVER
+            else:
+                self._plan_refresh(refresh.next_due_cycle)
             return
         banks = device.banks
         best = _NEVER
@@ -344,74 +361,48 @@ class CommandEngine:
             best = pre_at
             self._plan_kind = CommandKind.PRECHARGE
             self._plan_entry = pre_entry
+        if refresh is not None and refresh.next_due_cycle <= best:
+            self._plan_refresh(refresh.next_due_cycle)
+            return
         self._plan_at = best
 
+    def _plan_refresh(self, start: int) -> None:
+        """Plan the due refresh's next command at or after ``start`` (past
+        the one-command-per-cycle floor): a PRE for the open bank that can
+        close first, lowest index on a tie, or once every bank is closed
+        past tRP and the data bus is free, the REF.  A bank with a pending
+        auto-precharge closes by itself at ``auto_precharge_at``."""
+        device = self.device
+        pre_at = _NEVER
+        quiet = max(start, device._bus_free_at)
+        for bank in device.banks:
+            at = bank.auto_precharge_at
+            if at is None:
+                if bank.state is BankState.ACTIVE:
+                    at = max(start, bank.precharge_ok_at)
+                    if at < pre_at:
+                        pre_at = at
+                        self._plan_bank = bank.index
+                    continue
+                at = bank.idle_at
+            if at > quiet:
+                quiet = at
+        self._plan_entry = None
+        if pre_at < _NEVER:
+            self._plan_kind = CommandKind.PRECHARGE
+            self._plan_at = pre_at
+        else:
+            self._plan_kind = CommandKind.REFRESH
+            self._plan_bank = 0
+            self._plan_at = quiet
+
     def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Event dispatch: the next cycle :meth:`tick` acts — issues a
-        command or starts a refresh — absent new accepts (``None`` =
-        never).  Exact: no tick before it changes anything, and that one
-        does."""
+        """Event dispatch: the next cycle :meth:`tick` issues a command,
+        refresh work included, absent new accepts (``None`` = never).
+        Exact: it is the cached plan, so no tick before it changes
+        anything, and that one does."""
         floor = cycle + 1
-        refresh = self.refresh
-        if refresh is not None and refresh.enabled:
-            if refresh.in_progress(floor):
-                floor = refresh.busy_until + 1
-            if refresh.due(floor):
-                return self._refresh_wake(floor)
         if self._plan_at < floor:
             self._plan(floor)
         at = self._plan_at
-        if refresh is not None and refresh.enabled:
-            due = refresh.next_due_cycle
-            if due <= at:
-                return self._refresh_wake(due)
         return None if at == _NEVER else at
-
-    # ------------------------------------------------------------------ #
-    # Refresh handling (opt-in)
-    # ------------------------------------------------------------------ #
-
-    def _refresh_tick(self, cycle: int) -> Optional[DramCommand]:
-        """Drive a due refresh: precharge all banks, wait for quiet, then
-        start the all-bank refresh.  Returns a PRE command when one was
-        issued this cycle (it occupies the command bus)."""
-        assert self.refresh is not None
-        if self.refresh.in_progress(cycle):
-            return None
-        # Close any open bank as soon as its timing allows.
-        for bank in self.device.banks:
-            if bank.is_active:
-                command = DramCommand(kind=CommandKind.PRECHARGE, bank=bank.index)
-                if self.device.can_issue(cycle, command):
-                    self.device.issue_vetted(cycle, command)
-                    return command
-        quiet = (
-            all(not bank.is_active and bank.auto_precharge_at is None
-                and cycle >= bank.idle_at
-                for bank in self.device.banks)
-            and self.device.data_bus_free_at <= cycle
-        )
-        if quiet:
-            done = self.refresh.start(cycle)
-            for bank in self.device.banks:
-                bank.idle_at = max(bank.idle_at, done + 1)
-        return None
-
-    def _refresh_wake(self, cycle: int) -> int:
-        """First cycle at or after ``cycle`` at which :meth:`_refresh_tick`
-        acts on a due refresh: it precharges an open bank or, once every
-        bank is closed past tRP and the data bus is free, starts."""
-        device = self.device
-        precharge = _NEVER
-        quiet = max(cycle, device._bus_free_at)
-        for bank in device.banks:
-            if bank.auto_precharge_at is not None:
-                quiet = max(quiet, bank.auto_precharge_at)
-            elif bank.state is BankState.ACTIVE:
-                precharge = min(precharge, max(
-                    cycle, bank.precharge_ok_at,
-                    device._last_command_cycle + 1,
-                ))
-            else:
-                quiet = max(quiet, bank.idle_at)
-        return quiet if precharge == _NEVER else precharge

@@ -11,7 +11,9 @@ on (Section III-A):
 * per-bank row buffers and activate/precharge timing — *bank conflict* and
   *short turn-around bank interleaving*;
 * tCCD between CAS commands — why DDR III behaves like BL 8 even when
-  issuing BL 4 bursts (Section V-A).
+  issuing BL 4 bursts (Section V-A);
+* tRFC after an all-bank REF, which needs every bank precharged and the
+  data bus idle (refresh is opt-in, see :mod:`repro.dram.refresh`).
 
 The device does not interpret addresses or store data — workloads are
 synthetic — but it faithfully accounts when every data beat moves, which is
@@ -81,6 +83,11 @@ class SdramDevice:
             return cycle >= self._next_act_ok and bank.can_activate(cycle)
         if command.kind is CommandKind.PRECHARGE:
             return bank.can_precharge(cycle)
+        if command.kind is CommandKind.REFRESH:
+            # All banks precharged past tRP (or tRFC), the data bus idle.
+            return cycle >= self._bus_free_at and all(
+                bank.can_activate(cycle) for bank in self.banks
+            )
         # READ / WRITE
         if command.row is not None and not bank.row_is_open(command.row, cycle):
             return False
@@ -146,6 +153,11 @@ class SdramDevice:
             bank.precharge(cycle)
             return None
 
+        if command.kind is CommandKind.REFRESH:
+            for bank in self.banks:
+                bank.refresh(cycle)
+            return None
+
         # READ / WRITE burst
         row = command.row if command.row is not None else bank.open_row
         assert row is not None
@@ -188,11 +200,3 @@ class SdramDevice:
                 write=command.is_write,
             )
         return completion
-
-    # ------------------------------------------------------------------ #
-    # Observation helpers
-    # ------------------------------------------------------------------ #
-
-    @property
-    def data_bus_free_at(self) -> int:
-        return self._bus_free_at

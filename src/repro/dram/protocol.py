@@ -17,12 +17,9 @@ Checked rules:
 * tCCD and data-bus occupancy between CAS commands;
 * write-to-read (tWTR) and read-to-write turnaround gaps;
 * PRE only after tRAS and after read/write recovery (tRTP / tWR);
-* auto-precharge closes the bank; no further CAS until re-activation.
-
-Refresh (REF and tRFC) is not audited: the command engine issues no REF
-command — it starts a :class:`~repro.dram.refresh.RefreshTimer` refresh
-and holds the banks idle past tRFC directly — and no shipped
-configuration enables refresh.
+* auto-precharge closes the bank; no further CAS until re-activation;
+* REF only with every bank precharged past tRP and the data bus idle;
+  no ACT or REF within tRFC of a REF.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ class ProtocolChecker:
         }
         self._last_command_cycle: Optional[int] = None
         self._last_act_cycle = -(10 ** 9)
+        self._last_refresh_cycle = -(10 ** 9)
         self._next_cas_ok = 0
         self._bus_free_at = 0
         self._last_write_data_end = -(10 ** 9)
@@ -108,6 +106,9 @@ class ProtocolChecker:
             self._flag(cycle, command, "command-bus",
                        "two commands in the same cycle")
         self._last_command_cycle = cycle
+        if command.kind is CommandKind.REFRESH:
+            self._check_refresh(cycle, command)
+            return
 
         bank = self._banks.get(command.bank)
         if bank is None:
@@ -133,6 +134,7 @@ class ProtocolChecker:
         if cycle - self._last_act_cycle < self.timing.t_rrd:
             self._flag(cycle, command, "tRRD",
                        f"last ACT at {self._last_act_cycle}")
+        self._check_trfc(cycle, command)
         bank.active = True
         bank.open_row = command.row
         bank.act_cycle = cycle
@@ -150,6 +152,26 @@ class ProtocolChecker:
         bank.active = False
         bank.open_row = None
         bank.idle_at = cycle + self.timing.t_rp
+
+    def _check_refresh(self, cycle: int, command: DramCommand):
+        for index, bank in self._banks.items():
+            self._apply_ap(bank, cycle)
+            if bank.active or bank.ap_pending_until is not None:
+                self._flag(cycle, command, "ref-on-active",
+                           f"bank {index} must be precharged before REF")
+            elif cycle < bank.idle_at:
+                self._flag(cycle, command, "tRP",
+                           f"bank {index} idle at {bank.idle_at}")
+        if cycle < self._bus_free_at:
+            self._flag(cycle, command, "data-bus",
+                       f"bus busy until {self._bus_free_at - 1}")
+        self._check_trfc(cycle, command)
+        self._last_refresh_cycle = cycle
+
+    def _check_trfc(self, cycle: int, command: DramCommand):
+        if cycle - self._last_refresh_cycle <= self.timing.t_rfc:
+            self._flag(cycle, command, "tRFC",
+                       f"REF at {self._last_refresh_cycle}")
 
     def _check_cas(self, cycle: int, command: DramCommand, bank: _BankAudit):
         timing = self.timing

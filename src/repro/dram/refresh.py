@@ -1,12 +1,15 @@
-"""SDRAM refresh support.
+"""SDRAM refresh schedule.
 
 The paper (like most NoC-memory co-design studies) ignores refresh — at
 the evaluated clocks an all-bank auto-refresh costs well under 1 % of
 cycles — but a production controller must issue one REF every tREFI
-(7.8 us) and stall tRFC while it completes.  This module provides an
-opt-in :class:`RefreshTimer` the command engine consults: when a refresh
-is due, the engine precharges all banks, idles until the device is quiet,
-issues the refresh, and resumes.
+(7.8 us).  A :class:`RefreshTimer` is that schedule and nothing more.
+Attached to a :class:`~repro.dram.controller.CommandEngine` (assign
+``engine.refresh``; off by default), it makes the engine plan refresh
+work once a refresh is due: a PRE for each open bank, then a REF
+command.  The :class:`~repro.dram.device.SdramDevice` accepts the REF
+only with every bank precharged and the data bus idle, and holds the
+banks idle for tRFC (``DramTiming.t_rfc``) itself.
 
 Enabling refresh perturbs every design identically, so the paper's
 comparisons are unchanged; the ``benchmarks/test_ablations.py`` suite
@@ -17,56 +20,35 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .timing import DramTiming
 
-#: JEDEC refresh interval and all-bank refresh cycle time (DDR2/3-class).
+#: JEDEC refresh interval (DDR2/3-class).
 T_REFI_NS = 7_800.0
-T_RFC_NS = 127.5
 
 
 @dataclass
 class RefreshTimer:
-    """Tracks when the next auto-refresh is due and when it completes."""
+    """When the next all-bank refresh is due: one every ``t_refi``
+    cycles, counted from the last REF."""
 
     timing: DramTiming
-    enabled: bool = True
     _next_due: int = 0
-    _busy_until: int = -1
     refreshes_issued: int = 0
 
     def __post_init__(self) -> None:
         self.t_refi = max(1, math.ceil(T_REFI_NS * self.timing.clock_mhz / 1000.0))
-        self.t_rfc = max(1, math.ceil(T_RFC_NS * self.timing.clock_mhz / 1000.0))
         self._next_due = self.t_refi
 
     def due(self, cycle: int) -> bool:
-        return self.enabled and cycle >= self._next_due
+        return cycle >= self._next_due
 
     @property
     def next_due_cycle(self) -> int:
-        """Cycle the next refresh becomes due (a simulator wake target)."""
+        """Cycle the next refresh becomes due."""
         return self._next_due
 
-    def in_progress(self, cycle: int) -> bool:
-        return cycle <= self._busy_until
-
-    @property
-    def busy_until(self) -> int:
-        """Last cycle of the latest refresh (``-1`` before the first)."""
-        return self._busy_until
-
-    def start(self, cycle: int) -> int:
-        """Begin an all-bank refresh; returns the cycle it completes."""
-        if not self.enabled:
-            raise RuntimeError("refresh disabled")
-        self._busy_until = cycle + self.t_rfc
+    def issued(self, cycle: int) -> None:
+        """A REF issued at ``cycle``: the next is due ``t_refi`` later."""
         self._next_due = cycle + self.t_refi
         self.refreshes_issued += 1
-        return self._busy_until
-
-    @property
-    def overhead_fraction(self) -> float:
-        """Steady-state fraction of cycles spent refreshing."""
-        return self.t_rfc / self.t_refi if self.enabled else 0.0

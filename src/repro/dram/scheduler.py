@@ -120,10 +120,6 @@ class Scheduler:
             return cycle + 1
         return engine.next_event_cycle(cycle)
 
-    @property
-    def refresh(self):
-        return self.engine.refresh
-
     # --- stats surface ----------------------------------------------- #
 
     def latency_bound(self) -> Optional[int]:

@@ -4,7 +4,9 @@ Three subsystems appear in the paper's evaluation:
 
 * :class:`ConvMemorySubsystem` — the conventional design: a MemMax-style
   4-thread reordering scheduler in front of a Databahn-style lookahead
-  controller, with per-thread 32-flit request and data buffers (Section V);
+  controller (a :class:`~repro.dram.controller.CommandEngine` with a
+  :data:`DATABAHN_LOOKAHEAD`-entry open-page window), with per-thread
+  32-flit request and data buffers (Section V);
 * :class:`ThinMemorySubsystem` with ``OPEN_PAGE`` — the SDRAM-aware design
   [4]: memory requests arrive already scheduled by the NoC routers, so the
   subsystem is a simple in-order controller with no reorder buffers;
@@ -15,8 +17,9 @@ Three subsystems appear in the paper's evaluation:
 All subsystems subclass :class:`~repro.dram.scheduler.Scheduler`, which
 owns admission accounting, draining, the event contract and the stats
 surface; each class here supplies only its front-end.  This module
-registers the three paper-era backends (``engine``, ``memmax``,
-``databahn``); the newer arbiters live in :mod:`repro.dram.dpq` and
+registers the three paper-era backends (``engine``, ``memmax``, and
+``databahn`` — the thin subsystem with the Databahn lookahead window);
+the newer arbiters live in :mod:`repro.dram.dpq` and
 :mod:`repro.dram.bankreg`.
 """
 
@@ -28,21 +31,20 @@ from typing import Deque, Dict, List, Optional
 from ..sim.config import DdrGeneration, NocDesign, SystemConfig
 from ..sim.stats import StatsCollector
 from .controller import CommandEngine, FinishedRequest, PagePolicy
-from .databahn import DATABAHN_LOOKAHEAD, DatabahnController
 from .device import SdramDevice
 from .memmax import MemMaxScheduler
 from .request import MemoryRequest
 from .scheduler import Scheduler, register_scheduler, resolve_backend
 from .timing import DramTiming
 
+#: Command look-ahead depth of Denali's Databahn [27] ("prepares pages in
+#: memory in advance of when commands execute"): the engine window, in
+#: requests, of the CONV controller and the ``databahn`` backend.
+DATABAHN_LOOKAHEAD = 6
+
 
 class ThinMemorySubsystem(Scheduler):
-    """In-order SDRAM controller with a small input FIFO (Fig. 6 shell).
-
-    ``engine`` substitutes a prebuilt command engine (the Databahn
-    backend passes its deep-lookahead subclass); when given, the
-    burst/page/window/otf arguments are ignored.
-    """
+    """In-order SDRAM controller with a small input FIFO (Fig. 6 shell)."""
 
     def __init__(
         self,
@@ -53,20 +55,17 @@ class ThinMemorySubsystem(Scheduler):
         input_capacity: int = 4,
         window: int = 4,
         tracer=None,
-        engine: Optional[CommandEngine] = None,
     ) -> None:
         if input_capacity <= 0:
             raise ValueError("input_capacity must be positive")
-        if engine is None:
-            engine = CommandEngine(
-                device,
-                burst_beats=burst_beats,
-                page_policy=page_policy,
-                window=window,
-                otf=otf,
-                tracer=tracer,
-            )
-        super().__init__(device, engine)
+        super().__init__(device, CommandEngine(
+            device,
+            burst_beats=burst_beats,
+            page_policy=page_policy,
+            window=window,
+            otf=otf,
+            tracer=tracer,
+        ))
         self.input_capacity = input_capacity
         self.queue: Deque[MemoryRequest] = deque()
 
@@ -115,10 +114,12 @@ class ConvMemorySubsystem(Scheduler):
         thread_capacity_flits: int = 32,
         tracer=None,
     ) -> None:
-        super().__init__(
+        super().__init__(device, CommandEngine(
             device,
-            DatabahnController(device, burst_beats=burst_beats, tracer=tracer),
-        )
+            burst_beats=burst_beats,
+            window=DATABAHN_LOOKAHEAD,
+            tracer=tracer,
+        ))
         self.scheduler = MemMaxScheduler(
             threads=threads,
             thread_capacity_flits=thread_capacity_flits,
@@ -202,9 +203,9 @@ def build_databahn_backend(
     command lookahead from the thread-reorder front-end."""
     return ThinMemorySubsystem(
         device,
+        window=DATABAHN_LOOKAHEAD,
         input_capacity=max(2, DATABAHN_LOOKAHEAD // 2),
         tracer=tracer,
-        engine=DatabahnController(device, tracer=tracer),
     )
 
 
@@ -217,33 +218,26 @@ def build_engine_backend(
 ) -> ThinMemorySubsystem:
     """The paper's thin in-order controller; page policy and burst mode
     follow the NoC design."""
+    # [4] and plain GSS: thin in-order controller, BL 8, open page.
+    burst, otf, policy = 8, False, PagePolicy.OPEN_PAGE
     if config.design.uses_sagm:
+        policy = PagePolicy.PARTIALLY_OPEN
         if config.ddr is DdrGeneration.DDR3:
             # DDR III: BL 8 with BL4/BL8 on-the-fly for trailing chunks.
-            burst, otf = 8, True
+            otf = True
         else:
             # DDR I/II: device dropped to BL 4 mode via MRS.
-            burst, otf = 4, False
-        # Short packets carry fewer data cycles each, so the PRE/RAS/CAS
-        # pipeline holds proportionally more of them to keep the same
-        # data-time lookahead (entries are a few address bits each — far
-        # cheaper than the reorder buffers the design removes).
-        depth = _window_for(timing, burst)
-        return ThinMemorySubsystem(
-            device,
-            burst_beats=burst,
-            page_policy=PagePolicy.PARTIALLY_OPEN,
-            otf=otf,
-            window=depth,
-            input_capacity=max(2, depth // 2),
-            tracer=tracer,
-        )
-    # [4] and plain GSS: thin in-order controller, BL 8, open page.
-    depth = _window_for(timing, 8)
+            burst = 4
+    # Short packets carry fewer data cycles each, so the PRE/RAS/CAS
+    # pipeline holds proportionally more of them to keep the same
+    # data-time lookahead (entries are a few address bits each — far
+    # cheaper than the reorder buffers the design removes).
+    depth = _window_for(timing, burst)
     return ThinMemorySubsystem(
         device,
-        burst_beats=8,
-        page_policy=PagePolicy.OPEN_PAGE,
+        burst_beats=burst,
+        page_policy=policy,
+        otf=otf,
         window=depth,
         input_capacity=max(2, depth // 2),
         tracer=tracer,

@@ -87,6 +87,10 @@ GENERATION_TIMING = {
 }
 
 
+#: JEDEC all-bank refresh cycle time, tRFC (DDR2/3-class).
+T_RFC_NS = 127.5
+
+
 def _cycles(ns: float, clock_mhz: float, minimum: int = 1) -> int:
     """Convert a nanosecond constraint to (ceiling) clock cycles."""
     period_ns = 1000.0 / clock_mhz
@@ -110,6 +114,7 @@ class DramTiming:
     cas_latency: int    # READ -> first data beat
     write_latency: int  # WRITE -> first data beat
     t_rrd: int          # ACT -> ACT, different banks
+    t_rfc: int          # REF busy time: no ACT or REF within it
     supported_burst_beats: tuple
 
     @classmethod
@@ -140,6 +145,7 @@ class DramTiming:
             cas_latency=cl,
             write_latency=wl,
             t_rrd=_cycles(7.5, clock_mhz, minimum=2),
+            t_rfc=_cycles(T_RFC_NS, clock_mhz),
             supported_burst_beats=analog.supported_burst_beats,
         )
 

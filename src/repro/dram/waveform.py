@@ -29,6 +29,7 @@ _CMD_GLYPH = {
     CommandKind.READ: "R",
     CommandKind.WRITE: "W",
     CommandKind.PRECHARGE: "P",
+    CommandKind.REFRESH: "F",
     CommandKind.NOP: "-",
 }
 
@@ -66,7 +67,10 @@ class WaveformCapture:
         if end <= start:
             raise ValueError("empty window")
         width = end - start
-        seen_banks = sorted({cmd.bank for _, cmd in self.commands})
+        seen_banks = sorted({
+            cmd.bank for _, cmd in self.commands
+            if cmd.kind is not CommandKind.REFRESH
+        })
         lanes = banks if banks is not None else seen_banks
 
         def blank() -> List[str]:
@@ -88,7 +92,10 @@ class WaveformCapture:
             if command.kind.is_cas and command.auto_precharge:
                 glyph = glyph.lower()  # ap-tagged CAS rendered lowercase
             cmd_lane[offset] = glyph
-            if command.bank in bank_lanes:
+            if command.kind is CommandKind.REFRESH:
+                for lane in bank_lanes.values():  # REF refreshes every bank
+                    lane[offset] = glyph
+            elif command.bank in bank_lanes:
                 bank_lanes[command.bank][offset] = glyph
 
         data_lane = blank()
@@ -106,7 +113,8 @@ class WaveformCapture:
             lines.append(f"{f'bank{bank}':<{label}} {''.join(bank_lanes[bank])}")
         lines.append(f"{'data':<{label}} {''.join(data_lane)}")
         lines.append(
-            f"{'':<{label}} A=ACT R/W=CAS (lowercase = auto-precharge) P=PRE"
+            f"{'':<{label}} A=ACT R/W=CAS (lowercase = auto-precharge) P=PRE "
+            "F=REF"
         )
         return "\n".join(lines)
 

@@ -110,10 +110,6 @@ class InputBuffer:
     def occupancy_flits(self) -> int:
         return self._occupancy
 
-    @property
-    def free_flits(self) -> int:
-        return self.capacity_flits - self.occupancy_flits
-
     def has_credit(self) -> bool:
         """May the upstream link commit one more flit here?"""
         return self._occupancy < self.capacity_flits

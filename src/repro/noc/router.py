@@ -231,14 +231,6 @@ class Router:
     # Phase 1: plan
     # ------------------------------------------------------------------ #
 
-    @property
-    def idle(self) -> bool:
-        """No resident packets (and therefore no in-progress transfers —
-        a transfer's source entry lives in one of this router's input
-        buffers until retired): both plan and commit would be no-ops, so
-        the network can skip this router."""
-        return self._entry_tally[0] == 0
-
     def plan(self, cycle: int) -> None:
         # One pass over the inputs that hold packets: arbitration below
         # only claims existing entries (it never adds any), so the

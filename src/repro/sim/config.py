@@ -57,13 +57,6 @@ class DdrGeneration(enum.Enum):
     DDR3 = "ddr3"
 
     @property
-    def device_burst_beats(self) -> int:
-        """Device burst length (beats) in the paper's configuration:
-        BL 8 for CONV/[4]; SAGM drops DDR I/II to BL 4 and uses DDR III's
-        BL4/BL8 on-the-fly mode (Section III-C)."""
-        return 8
-
-    @property
     def sagm_granularity_beats(self) -> int:
         """SAGM split granularity in beats (Section IV-C): packets of
         'BL 2' (two data cycles = 4 beats) for DDR I/II in device BL 4 mode,

@@ -355,14 +355,20 @@ def _run_parallel(
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=mp_context
     ) as pool:
-        futures = {
-            pool.submit(
-                execute_job, job.kind, dict(job.params),
-                telemetry_path, job.key, job.label,
-                **(job_kwargs or {}),
-            ): job
-            for job in pending
-        }
+        futures = {}
+        for index, job in enumerate(pending):
+            try:
+                future = pool.submit(
+                    execute_job, job.kind, dict(job.params),
+                    telemetry_path, job.key, job.label,
+                    **(job_kwargs or {}),
+                )
+            except BrokenProcessPool:
+                # A worker died before the last submit: the pool takes no
+                # more work, so the rest join the isolated re-runs below.
+                suspects.extend(pending[index:])
+                break
+            futures[future] = job
         for future in as_completed(futures):
             if not draining and should_stop is not None and should_stop():
                 draining = True

@@ -47,13 +47,13 @@ class TestSchedulerState:
     def test_conditions_relative_to_last(self):
         state = SchedulerState()
         request = make_request(bank=1, row=5)
-        assert not state.bank_conflict(request)  # nothing scheduled yet
+        assert not state.row_hit(request)  # nothing scheduled yet
         state.note_scheduled(make_request(bank=1, row=4))
-        assert state.bank_conflict(request)
-        assert not state.data_contention(request)
-        state.note_scheduled(make_request(bank=1, row=5, is_read=False))
-        assert state.row_hit(make_request(bank=1, row=5))
-        assert state.data_contention(make_request(is_read=True))
+        assert not state.row_hit(request)
+        last = make_request(bank=1, row=5, is_read=False)
+        state.note_scheduled(last)
+        assert state.last_request is last
+        assert state.row_hit(request)
 
     def test_sti_counter_blocks_reactivation(self, ddr3_timing):
         state = SchedulerState()

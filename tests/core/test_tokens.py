@@ -63,16 +63,6 @@ class TestArrival:
             table.on_arrival(Port.EAST, rsp, 0)
 
 
-class TestEscapeLoop:
-    def test_age_all_reaches_max(self):
-        table = TokenTable(pct=5)
-        packet = pkt(1)
-        table.on_arrival(Port.EAST, packet, 0)
-        for _ in range(MAX_TOKENS + 2):
-            table.age_all()
-        assert table.tokens(packet) == MAX_TOKENS
-
-
 class TestExclusion:
     def test_same_bank_best_effort_excluded_from_other_port(self):
         table = TokenTable(pct=5)
@@ -113,11 +103,6 @@ class TestExclusion:
         assert table.is_excluded(be, Port.EAST)
         table.on_scheduled(priority)
         assert not table.is_excluded(be, Port.EAST)
-
-    def test_pending_priority_banks_listed(self):
-        table = TokenTable(pct=5)
-        table.on_arrival(Port.SOUTH, pkt(1, priority=True, bank=7), 0)
-        assert table.pending_priority_banks == [7]
 
 
 class TestRetirement:

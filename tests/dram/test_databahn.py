@@ -1,25 +1,31 @@
-"""Databahn-flavoured controller tests."""
+"""The Databahn lookahead controller: a command engine with a
+``DATABAHN_LOOKAHEAD``-entry open-page window, as the CONV subsystem and
+the ``databahn`` backend build it."""
 
 import pytest
 
 from tests.helpers import make_request
-from repro.dram.controller import PagePolicy
-from repro.dram.databahn import DATABAHN_LOOKAHEAD, DatabahnController
+from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
+from repro.dram.subsystem import DATABAHN_LOOKAHEAD, ConvMemorySubsystem
+
+
+def databahn(device):
+    return CommandEngine(device, burst_beats=8, window=DATABAHN_LOOKAHEAD)
 
 
 def test_defaults_match_product_description(ddr2_timing):
-    controller = DatabahnController(SdramDevice(ddr2_timing))
-    assert controller.window_size == DATABAHN_LOOKAHEAD
-    assert controller.page_policy is PagePolicy.OPEN_PAGE
-    assert controller.burst_beats == 8
+    engine = ConvMemorySubsystem(SdramDevice(ddr2_timing)).engine
+    assert engine.window_size == DATABAHN_LOOKAHEAD
+    assert engine.page_policy is PagePolicy.OPEN_PAGE
+    assert engine.burst_beats == 8
 
 
 def test_lookahead_prepares_pages_in_advance(ddr2_timing):
     """With a deep window, the ACT for a later request issues while an
     earlier burst still owns the data bus."""
     device = SdramDevice(ddr2_timing)
-    controller = DatabahnController(device)
+    controller = databahn(device)
     requests = [make_request(bank=i, row=i, beats=32) for i in range(4)]
     log = []
     pending = list(requests)
@@ -34,10 +40,6 @@ def test_lookahead_prepares_pages_in_advance(ddr2_timing):
         served += len(controller.drain_finished())
         cycle += 1
     act_cycles = {c.bank: cycle for cycle, c in log if c.kind.value == "ACT"}
-    first_cas_per_bank = {}
-    for cycle, c in log:
-        if c.kind.is_cas and c.bank not in first_cas_per_bank:
-            first_cas_per_bank[c.bank] = cycle
     # bank 3's activation happens before bank 0 finishes its 4 bursts
     last_bank0_cas = max(cycle for cycle, c in log
                          if c.kind.is_cas and c.bank == 0)
@@ -45,7 +47,7 @@ def test_lookahead_prepares_pages_in_advance(ddr2_timing):
 
 
 def test_deep_window_accepts_more_than_thin_engine(ddr2_timing):
-    controller = DatabahnController(SdramDevice(ddr2_timing))
+    controller = databahn(SdramDevice(ddr2_timing))
     for i in range(DATABAHN_LOOKAHEAD):
         controller.accept(make_request(bank=i % 8), 0)
     assert not controller.has_space

@@ -67,7 +67,7 @@ class TestDataBus:
         completion = device.issue(ready, cas(0, 0, burst=8))
         assert completion.data_start == ready + device.timing.cas_latency
         assert completion.data_end == completion.data_start + 3  # BL8 = 4 cycles
-        assert device.data_bus_free_at == completion.data_end + 1
+        assert device._bus_free_at == completion.data_end + 1
 
     def test_write_to_read_turnaround(self, device):
         ready = open_row(device, 0, 0)

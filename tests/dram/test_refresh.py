@@ -5,7 +5,8 @@ import pytest
 from tests.helpers import make_request
 from repro.dram.controller import CommandEngine
 from repro.dram.device import SdramDevice
-from repro.dram.refresh import RefreshTimer, T_REFI_NS, T_RFC_NS
+from repro.dram.refresh import RefreshTimer, T_REFI_NS
+from repro.dram.timing import T_RFC_NS
 
 
 class TestTimer:
@@ -14,7 +15,7 @@ class TestTimer:
         assert timer.t_refi == pytest.approx(
             T_REFI_NS * ddr2_timing.clock_mhz / 1000, abs=1
         )
-        assert timer.t_rfc == pytest.approx(
+        assert ddr2_timing.t_rfc == pytest.approx(
             T_RFC_NS * ddr2_timing.clock_mhz / 1000, abs=1
         )
 
@@ -24,23 +25,19 @@ class TestTimer:
         assert timer.due(timer.t_refi)
 
     def test_start_schedules_next(self, ddr2_timing):
+        """A REF issued late resets the interval from its own cycle."""
         timer = RefreshTimer(ddr2_timing)
-        done = timer.start(timer.t_refi)
-        assert done == timer.t_refi + timer.t_rfc
-        assert timer.in_progress(done)
-        assert not timer.in_progress(done + 1)
-        assert not timer.due(done + 1)
-        assert timer.due(timer.t_refi * 2)
-
-    def test_disabled_timer_never_due(self, ddr2_timing):
-        timer = RefreshTimer(ddr2_timing, enabled=False)
-        assert not timer.due(10 ** 9)
-        with pytest.raises(RuntimeError):
-            timer.start(0)
+        started = timer.t_refi + 5
+        timer.issued(started)
+        assert timer.refreshes_issued == 1
+        assert timer.next_due_cycle == started + timer.t_refi
+        assert not timer.due(started + timer.t_refi - 1)
+        assert timer.due(started + timer.t_refi)
 
     def test_overhead_fraction_small(self, ddr2_timing):
+        """Steady state, refresh holds the banks for tRFC of every tREFI."""
         timer = RefreshTimer(ddr2_timing)
-        assert 0 < timer.overhead_fraction < 0.03
+        assert 0 < ddr2_timing.t_rfc / timer.t_refi < 0.03
 
 
 class TestEngineIntegration:

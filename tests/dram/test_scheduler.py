@@ -18,6 +18,7 @@ from repro.dram.scheduler import (
     resolve_backend,
 )
 from repro.dram.subsystem import (
+    DATABAHN_LOOKAHEAD,
     ConvMemorySubsystem,
     ThinMemorySubsystem,
     build_memory_subsystem,
@@ -190,9 +191,13 @@ class TestBuilderRouting:
         assert isinstance(build_backend("bank-reg"), BankRegulatedScheduler)
 
     def test_databahn_backend_matches_design_path(self):
+        """Whatever the NoC design, ``databahn`` is the thin subsystem
+        with the Databahn lookahead window: open page, BL 8."""
         explicit = build_backend("databahn", design=NocDesign.GSS_SAGM)
         assert isinstance(explicit, ThinMemorySubsystem)
-        assert type(explicit.engine).__name__ == "DatabahnController"
+        assert explicit.engine.window_size == DATABAHN_LOOKAHEAD
+        assert explicit.engine.page_policy is PagePolicy.OPEN_PAGE
+        assert explicit.engine.burst_beats == 8
 
     def test_dpq_closed_page_serial_engine(self):
         backend = build_backend("dpq")

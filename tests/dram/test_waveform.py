@@ -122,7 +122,8 @@ class TestGolden:
                 "cmd        A....R.r................",
                 "bank0      A....R.r................",
                 "data       ..........RRRR..........",
-                "           A=ACT R/W=CAS (lowercase = auto-precharge) P=PRE",
+                "           A=ACT R/W=CAS (lowercase = auto-precharge) P=PRE "
+                "F=REF",
             ]
         )
         assert capture.render(end=24) == expected

@@ -36,10 +36,6 @@ class TestDdrGeneration:
         assert DdrGeneration.DDR2.sagm_granularity_beats == 4
         assert DdrGeneration.DDR3.sagm_granularity_beats == 8
 
-    def test_device_burst(self):
-        for generation in DdrGeneration:
-            assert generation.device_burst_beats == 8
-
 
 class TestSystemConfig:
     def test_defaults_valid(self):

@@ -188,6 +188,28 @@ class TestParallel:
             assert by_label[label].record["result"]["value"] \
                 == int(label[2:])
 
+    def test_pool_broken_during_submit_isolates_the_rest(self, monkeypatch):
+        """A worker can die before the last job is submitted; ``submit``
+        then raises ``BrokenProcessPool``.  Jobs not yet submitted re-run
+        in isolation like every other suspect, so each still resolves."""
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(pool, *args, **kwargs):
+            # Counted per pool: each isolated re-run submits once.
+            pool.submits_seen = getattr(pool, "submits_seen", 0) + 1
+            if pool.submits_seen >= 3:
+                raise BrokenProcessPool("a worker died before this submit")
+            return real_submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        report = run_sweep(echo_jobs(range(6)), workers=2)
+        assert report.failed == 0
+        assert [o.record["result"]["value"] for o in report.outcomes] \
+            == [v * 10 for v in range(6)]
+
     def test_crashed_point_cached_as_failure(self):
         store = ResultStore()
         jobs = [Job(kind="crash", params={"x": 2})]

@@ -129,6 +129,16 @@ class TestInputHardening:
         assert raised.value.code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_trace_limit_zero_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as raised:
+            main(["trace", "--cycles", "700", "--limit", "0",
+                  "-o", str(tmp_path / "trace.json")])
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --limit: must be at least 1, got 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trace.json").exists()
+
     def test_warmup_must_be_below_cycles(self, capsys):
         with pytest.raises(SystemExit) as raised:
             main(["run", "--cycles", "1000"])  # default warmup 3000
