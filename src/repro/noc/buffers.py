@@ -90,15 +90,16 @@ class InputBuffer:
         #: fires an NI sink's hook only on a packet's tail flit, since
         #: NIs consume complete packets only); ``wake_credit`` fires when
         #: room frees up (a flit leaves or a packet slot is released).
-        #: Call sites in the router hot path invoke them inline.
         self.wake_consumer = None
         self.wake_credit = None
-        #: When the wake hook target is a router, the router itself — the
-        #: network commit loop then clears its sleep flag directly instead
-        #: of running the full hook → engine-wake chain: during a network
-        #: tick the engine re-arms the network from ``event_wake_at``
-        #: anyway, so only the sleep flag matters (NI-facing buffers leave
-        #: these None and keep the full hooks).
+        #: When the wake hook target is a router, the router itself.  The
+        #: router commit loop then sets its bit in the network's awake
+        #: mask directly, and only on the events that can change its
+        #: arbitration: an entry opening here (not its later flits) for
+        #: the consumer, this lane going from full to not full for the
+        #: upstream router.  During a network tick the engine re-arms the
+        #: network from ``event_wake_at`` anyway.  NI-facing buffers leave
+        #: these None and keep the full hooks.
         self.consumer_router = None
         self.credit_router = None
 

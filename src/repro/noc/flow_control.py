@@ -33,7 +33,13 @@ class FlowController:
         """A packet bound for this output was delivered into ``port``."""
 
     def pick(self, candidates: Sequence[Candidate], cycle: int) -> Optional[Candidate]:
-        """Choose the next packet to own the channel (None = stay idle)."""
+        """Choose the next packet to own the channel (None = stay idle).
+
+        Must not mutate state.  A refusal of a non-empty set may depend
+        only on the candidates and on state that :meth:`on_arrival`,
+        :meth:`on_scheduled` and :meth:`on_withdrawn` change, not on the
+        cycle: a router that was refused re-arbitrates only after one of
+        those (or a new candidate) could change the outcome."""
         raise NotImplementedError
 
     def on_scheduled(self, port: Port, packet: Packet, cycle: int) -> None:

@@ -1,11 +1,17 @@
-"""Mesh network container: routers, links, and local endpoints."""
+"""Mesh network container: routers, links, and local endpoints.
+
+A claimed channel streams without arbitration, the way a wormhole path
+holds its channels until the tail flit leaves, so the network's
+per-cycle work follows its claimed channels and the routers an event
+woke, not the number of routers (see :meth:`MeshNetwork.tick`).
+"""
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
 from .buffers import InputBuffer
-from .router import ControllerFactory, Router
+from .router import ControllerFactory, OutputPort, Router, plan_moves
 from .routing import RoutingPolicy
 from .topology import Mesh, Port
 
@@ -68,6 +74,22 @@ class MeshNetwork:
                         port,
                         self.routers[neighbor].input_lanes(Mesh.opposite(port)),
                     )
+        #: Every claimed channel of the mesh, in (node, output) order.
+        self._channels: List[OutputPort] = []
+        for router in self.routers:
+            router._channels = self._channels
+            router._network = self
+        #: Routers to plan this cycle, one bit per node.  Naive stepping,
+        #: the reference, keeps every bit set so every non-empty router
+        #: arbitrates every cycle; under event dispatch a router's bit is
+        #: cleared when it plans and set by the events listed in
+        #: :class:`~repro.noc.router.Router`.
+        self._all_routers = (1 << len(self.routers)) - 1
+        self._awake = self._all_routers
+        self._event_dispatch = False
+        #: Whether the last tick planned a move or claimed a channel.
+        self._busy = False
+        self._wake = None
 
     def router(self, node: int) -> Router:
         return self.routers[node]
@@ -81,54 +103,58 @@ class MeshNetwork:
         return self.local_sinks[node]
 
     def tick(self, cycle: int) -> None:
-        """Two-phase cycle: all routers plan, then all routers commit,
+        """Two-phase cycle: plan every move and arbitration, then commit,
         keeping per-hop latency one cycle regardless of iteration order.
 
-        Only routers with resident packets or live transfers participate:
-        for an idle router both phases are no-ops, and the active set is
-        exact because planning never *adds* entries to another router's
-        buffers (commit does, but a router that was idle at the cycle
-        start had nothing to plan, so skipping its no-op phases is
-        bit-identical).
+        Moves are planned first, for every claimed channel, so the
+        ``retiring`` flags are fixed before any router arbitrates; then
+        every awake router plans, in node order; then every router with
+        a planned move commits, in node order, so commits, link-fault
+        draws and ``HOP`` events keep one order.  Planning reads only
+        start-of-cycle state and each router's arbitration only its own
+        inputs, controllers and downstream lanes, so the split into
+        phases plans exactly what per-router planning would.
         """
-        active = [
-            router for router in self.routers
-            if router._entry_tally[0] and not router._asleep
-        ]
-        for router in active:
-            router.plan(cycle)
-        for router in active:
+        moving, retiring = plan_moves(self._channels)
+        awake = self._awake | retiring
+        if self._event_dispatch:
+            self._awake = 0
+        claimed = False
+        routers = self.routers
+        while awake:
+            bit = awake & -awake
+            awake ^= bit
+            if routers[bit.bit_length() - 1].plan(cycle):
+                claimed = True
+        for router in moving:
             router.commit(cycle)
+        self._busy = claimed or bool(moving)
 
     # ------------------------------------------------------------------ #
     # Event-dispatch contract
     # ------------------------------------------------------------------ #
 
     def event_wake_at(self, cycle: int) -> Optional[int]:
-        """Tick again next cycle while any router holds packets; routers
-        individually asleep are skipped inside :meth:`tick`, and a fully
-        drained network sleeps until a producer wakes it through a router
-        wake hook."""
-        for router in self.routers:
-            if router._entry_tally[0] and not router._asleep:
-                return cycle + 1
-        # Every resident router is asleep (head-of-line blocked): wake
-        # hooks (flit arrivals / freed credits) re-arm us.
+        """Tick again next cycle after a move or a claim, or while a
+        router is awake; otherwise sleep until a router wake hook (an NI
+        injecting or freeing sink room) re-arms the network.  A claimed
+        channel that planned no move waits for a flit or for credit, which
+        only a move or such a hook can bring."""
+        if self._busy or self._awake:
+            return cycle + 1
         return None
 
     def attach_wake(self, wake) -> None:
-        for router in self.routers:
-            router._net_wake = wake
+        self._wake = wake
 
     def on_run_mode(self, event_dispatch: bool) -> None:
         """Router sleep is an event-dispatch shortcut; naive stepping, the
-        reference, must keep planning every non-empty router, so sleeping
-        is switched off — and any stale sleep state cleared — when event
-        dispatch is not active."""
-        for router in self.routers:
-            router._sleep_enabled = event_dispatch
-            if not event_dispatch:
-                router._asleep = False
+        reference, must keep planning every non-empty router, so every
+        router is marked awake, for good, when event dispatch is not
+        active."""
+        self._event_dispatch = event_dispatch
+        if not event_dispatch:
+            self._awake = self._all_routers
 
     @property
     def in_flight_packets(self) -> int:

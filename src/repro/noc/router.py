@@ -1,27 +1,35 @@
 """Wormhole NoC router (Fig. 3 shell), two-phase cycle model.
 
-Every cycle has a *plan* phase (all routers decide flit movements and
-arbitrate idle outputs from committed start-of-cycle state) and a *commit*
-phase (all planned flit movements apply).  This keeps per-hop latency at
+Every cycle has a *plan* phase, in which flit moves and arbitration are
+decided from committed start-of-cycle state, and a *commit* phase, in
+which the planned flit moves apply.  This keeps per-hop latency at
 exactly one cycle regardless of router iteration order.
 
-Per output channel and cycle a router:
+The plan phase has two parts:
 
-* moves one flit of the transfer that owns the channel, provided the flit
-  has arrived in the source buffer and the downstream buffer has credit —
-  wormhole cut-through: long packets pipeline across hops;
-* when the channel is idle (or its transfer moves its final flit this
-  cycle), collects the input-buffer heads routed to it, lets the flow
-  controller pick a winner, and claims that entry for a new winner-take-all
-  transfer: the channel is held until the packet's last flit has left.
+* :func:`plan_moves` gives every claimed channel (an output owned by a
+  winner-take-all transfer) one flit move, provided the flit has arrived
+  in the source buffer and the downstream lane has credit — wormhole
+  cut-through: long packets pipeline across hops.  A claimed channel
+  needs no arbitration until its transfer's final flit is planned, which
+  marks the source entry *retiring*;
+* :meth:`Router.plan` registers newly arrived packet heads with the flow
+  controllers of the outputs their route selects — this is where GSS
+  token bookkeeping (Algorithm 1, lines 1-13) happens — and arbitrates
+  every idle or retiring output among the input-buffer heads routed to
+  it: the flow controller picks a winner, which claims the channel until
+  its last flit has left.
 
-Newly arrived packet heads are registered with the flow controller of the
-output their XY route selects — this is where GSS token bookkeeping
-(Algorithm 1, lines 1-13) happens.
+Under event dispatch a router arbitrates only when something that can
+change an arbitration outcome happened since its last plan (see
+:meth:`Router.wake_event` and :class:`~repro.noc.network.MeshNetwork`);
+streaming flits on channels already claimed is not such an event.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.events import EventType
@@ -33,6 +41,9 @@ from .topology import Mesh, Port
 
 #: factory(node, port) -> FlowController, chosen by the system builder.
 ControllerFactory = Callable[[int, Port], FlowController]
+
+#: Sort key of claimed-channel lists: (node, output index) as one int.
+_RANK = attrgetter("rank")
 
 
 class Transfer:
@@ -64,9 +75,16 @@ class OutputPort:
     buffer organizations).
     """
 
-    def __init__(self, port: Port, controller: FlowController) -> None:
+    def __init__(
+        self, port: Port, controller: FlowController, router: "Router",
+        rank: int,
+    ) -> None:
         self.port = port
         self.controller = controller
+        #: The owning router, and this channel's position in claimed-channel
+        #: lists: node-major, then output order (see :func:`plan_moves`).
+        self.router = router
+        self.rank = rank
         self.downstream: List[InputBuffer] = []
         #: With a single downstream lane every packet lands there, so the
         #: arbitration loop can skip :meth:`lane_for` (set by
@@ -74,7 +92,6 @@ class OutputPort:
         self._single_lane: Optional[InputBuffer] = None
         self.transfer: Optional[Transfer] = None
         self._pending_transfer: Optional[Transfer] = None
-        self._move_planned = False
         self.packets_sent = 0
         self.flits_sent = 0
 
@@ -89,6 +106,42 @@ class OutputPort:
         if len(self.downstream) == 1 or not packet.is_priority:
             return self.downstream[0]
         return self.downstream[1]
+
+
+def plan_moves(channels: List[OutputPort]) -> Tuple[List["Router"], int]:
+    """Plan one flit move for every claimed channel in ``channels``.
+
+    A channel moves a flit when one is resident in its source entry and
+    the downstream lane has credit; a final flit marks the entry
+    ``retiring``, so the channel may be arbitrated again this cycle.
+    Only committed start-of-cycle state is read, so the order of the
+    list does not change which moves are planned; it does fix the order
+    in which each router's moves commit (``channels`` is kept in node,
+    then output order).
+
+    Returns the routers with a planned move, in ``channels`` order, and
+    the wake bits of those whose final flit was planned while they hold
+    an unclaimed entry: the retiring channel and the entry it exposes may
+    change their arbitration this cycle.
+    """
+    moving: List[Router] = []
+    retiring = 0
+    for output in channels:
+        transfer = output.transfer
+        entry = transfer.entry
+        if entry.received > entry.sent:
+            lane = transfer.dst_buffer
+            if lane._occupancy < lane.capacity_flits:
+                router = output.router
+                planned = router._planned_outputs
+                if not planned:
+                    moving.append(router)
+                planned.append(output)
+                if entry.sent + 1 >= entry.packet.size_flits:
+                    entry.retiring = True
+                    if router._entry_tally[0] > router._claimed_entries:
+                        retiring |= router._bit
+    return moving, retiring
 
 
 class Router:
@@ -134,8 +187,10 @@ class Router:
             for port in self.ports
         }
         self.outputs: Dict[Port, OutputPort] = {
-            port: OutputPort(port, controller_factory(node, port))
-            for port in self.ports
+            port: OutputPort(
+                port, controller_factory(node, port), self, node * 8 + index
+            )
+            for index, port in enumerate(self.ports)
         }
         # Hot-path precomputation: admissible ports per destination (static
         # for a given mesh/policy) and flat buffer views, so the per-cycle
@@ -153,6 +208,9 @@ class Router:
         for _, buffer in self._input_items:
             buffer.entry_tally = self._entry_tally
             buffer._arrivals = []
+        #: Entries in this router's inputs that an output transfer owns:
+        #: ``_entry_tally[0] > _claimed_entries`` says one is unclaimed.
+        self._claimed_entries = 0
         self._output_list = list(self.outputs.values())
         self._controller_by_port = {
             port: output.controller for port, output in self.outputs.items()
@@ -173,23 +231,28 @@ class Router:
                 if out_port in port_bit)
             for routes in self._route_table
         ]
+        #: Claimed channels in rank order.  A standalone router keeps its
+        #: own; :class:`~repro.noc.network.MeshNetwork` installs one list
+        #: shared by all its routers, from which it plans every move.
+        self._channels: List[OutputPort] = []
         # Outputs whose transfer moves a flit this cycle, for commit.
         self._planned_outputs: List[OutputPort] = []
-        # --- event-dispatch sleep state --------------------------------- #
-        # A router goes to sleep after a provably no-op plan (no arrivals
-        # registered, no flit moves planned, no channel claimed): every
-        # subsequent plan is the same no-op until an input event — a flit
-        # or entry landing in an input buffer (wake_consumer) or credit
-        # freeing downstream (wake_credit) — which calls wake_event().
-        # This is sound because a no-op plan mutates nothing and its
-        # no-op-ness depends only on buffer/channel state, never on the
-        # cycle number (pick() implementations are mutation-free and
-        # outcome-stable on the no-candidate path).  Sleeping is enabled
-        # only under event dispatch so the reference kernels keep planning
-        # every non-empty router.
-        self._asleep = False
-        self._sleep_enabled = False
-        self._net_wake = None
+        # --- event-dispatch wake state ---------------------------------- #
+        # Under event dispatch a router in a network plans only while its
+        # bit is set in the network's awake mask, which is cleared before
+        # each plan and set again by the events that can change an
+        # arbitration outcome: an entry opening in one of its inputs, a
+        # downstream lane going from full to not full, an NI freeing sink
+        # room or a packet slot (these three through wake_event or the
+        # commit loop), its own final flit being planned while it holds
+        # an unclaimed entry (plan_moves), and a claim that withdrew a
+        # packet from another output's controller (_arbitrate).  Between
+        # those events every arbitration repeats its outcome: a claim
+        # only removes candidates, which cannot turn a refusal into a
+        # grant, and a refusal by pick() depends only on state those
+        # events change (see FlowController.pick).
+        self._bit = 1 << node
+        self._network = None
         for _, buffer in self._input_items:
             buffer.wake_consumer = self.wake_event
             buffer.consumer_router = self
@@ -207,19 +270,24 @@ class Router:
         output._single_lane = (
             output.downstream[0] if len(output.downstream) == 1 else None
         )
-        # Credit freed in a downstream lane may unblock this router's
-        # output channel, so it must end this router's sleep.
+        # Room freed in a downstream lane may admit a candidate of this
+        # router's output channel, so it must wake this router.
         for lane in output.downstream:
             lane.wake_credit = self.wake_event
             lane.credit_router = self
 
-    def wake_event(self, at=None) -> None:
-        """End this router's sleep (event-dispatch wake hook); forwards to
-        the network's engine wake handle so the network itself re-arms."""
-        self._asleep = False
-        wake = self._net_wake
-        if wake is not None:
-            wake(at)
+    def wake_event(self) -> None:
+        """Event-dispatch wake hook: mark this router awake in its network
+        and arm the network through its engine wake handle.  An empty
+        router has nothing to arbitrate and no channel waiting for room,
+        so it stays asleep (as does a standalone router, which plans on
+        every :meth:`tick`)."""
+        network = self._network
+        if network is not None and self._entry_tally[0]:
+            network._awake |= self._bit
+            wake = network._wake
+            if wake is not None:
+                wake()
 
     def input_buffer(self, port: Port, lane: int = 0) -> InputBuffer:
         return self.inputs[port][lane]
@@ -228,10 +296,17 @@ class Router:
         return self.inputs[port]
 
     # ------------------------------------------------------------------ #
-    # Phase 1: plan
+    # Phase 1: plan (arbitration; moves come from plan_moves)
     # ------------------------------------------------------------------ #
 
-    def plan(self, cycle: int) -> None:
+    def plan(self, cycle: int) -> bool:
+        """Register arrivals and arbitrate idle and retiring outputs.
+
+        Runs after :func:`plan_moves` of the same cycle, which fixed the
+        ``retiring`` flags.  Returns whether a channel was claimed.
+        """
+        if not self._entry_tally[0]:
+            return False
         # One pass over the inputs that hold packets: arbitration below
         # only claims existing entries (it never adds any), so the
         # ``active`` snapshot stays valid for the whole cycle.  Arrival
@@ -245,17 +320,15 @@ class Router:
         # any arbitratable entry could route to this cycle.  Mirroring
         # ``head_candidate``: an unclaimed head with its head flit present
         # is a candidate; behind a claimed head only the second entry can
-        # be (exposed if the head retires this cycle — unknown until the
-        # busy-channel loop below, so it is included whenever the head is
-        # claimed).  New claims never mark an entry retiring, so nothing
-        # becomes a candidate mid-arbitration: claims only *remove*
-        # candidates, and this superset lets every other output skip its
-        # candidate scan entirely.
+        # be (exposed if the head is retiring, so it is included whenever
+        # the head is claimed).  New claims never mark an entry retiring,
+        # so nothing becomes a candidate mid-arbitration: claims only
+        # *remove* candidates, and this superset lets every other output
+        # skip its candidate scan entirely.
         route_table = self._route_table
         route_masks = self._route_masks
         active: List = []
         requested = 0
-        worked = False
         for item in self._input_items:
             buffer = item[1]
             entries = buffer.entries
@@ -263,7 +336,6 @@ class Router:
                 continue
             active.append(item)
             if buffer._arrivals:
-                worked = True
                 port = item[0]
                 controllers = self._controller_by_port
                 for packet in buffer.drain_arrivals():
@@ -277,50 +349,34 @@ class Router:
                 second = entries[1]
                 if not second.claimed and second.received:
                     requested |= route_masks[second.packet.dst]
-        # First plan flit movements for busy channels, so buffers know which
-        # heads retire this cycle before any output arbitrates.
-        planned = self._planned_outputs
-        planned.clear()
+        if not requested:
+            return False
         arbitrating: List[Tuple[OutputPort, int]] = []
-        # No per-output ``_move_planned`` reset needed here: the flag is
-        # only ever True between the plan that appended the output to
-        # ``planned`` and the commit that consumes it (which clears it),
-        # and commit ignores outputs outside the current ``planned`` list.
         for pair in self._output_bits:
-            output, bit = pair
-            transfer = output.transfer
-            if transfer is None:
-                if requested & bit:
+            if requested & pair[1]:
+                transfer = pair[0].transfer
+                if transfer is None or transfer.entry.retiring:
                     arbitrating.append(pair)
-                continue
-            entry = transfer.entry
-            if entry.received > entry.sent and transfer.dst_buffer.has_credit():
-                output._move_planned = True
-                planned.append(output)
-                if entry.sent + 1 >= entry.packet.size_flits:
-                    entry.retiring = True
-                    if requested & bit:
-                        arbitrating.append(pair)
-        if arbitrating:
-            # Head candidates are resolved once per cycle, after the busy
-            # loop above fixed the ``retiring`` flags.  Arbitration only
-            # *claims* entries — a freshly claimed head never exposes the
-            # entry behind it (that needs ``retiring``) — so later outputs
-            # see the same candidates minus the claimed ones, which the
-            # per-output claimed filter in :meth:`_arbitrate` reproduces
-            # exactly.
-            heads: List = []
-            for port, buffer in active:
-                entry = buffer.head_candidate()
-                if entry is not None:
-                    heads.append(
-                        (port, buffer, entry, route_masks[entry.packet.dst])
-                    )
-            for output, bit in arbitrating:
-                if self._arbitrate(output, bit, cycle, heads):
-                    worked = True
-        if self._sleep_enabled and not worked and not planned:
-            self._asleep = True
+        if not arbitrating:
+            return False
+        # Head candidates are resolved once per cycle.  Arbitration only
+        # *claims* entries — a freshly claimed head never exposes the
+        # entry behind it (that needs ``retiring``) — so later outputs
+        # see the same candidates minus the claimed ones, which the
+        # per-output claimed filter in :meth:`_arbitrate` reproduces
+        # exactly.
+        heads: List = []
+        for port, buffer in active:
+            entry = buffer.head_candidate()
+            if entry is not None:
+                heads.append(
+                    (port, buffer, entry, route_masks[entry.packet.dst])
+                )
+        claimed = False
+        for output, bit in arbitrating:
+            if self._arbitrate(output, bit, cycle, heads):
+                claimed = True
+        return claimed
 
     def _routes(self, packet: Packet) -> Tuple[Port, ...]:
         return self._route_table[packet.dst]
@@ -328,8 +384,8 @@ class Router:
     def _arbitrate(
         self, output: OutputPort, bit: int, cycle: int, heads: List
     ) -> bool:
-        """Arbitrate one idle output; returns whether a channel was claimed
-        (the sleep logic in :meth:`plan` counts claims as work)."""
+        """Arbitrate one idle or retiring output; returns whether a
+        channel was claimed."""
         if not output.downstream:
             return False
         single = output._single_lane
@@ -362,10 +418,13 @@ class Router:
                 break
         assert entry is not None, "controller picked a non-candidate packet"
         entry.claimed = True
+        self._claimed_entries += 1
         dst_buffer.reserve_slot()
         output.controller.on_scheduled(port, packet, cycle)
         # Adaptive routing: withdraw the packet from the controllers of the
-        # other admissible outputs.
+        # other admissible outputs.  That can lift an exclusion an output
+        # arbitrated earlier this cycle was refused under, so this router
+        # stays awake for the next cycle.
         routes = self._route_table[packet.dst]
         if len(routes) > 1:
             for other_port in routes:
@@ -373,9 +432,13 @@ class Router:
                     self._controller_by_port[other_port].on_withdrawn(
                         packet, cycle
                     )
+            network = self._network
+            if network is not None:
+                network._awake |= self._bit
         next_transfer = Transfer(src_buffer, entry, port, dst_buffer)
         if output.transfer is None:
             output.transfer = next_transfer
+            insort(self._channels, output, key=_RANK)
         else:
             # Current transfer finishes this cycle; queue the successor.
             output._pending_transfer = next_transfer
@@ -386,70 +449,69 @@ class Router:
     # ------------------------------------------------------------------ #
 
     def commit(self, cycle: int) -> None:
+        """Apply the flit moves :func:`plan_moves` planned this cycle."""
         planned = self._planned_outputs
         if not planned:
             return
         injector = self.fault_injector
+        awake = 0
         for output in planned:
-            if not output._move_planned:
-                continue
-            output._move_planned = False
             transfer = output.transfer
-            assert transfer is not None
             entry = transfer.entry
+            packet = entry.packet
+            size = packet.size_flits
             dst_buffer = transfer.dst_buffer
             dst_entry = transfer.dst_entry
             if dst_entry is None:
-                dst_entry = transfer.dst_entry = dst_buffer.open_entry(
-                    entry.packet
-                )
+                dst_entry = transfer.dst_entry = dst_buffer.open_entry(packet)
+                # A new entry downstream is a new candidate (and arrival)
+                # there; its later flits change no arbitration.
+                target = dst_buffer.consumer_router
+                if target is not None:
+                    awake |= target._bit
             # Inlined commit_flit/send_flit: plan only schedules this move
             # after checking downstream credit and ``received > sent``
             # (so neither end is past the packet), and links are
             # point-to-point with NIs ticking before the network, so the
             # state cannot change between plan and commit.
-            dst_entry.received += 1
+            received = dst_entry.received + 1
+            dst_entry.received = received
             occupancy = dst_buffer._occupancy + 1
             dst_buffer._occupancy = occupancy
             if occupancy > dst_buffer.highwater_flits:
                 dst_buffer.highwater_flits = occupancy
-            entry.sent += 1
-            transfer.src_buffer._occupancy -= 1
+            sent = entry.sent + 1
+            entry.sent = sent
+            src_buffer = transfer.src_buffer
+            occupancy = src_buffer._occupancy
+            src_buffer._occupancy = occupancy - 1
             output.flits_sent += 1
-            # Event wakes, inline like the flit move above: data landed
-            # downstream (consumer) and a credit freed upstream.  When the
-            # target is a router, clearing its sleep flag suffices — the
-            # engine re-arms the network from event_wake_at right after
-            # this tick, which sees the now-awake router.  NI-facing
-            # buffers (local sinks) take the full hook so the NI's own
-            # engine wake still fires, but only on the tail flit: both
-            # NIs consume complete packets only.
-            target = dst_buffer.consumer_router
-            if target is not None:
-                target._asleep = False
-            elif dst_entry.received >= entry.packet.size_flits:
+            # NI-facing buffers (local sinks) take the full wake hook so
+            # the NI's own engine wake fires, but only on the tail flit:
+            # both NIs consume complete packets only.
+            if received >= size and dst_buffer.consumer_router is None:
                 wake = dst_buffer.wake_consumer
                 if wake is not None:
                     wake()
-            src_buffer = transfer.src_buffer
-            target = src_buffer.credit_router
-            if target is not None:
-                target._asleep = False
-            else:
-                wake = src_buffer.wake_credit
-                if wake is not None:
-                    wake()
+            # A full lane going not full may admit a candidate upstream.
+            if occupancy == src_buffer.capacity_flits:
+                target = src_buffer.credit_router
+                if target is not None and target._entry_tally[0]:
+                    awake |= target._bit
             if injector is not None:
-                injector.on_link_flit(
-                    cycle, self.node, output.port, entry.packet
-                )
-            if entry.sent >= entry.packet.size_flits:
-                packet = transfer.src_buffer.retire_head()
-                assert packet is transfer.entry.packet
+                injector.on_link_flit(cycle, self.node, output.port, packet)
+            if sent >= size:
+                retired = src_buffer.retire_head()
+                assert retired is packet
+                self._claimed_entries -= 1
                 output.controller.on_delivered(packet, cycle)
                 output.packets_sent += 1
-                output.transfer = output._pending_transfer
-                output._pending_transfer = None
+                successor = output._pending_transfer
+                output.transfer = successor
+                if successor is None:
+                    self._channels.remove(output)
+                else:
+                    output._pending_transfer = None
                 tracer = self.tracer
                 if tracer:
                     request = packet.request
@@ -462,13 +524,21 @@ class Router:
                             request.request_id if request is not None else None
                         ),
                         port=output.port.name,
-                        flits=packet.size_flits,
+                        flits=size,
                     )
+        planned.clear()
+        if awake:
+            network = self._network
+            if network is not None:
+                network._awake |= awake
 
     # ------------------------------------------------------------------ #
 
     def tick(self, cycle: int) -> None:
-        """Single-phase convenience for standalone router tests."""
+        """Single-phase convenience for standalone router tests: plans
+        this router's own moves with :func:`plan_moves`, then arbitrates
+        and commits."""
+        plan_moves(self._channels)
         self.plan(cycle)
         self.commit(cycle)
 

@@ -11,6 +11,11 @@ the whole fabric:
   tally equals the entries across its inputs (both running counters are
   bumped inline on the hot path; a violated credit loop is how a
   wormhole fabric corrupts itself silently);
+* **channel bookkeeping** — each router's claimed-entry count equals
+  the claimed entries in its inputs, and the network's claimed-channel
+  list holds exactly the outputs that own a transfer, in (node, output)
+  order: the network plans every flit move from that list, so a channel
+  missing from it would stall and one left in it would move stale flits;
 * **token conservation** — every packet a GSS token table tracks is
   actually resident in that router, every resident, registered
   memory-request packet is tracked by the controller of its route, and
@@ -97,19 +102,23 @@ class InvariantChecker:
             self._check_tokens(cycle, router)
         for node, sink in self.network.local_sinks.items():
             self._check_buffer(cycle, f"sink{node}", sink)
+        self._check_channels(cycle)
 
     # ------------------------------------------------------------------ #
     # Credit conservation
     # ------------------------------------------------------------------ #
 
     def _check_buffers(self, cycle: int, router) -> None:
-        entries = 0
+        entries = claimed = 0
         for port, lanes in router.inputs.items():
             for lane, buffer in enumerate(lanes):
                 self._check_buffer(
                     cycle, f"router{router.node}.{port.name}[{lane}]", buffer
                 )
                 entries += len(buffer.entries)
+                for entry in buffer.entries:
+                    if entry.claimed:
+                        claimed += 1
         tally = router._entry_tally[0]
         if tally != entries:
             raise InvariantViolation(
@@ -117,6 +126,33 @@ class InvariantChecker:
                 cycle,
                 f"router{router.node}: entry tally {tally} != {entries} "
                 f"entries resident in its inputs",
+            )
+        if router._claimed_entries != claimed:
+            raise InvariantViolation(
+                "channel",
+                cycle,
+                f"router{router.node}: claimed-entry count "
+                f"{router._claimed_entries} != {claimed} claimed entries "
+                f"in its inputs",
+            )
+
+    def _check_channels(self, cycle: int) -> None:
+        owners = [
+            output
+            for router in self.network.routers
+            for output in router.outputs.values()
+            if output.transfer is not None
+        ]
+        listed = self.network._channels
+        if listed != owners:
+            def names(outputs):
+                return [f"{o.router.node}.{o.port.name}" for o in outputs]
+
+            raise InvariantViolation(
+                "channel",
+                cycle,
+                f"claimed-channel list {names(listed)} != outputs owning "
+                f"a transfer {names(owners)}",
             )
 
     def _check_buffer(self, cycle: int, where: str, buffer) -> None:

@@ -6,7 +6,7 @@ from tests.helpers import make_request
 from repro.noc.buffers import InputBuffer
 from repro.noc.flow_control import RoundRobinFlowController
 from repro.noc.packet import request_packet, response_packet
-from repro.noc.router import Router
+from repro.noc.router import Router, plan_moves
 from repro.noc.topology import Mesh, Port
 
 
@@ -133,7 +133,9 @@ class TestBackpressure:
 class TestPipelining:
     def test_cut_through_across_two_routers(self):
         """A long packet's head reaches the second hop before its tail has
-        left the first (wormhole), so total latency is hops + flits."""
+        left the first (wormhole), so total latency is hops + flits.  The
+        two routers step as a network does: both routers' moves are
+        planned in one pass, then both arbitrate, then both commit."""
         mesh = Mesh(3, 1)
         r0 = Router(0, mesh, lambda n, p: RoundRobinFlowController(), 64)
         r1 = Router(1, mesh, lambda n, p: RoundRobinFlowController(), 64)
@@ -146,6 +148,7 @@ class TestPipelining:
         r0.input_buffer(Port.LOCAL).push_complete(packet)
         cycle = 0
         while sink.pop_complete() is None and cycle < 60:
+            plan_moves(r0._channels + r1._channels)
             r0.plan(cycle); r1.plan(cycle)
             r0.commit(cycle); r1.commit(cycle)
             cycle += 1

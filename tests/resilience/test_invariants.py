@@ -120,6 +120,42 @@ class TestViolations:
         assert excinfo.value.kind == "credit"
         assert "entry tally" in excinfo.value.detail
 
+    def test_claimed_entry_count_drift_is_channel_violation(self):
+        system = _running_system()
+        checker = InvariantChecker(system.network)
+        router = system.network.routers[0]
+        router._claimed_entries += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(400)
+        assert excinfo.value.kind == "channel"
+        assert "router0: claimed-entry count" in excinfo.value.detail
+
+    def test_idle_output_in_channel_list_is_channel_violation(self):
+        system = _running_system()
+        checker = InvariantChecker(system.network)
+        channels = system.network._channels
+        idle = next(
+            output
+            for router in system.network.routers
+            for output in router.outputs.values()
+            if output.transfer is None
+        )
+        channels.append(idle)
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(400)
+        assert excinfo.value.kind == "channel"
+        assert "claimed-channel list" in excinfo.value.detail
+
+    def test_channel_list_out_of_order_is_channel_violation(self):
+        system = _running_system()
+        checker = InvariantChecker(system.network)
+        channels = system.network._channels
+        assert len(channels) >= 2, "fewer than two claimed channels at 400"
+        channels.reverse()
+        with pytest.raises(InvariantViolation) as excinfo:
+            checker.check(400)
+        assert excinfo.value.kind == "channel"
+
     def test_tracked_ghost_is_token_violation(self):
         system = _running_system()
         router = system.network.routers[0]

@@ -149,6 +149,11 @@ def _event_vs_naive(config: SystemConfig, customize=None) -> None:
         subsystem = system.subsystem
         observed["scheduler"] = subsystem.scheduler_stats()
         observed["commands"] = subsystem.device.issued_commands
+        observed["flits_sent"] = [
+            output.flits_sent
+            for router in system.network.routers
+            for output in router.outputs.values()
+        ]
         return observed
 
     event, naive = run(False), run(True)
@@ -205,6 +210,110 @@ def test_event_matches_naive_with_refresh():
         except AssertionError as error:
             diverged[arbiter] = str(error)
     assert not diverged, f"refresh diverged on {sorted(diverged)}: {diverged}"
+
+
+@pytest.mark.parametrize("link_flits", [2, 12])
+@pytest.mark.parametrize("vcs", [1, 2])
+@pytest.mark.parametrize("routing", ["xy", "adaptive"])
+@pytest.mark.parametrize(
+    "design", [NocDesign.GSS_SAGM, NocDesign.CONV], ids=lambda d: d.value
+)
+def test_event_matches_naive_every_fabric(design, routing, vcs, link_flits):
+    """The router wake rules under the fabric options they depend on:
+    adaptive withdrawals, the priority lane, and 2-flit link buffers that
+    fill (a full lane going not full wakes the upstream router) and make
+    transfers retire while other entries wait."""
+    _event_vs_naive(SystemConfig(
+        app="dual_dtv", cycles=3_000, warmup=500, seed=2010, design=design,
+        priority_enabled=True, adaptive_routing=routing == "adaptive",
+        virtual_channels=vcs, link_buffer_flits=link_flits,
+    ))
+
+
+def _withdrawal_claims(event_dispatch: bool) -> list:
+    """Script the one arbitration only a withdrawal can change.
+
+    Router 0 of a 3x3 west-first mesh with two lanes per link holds a
+    best-effort read X (LOCAL input) and a 4-flit priority write P (EAST
+    input, priority lane) for the same bank, both bound for node 4, so
+    both may leave EAST or SOUTH.  EAST arbitrates first: its priority
+    lane (router 1's WEST lane 1) is full and stays full, so X is its only
+    candidate, and P excludes it (Algorithm 1, lines 4-6).  SOUTH then
+    claims P, which withdraws P from EAST's controller and lifts the
+    exclusion.  Returns ``(cycle, output)`` for every cycle X is claimed
+    at the end of."""
+    from repro.core.gss_flow_control import GssFlowController
+    from repro.dram.timing import DramTiming
+    from repro.noc.network import MeshNetwork
+    from repro.noc.packet import request_packet
+    from repro.noc.routing import RoutingPolicy
+    from repro.noc.topology import Mesh, Port
+    from repro.sim.engine import Simulator
+    from tests.helpers import make_request
+
+    timing = DramTiming.for_clock(DdrGeneration.DDR2, 333)
+    network = MeshNetwork(
+        Mesh(3, 3),
+        controller_factory=lambda node, port: GssFlowController(timing),
+        buffer_flits=4,
+        local_buffer_flits=8,
+        sink_flits={1: (8, 1)},
+        routing_policy=RoutingPolicy.WEST_FIRST,
+        virtual_channels=2,
+    )
+    router = network.router(0)
+    east, south = router.outputs[Port.EAST], router.outputs[Port.SOUTH]
+    # Router 1 holds a 4-flit priority packet Q bound for its own sink,
+    # whose only packet slot is taken: Q never leaves, so the lane stays
+    # full for the whole run.
+    network.local_sink(1).push_complete(request_packet(
+        1, make_request(bank=5), src=2, dst=1, cycle=0,
+    ))
+    blocker = network.router(1).input_buffer(Port.WEST, lane=1)
+    blocker.push_complete(request_packet(
+        2, make_request(bank=5, beats=8, is_read=False, priority=True),
+        src=0, dst=1, cycle=0,
+    ))
+    assert not blocker.has_credit()
+    best_effort = request_packet(
+        3, make_request(bank=2), src=0, dst=4, cycle=0,
+    )
+    priority = request_packet(
+        4, make_request(bank=2, beats=8, is_read=False, priority=True),
+        src=1, dst=4, cycle=0,
+    )
+    router.input_buffer(Port.LOCAL).push_complete(best_effort)
+    router.input_buffer(Port.EAST, lane=1).push_complete(priority)
+
+    claims = []
+
+    class Observer:
+        """Tick-only, registered last: sees end-of-cycle state."""
+
+        def tick(self, cycle):
+            for output in (east, south):
+                transfer = output.transfer
+                if transfer is not None and transfer.entry.packet is best_effort:
+                    claims.append((cycle, output.port.name))
+
+    simulator = Simulator(idle_skip=event_dispatch)
+    simulator.add(network)
+    simulator.add(Observer())
+    simulator.run(4)
+    assert south.packets_sent or (
+        south.transfer is not None and south.transfer.entry.packet is priority
+    ), "SOUTH never claimed the priority packet"
+    return claims
+
+
+def test_withdrawal_keeps_the_router_awake():
+    """After SOUTH claims P at cycle 0, naive stepping claims X on EAST
+    at cycle 1.  Event dispatch must too: nothing but the withdrawal
+    changed EAST's arbitration, so the router that withdrew stays awake
+    for the next cycle."""
+    naive = _withdrawal_claims(event_dispatch=False)
+    assert naive and naive[0] == (1, "EAST"), naive
+    assert _withdrawal_claims(event_dispatch=True) == naive
 
 
 def test_event_matches_naive_with_priority_responses():
