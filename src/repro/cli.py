@@ -513,7 +513,7 @@ def _add_config_args(
     parser.add_argument("--adaptive", action="store_true")
     parser.add_argument("--gss-routers", type=_non_negative, default=None)
     parser.add_argument(
-        "--vcs", type=int, choices=range(1, 5), default=1,
+        "--vcs", type=int, choices=range(1, 3), default=1,
         help="virtual channels per link (2 adds a priority lane)",
     )
     parser.add_argument(
@@ -863,8 +863,7 @@ _SWEEP_BOOL_FIELDS = frozenset(
 )
 _SWEEP_INT_FIELDS = frozenset([
     "clock_mhz", "pct", "num_gss_routers", "cycles", "warmup", "seed",
-    "input_buffer_flits", "link_buffer_flits", "max_outstanding",
-    "virtual_channels",
+    "input_buffer_flits", "link_buffer_flits", "virtual_channels",
 ])
 
 
@@ -934,7 +933,6 @@ def _sweep_document(report) -> dict:
             "failed": report.failed,
             "duplicates": report.duplicates,
             "elapsed_s": round(report.elapsed_s, 3),
-            "heartbeat_drops": report.heartbeat_drops,
             "interrupted": report.interrupted,
         },
         "records": [dict(outcome.record) for outcome in report.outcomes],

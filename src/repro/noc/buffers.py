@@ -77,19 +77,20 @@ class InputBuffer:
         #: with ``entry_tally``; NI-facing sinks have neither, so they
         #: keep nothing per delivered packet.
         self._arrivals: Optional[List[Packet]] = None
-        # Resident flits, maintained incrementally: every mutation of an
-        # entry's received/sent counters goes through this buffer, so the
-        # hot-path credit checks are O(1) instead of a sum over entries.
+        # Resident flits, maintained incrementally (here and in the
+        # router's commit loop, which moves every flit between links), so
+        # the hot-path credit checks are O(1) instead of a sum over
+        # entries.
         self._occupancy = 0
         #: Highest flit occupancy ever reached (telemetry): queue depth at
         #: the congested memory funnel, not just flit throughput.
         self.highwater_flits = 0
         #: Event-dispatch hooks (installed by the owning components, None
         #: when unused): ``wake_consumer`` fires when new data lands here
-        #: (a flit commits or an entry opens; the router's commit loop
-        #: fires an NI sink's hook only on a packet's tail flit, since
-        #: NIs consume complete packets only); ``wake_credit`` fires when
-        #: room frees up (a flit leaves or a packet slot is released).
+        #: (an NI pushes a whole packet, or the router's commit loop
+        #: delivers a packet's tail flit to an NI sink, since NIs consume
+        #: complete packets only); ``wake_credit`` fires when an NI pops
+        #: a packet, freeing its flits and its slot.
         self.wake_consumer = None
         self.wake_credit = None
         #: When the wake hook target is a router, the router itself.  The
@@ -144,33 +145,6 @@ class InputBuffer:
             tally[0] += 1
             self._arrivals.append(packet)
         return entry
-
-    def commit_flit(self, entry: FlitEntry) -> None:
-        """One flit of ``entry`` arrived (end-of-cycle commit)."""
-        if entry.fully_received:
-            raise RuntimeError("flit committed past end of packet")
-        occupancy = self._occupancy
-        if occupancy >= self.capacity_flits:
-            raise RuntimeError("flit committed without credit")
-        entry.received += 1
-        occupancy += 1
-        self._occupancy = occupancy
-        if occupancy > self.highwater_flits:
-            self.highwater_flits = occupancy
-        wake = self.wake_consumer
-        if wake is not None:
-            wake()
-
-    def send_flit(self, entry: FlitEntry) -> None:
-        """One flit of ``entry`` left for the downstream link (frees the
-        credit the upstream scheduler checks via :meth:`has_credit`)."""
-        if entry.fully_sent:
-            raise RuntimeError("flit sent past end of packet")
-        entry.sent += 1
-        self._occupancy -= 1
-        wake = self.wake_credit
-        if wake is not None:
-            wake()
 
     def push_complete(self, packet: Packet) -> None:
         """Inject a whole packet at once (local NI injection)."""
@@ -234,12 +208,6 @@ class InputBuffer:
         tally = self.entry_tally
         if tally is not None:
             tally[0] -= 1
-        # Only a packet *slot* frees here (flit credits were signalled as
-        # each flit left), so uncapped buffers skip the wake entirely.
-        if self.max_packets is not None:
-            wake = self.wake_credit
-            if wake is not None:
-                wake()
         return head.packet
 
     def pop_complete(self) -> Optional[Packet]:

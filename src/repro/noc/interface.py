@@ -340,8 +340,10 @@ class MemoryInterface:
         """With ``priority_responses`` the NI injects ready responses for
         priority requests ahead of best-effort ones (the output buffer of
         Fig. 6 builds service packets; a QoS-aware NI dequeues priority
-        data first).  Response reordering is safe: masters reassemble
-        split responses by part count, not order."""
+        data first): priority responses wait in their own ready heap,
+        whose head goes first whenever it is ready.  Response reordering
+        is safe: masters reassemble split responses by part count, not
+        order."""
         self.node = node
         self.subsystem = subsystem
         self.sink = sink
@@ -352,7 +354,10 @@ class MemoryInterface:
         self.tracer = tracer
         self.resilience = resilience
         self._trace_label = f"ni{node}"
-        self._ready: List[Tuple[int, int, int, MemoryRequest]] = []  # heap
+        #: Ready heaps of ``(ready cycle, sequence, request)``: priority
+        #: responses (with ``priority_responses``) and all others.
+        self._ready_priority: List[Tuple[int, int, MemoryRequest]] = []
+        self._ready: List[Tuple[int, int, MemoryRequest]] = []
         self._sequence = count()
         self.admitted = 0
         self.responses_sent = 0
@@ -370,14 +375,9 @@ class MemoryInterface:
                     # device re-read (or failed the request) — resending
                     # the response would resend the same bad data.
                     continue
-            ready = max(cycle + 1, finished.data_ready_cycle + 1)
-            rank = (
-                0 if self.priority_responses and finished.request.is_priority
-                else 1
-            )
-            heapq.heappush(
-                self._ready,
-                (ready, rank, next(self._sequence), finished.request),
+            self._queue_response(
+                finished.request,
+                max(cycle + 1, finished.data_ready_cycle + 1),
             )
         self._respond(cycle)
 
@@ -408,18 +408,32 @@ class MemoryInterface:
             if resilience is not None:
                 resilience.on_request_admitted(request)
 
+    def _queue_response(self, request: MemoryRequest, ready: int) -> None:
+        heapq.heappush(
+            self._ready_priority
+            if self.priority_responses and request.is_priority
+            else self._ready,
+            (ready, next(self._sequence), request),
+        )
+
     def _respond(self, cycle: int) -> None:
-        if self.priority_responses:
-            self._promote_ready_priority(cycle)
-        while self._ready and self._ready[0][0] <= cycle:
-            _, _, _, request = self._ready[0]
+        priority = self._ready_priority
+        best_effort = self._ready
+        while True:
+            if priority and priority[0][0] <= cycle:
+                heap = priority
+            elif best_effort and best_effort[0][0] <= cycle:
+                heap = best_effort
+            else:
+                break
+            request = heap[0][2]
             dst = self.master_nodes[request.master]
             packet = response_packet(
                 next(self.packet_ids), request, self.node, dst, cycle
             )
             if not self.injection_buffer.can_inject(packet):
                 break
-            heapq.heappop(self._ready)
+            heapq.heappop(heap)
             self.injection_buffer.push_complete(packet)
             self.responses_sent += 1
             tracer = self.tracer
@@ -439,27 +453,10 @@ class MemoryInterface:
     def resend_response(self, request: MemoryRequest, cycle: int) -> None:
         """Retransmit the (still buffered) response for ``request`` —
         called by the resilience controller after a CRC NACK backoff."""
-        rank = 0 if self.priority_responses and request.is_priority else 1
-        heapq.heappush(
-            self._ready, (cycle, rank, next(self._sequence), request)
-        )
+        self._queue_response(request, cycle)
         wake = self._wake
         if wake is not None:
             wake()
-
-    def _promote_ready_priority(self, cycle: int) -> None:
-        """Among responses whose data is ready, inject priority ones first
-        (they would otherwise queue in ready-time order)."""
-        if not self._ready:
-            return
-        ready_now = [item for item in self._ready if item[0] <= cycle]
-        if not ready_now:
-            return
-        best = min(ready_now, key=lambda item: (item[1], item[0], item[2]))
-        if best[1] == 0 and best is not self._ready[0]:
-            self._ready.remove(best)
-            heapq.heapify(self._ready)
-            heapq.heappush(self._ready, (cycle, best[1], best[2], best[3]))
 
     @property
     def idle(self) -> bool:
@@ -467,6 +464,7 @@ class MemoryInterface:
             self.sink.head() is None
             and self.subsystem.idle
             and not self._ready
+            and not self._ready_priority
         )
 
     # ------------------------------------------------------------------ #
@@ -484,7 +482,7 @@ class MemoryInterface:
         * A fully received sink head that :meth:`_admit` can act on now
           (the subsystem accepts it, or it is a corrupted packet to
           discard) and queued ECC re-reads poll the next cycle.
-        * Anything else sleeps until the earlier of the ready-heap head
+        * Anything else sleeps until the earlier of the ready-heap heads
           and the subsystem's :meth:`next_event_cycle`.  A head blocked
           on admission needs room, and the subsystem frees room only
           inside its own ``tick`` (the ``Scheduler`` admission contract),
@@ -507,8 +505,12 @@ class MemoryInterface:
                     return cycle + 1
         nxt = None
         if self._ready:
-            ready = self._ready[0][0]
-            nxt = ready if ready > cycle else cycle + 1
+            nxt = self._ready[0][0]
+        priority = self._ready_priority
+        if priority and (nxt is None or priority[0][0] < nxt):
+            nxt = priority[0][0]
+        if nxt is not None and nxt <= cycle:
+            nxt = cycle + 1
         if nxt != cycle + 1:
             sub = self.subsystem.next_event_cycle(cycle)
             if sub is not None:

@@ -49,20 +49,18 @@ _RANK = attrgetter("rank")
 class Transfer:
     """An in-progress winner-take-all packet transfer on one channel."""
 
-    __slots__ = ("src_buffer", "entry", "dst_entry", "dst_buffer", "src_port")
+    __slots__ = ("src_buffer", "entry", "dst_entry", "dst_buffer")
 
     def __init__(
         self,
         src_buffer: InputBuffer,
         entry: FlitEntry,
-        src_port: Port,
         dst_buffer: InputBuffer,
     ):
         self.src_buffer = src_buffer
         self.entry = entry
         self.dst_entry: Optional[FlitEntry] = None
         self.dst_buffer = dst_buffer
-        self.src_port = src_port
 
 
 class OutputPort:
@@ -435,7 +433,7 @@ class Router:
             network = self._network
             if network is not None:
                 network._awake |= self._bit
-        next_transfer = Transfer(src_buffer, entry, port, dst_buffer)
+        next_transfer = Transfer(src_buffer, entry, dst_buffer)
         if output.transfer is None:
             output.transfer = next_transfer
             insort(self._channels, output, key=_RANK)
@@ -469,7 +467,7 @@ class Router:
                 target = dst_buffer.consumer_router
                 if target is not None:
                     awake |= target._bit
-            # Inlined commit_flit/send_flit: plan only schedules this move
+            # The flit moves here: plan only schedules this move
             # after checking downstream credit and ``received > sent``
             # (so neither end is past the packet), and links are
             # point-to-point with NIs ticking before the network, so the

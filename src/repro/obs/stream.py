@@ -14,15 +14,18 @@ has a ``type`` and a wall-clock ``ts``:
 * ``run_end`` — end-of-run summary (the headline RunMetrics fields);
 * ``sweep_start`` / ``job_start`` / ``job_done`` / ``job_fail`` /
   ``job_hit`` / ``heartbeat`` / ``sweep_progress`` / ``sweep_end`` —
-  the sweep orchestrator's lifecycle, including per-worker heartbeats
-  written *by the worker processes themselves* (single-line ``O_APPEND``
-  writes, so no cross-process locking is needed);
+  the sweep orchestrator's lifecycle, including a ``heartbeat`` as each
+  worker slot starts and finishes a job (``worker`` is the slot number).
+  The orchestrating process writes all of them: it hands each job to a
+  slot, so it sees every start and end, and worker processes write
+  nothing;
 * ``checkpoint`` — one snapshot written by ``repro run`` (periodic or
   signal-triggered): cycle, path, and reason.
 
-Writers always append whole lines and flush per record, so a reader can
-tail the file while the producer is live.  Readers tolerate a truncated
-final line (an interrupted producer) by counting it, never by raising.
+A stream has one writer, which appends whole lines and flushes per
+record, so a reader can tail the file while the producer is live.
+Readers tolerate a truncated final line (an interrupted producer) by
+counting it, never by raising.
 
 :func:`prometheus_exposition` renders any metrics registry in the
 Prometheus text exposition format, for scraping a snapshot.
@@ -54,10 +57,9 @@ RECORD_TYPES = frozenset([
 class TelemetryWriter:
     """Append newline-JSON records to a file, pipe, or text stream.
 
-    A path is opened truncate-then-append: the parent process truncates
-    once, then every write — from this process or a worker that opened
-    the same path with ``mode="a"`` — is an ``O_APPEND`` line write, so
-    concurrent producers interleave whole records.
+    A path is truncated (``mode="w"``, the default) or kept
+    (``mode="a"``), then opened for appending; each record is one line,
+    flushed as it is written.
     """
 
     def __init__(
@@ -105,18 +107,6 @@ class TelemetryWriter:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def append_record(path: Union[str, Path], type: str, **fields: object) -> None:
-    """One-shot record append for short-lived producers (sweep workers):
-    open-append-close per record keeps worker writes line-atomic without
-    holding a handle across a fork boundary."""
-    if type not in RECORD_TYPES:
-        raise ValueError(f"unknown telemetry record type {type!r}")
-    record: Dict[str, object] = {"type": type, "ts": time.time()}
-    record.update(fields)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------- #

@@ -51,7 +51,7 @@ from typing import Dict, Iterable, Optional, Tuple, Union
 MAGIC = b"REPROCKP"
 
 #: Bump on any change to the serialized component-graph shape.
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 
 _HEADER_STRUCT = struct.Struct("<I")
 

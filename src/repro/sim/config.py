@@ -86,7 +86,6 @@ class SystemConfig:
     #: at arbitration points, where priority packets can overtake; deep
     #: ones would accumulate head-of-line blocking priority cannot bypass.
     link_buffer_flits: int = 12
-    max_outstanding: int = 4          # per-core outstanding request cap
     #: Use minimal-adaptive west-first routing instead of deterministic XY
     #: (Section IV-A allows either; the paper's experiments use XY).
     adaptive_routing: bool = False
@@ -151,15 +150,10 @@ class SystemConfig:
                 "link_buffer_flits",
                 f"buffer depth must be positive, got {self.link_buffer_flits}",
             )
-        if self.max_outstanding <= 0:
-            raise ConfigError(
-                "max_outstanding",
-                f"outstanding cap must be positive, got {self.max_outstanding}",
-            )
-        if not 1 <= self.virtual_channels <= 4:
+        if not 1 <= self.virtual_channels <= 2:
             raise ConfigError(
                 "virtual_channels",
-                f"virtual channels must be within 1..4, "
+                "virtual channels must be 1 or 2, "
                 f"got {self.virtual_channels}",
             )
         if self.num_gss_routers is not None and self.num_gss_routers < 0:

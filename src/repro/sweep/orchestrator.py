@@ -8,16 +8,21 @@ remainder across worker processes.  Each job's outcome — ``ok`` or
 moment it completes, so an interrupted sweep resumes from its last
 completed point and a finished sweep re-runs as 100% cache hits.
 
+With ``workers > 1`` each of ``workers`` *slots* owns one long-lived
+worker process and its own pipe, and holds at most one job at a time:
+the parent sends a job, waits on every busy pipe at once
+(:func:`multiprocessing.connection.wait`), and hands the next job to
+whichever slot answers.  ``workers == 1`` runs every job in-process.
+
 Failure containment is per point, never per sweep:
 
 * a runner that raises records a *failed* job (with
   :class:`~repro.sweep.runners.JobFailure` carrying any partial
   result) and the sweep continues;
 * a worker process that dies outright (segfault, ``os._exit``, OOM
-  kill) breaks the shared pool — the orchestrator then re-runs each
-  unfinished job in its own single-worker pool, so the crasher is
-  identified precisely and marked failed while innocent in-flight jobs
-  complete normally.
+  kill) fails exactly the job its slot held, since a slot holds one;
+  a fresh process takes the slot for the next job, and no other job
+  runs twice.
 
 Workers are forked where available (Linux/macOS ``fork`` context) so
 runner registrations made by the parent are visible without re-import;
@@ -27,10 +32,11 @@ Liveness has two optional surfaces, both off by default:
 
 * ``telemetry=`` (a :class:`~repro.obs.stream.TelemetryWriter`) streams
   the sweep lifecycle — ``sweep_start``, per-job ``job_start`` /
-  ``job_done`` / ``job_fail`` / ``job_hit``, per-worker ``heartbeat``
-  records written by the worker processes themselves, rolling
-  ``sweep_progress`` with throughput and ETA, and a closing
-  ``sweep_end`` — for ``repro monitor`` to render live;
+  ``job_done`` / ``job_fail`` / ``job_hit``, a ``heartbeat`` per slot as
+  it starts and finishes each job, rolling ``sweep_progress`` with
+  throughput and ETA, and a closing ``sweep_end`` — for ``repro
+  monitor`` to render live.  The parent sees every job start and end,
+  so it is the stream's only writer;
 * :class:`ProgressPrinter` is a ready-made :data:`ProgressFn` that keeps
   a single updating stderr line (done/total, failures, cache hits, ETA)
   on a tty and degrades to sparse plain lines when piped.
@@ -43,9 +49,9 @@ import signal
 import sys
 import time
 import traceback as traceback_mod
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import (
     Callable,
     Dict,
@@ -60,12 +66,9 @@ from typing import (
 from .runners import (
     JOB_RUNNERS,
     JobFailure,
-    heartbeat_drops,
     job_context,
     job_deadline,
     retry_backoff_s,
-    worker_job_finished,
-    worker_job_started,
 )
 from .spec import Job, SweepSpec, dedupe
 from .store import ResultStore, make_record
@@ -77,9 +80,7 @@ ProgressFn = Callable[[Job, Mapping[str, object], bool, int, int], None]
 def execute_job(
     kind: str,
     params: Dict[str, object],
-    telemetry_path: Optional[str] = None,
     key: Optional[str] = None,
-    label: Optional[str] = None,
     timeout_s: Optional[float] = None,
     retries: int = 0,
     checkpoint_dir: Optional[str] = None,
@@ -88,10 +89,7 @@ def execute_job(
     """Run one job in the current process; never raises.
 
     The worker-side entry point: every failure mode is folded into the
-    returned payload so a Python-level error can never poison the pool.
-    With ``telemetry_path`` set, the worker itself appends ``job_start``
-    and ``heartbeat`` records to the stream (line-atomic ``O_APPEND``
-    writes), so a monitor sees jobs as workers pick them up.
+    returned payload so a Python-level error can never end a worker.
 
     ``timeout_s`` bounds each attempt's wall clock (SIGALRM, see
     :func:`~repro.sweep.runners.job_deadline`); ``retries`` allows that
@@ -101,13 +99,9 @@ def execute_job(
     :class:`~repro.sweep.runners.JobFailure` is never retried: the
     simulator is deterministic, so a domain-level failure reproduces
     exactly.  The payload reports ``attempts`` (executions, including
-    the first), the last failure's ``traceback``, and the worker's
-    ``heartbeat_drops`` delta for this job.
+    the first) and the last failure's ``traceback``.
     """
     started = time.perf_counter()
-    drops_before = heartbeat_drops()
-    if telemetry_path is not None:
-        worker_job_started(telemetry_path, key or "", kind, label or "")
     attempts = 0
     while True:
         attempts += 1
@@ -151,11 +145,6 @@ def execute_job(
             break
     payload["attempts"] = attempts
     payload["elapsed_s"] = time.perf_counter() - started
-    if telemetry_path is not None:
-        worker_job_finished(
-            telemetry_path, key or "", label or "", str(payload["status"])
-        )
-    payload["heartbeat_drops"] = heartbeat_drops() - drops_before
     return payload
 
 
@@ -180,8 +169,6 @@ class SweepReport:
     #: Jobs submitted more than once with the same key (collapsed).
     duplicates: int = 0
     elapsed_s: float = 0.0
-    #: Worker telemetry emissions dropped on OSError (summed deltas).
-    heartbeat_drops: int = 0
     #: A SIGINT/SIGTERM drained the sweep early: running jobs finished
     #: and were stored, queued jobs were never started (and are absent
     #: from :attr:`outcomes`).
@@ -219,8 +206,6 @@ class SweepReport:
             f"{self.executed} executed, {self.failed} failed "
             f"({self.elapsed_s:.1f}s)"
         )
-        if self.heartbeat_drops:
-            text += f", {self.heartbeat_drops} heartbeat drop(s)"
         if self.interrupted:
             text += " — INTERRUPTED (resume with the same store)"
         return text
@@ -306,99 +291,132 @@ def _default_context():
         return multiprocessing.get_context()
 
 
-def _run_isolated(
-    job: Job,
-    mp_context,
-    telemetry_path: Optional[str] = None,
-    job_kwargs: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """Re-run one suspect job in a disposable single-worker pool.
+def _serve(conn, job_kwargs: Dict[str, object]) -> None:
+    """A worker process's body: run each ``(kind, params, key)`` that
+    arrives on ``conn`` and send its payload back, until ``None``."""
+    for kind, params, key in iter(conn.recv, None):
+        payload = execute_job(kind, params, key, **job_kwargs)
+        try:
+            conn.send(payload)
+        except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable result
+            conn.send({
+                "status": "failed",
+                "result": None,
+                "error": f"{type(exc).__name__}: {exc}",
+                "elapsed_s": payload["elapsed_s"],
+            })
 
-    If this pool breaks too, the crash is attributable to exactly this
-    job, which is then the one marked failed.
-    """
-    try:
-        with ProcessPoolExecutor(
-            max_workers=1, mp_context=mp_context
-        ) as pool:
-            return pool.submit(
-                execute_job, job.kind, dict(job.params),
-                telemetry_path, job.key, job.label,
-                **(job_kwargs or {}),
-            ).result()
-    except BrokenProcessPool:
-        return {
-            "status": "failed",
-            "result": None,
-            "error": "worker process died while running this job",
-            "elapsed_s": 0.0,
-        }
+
+class _Slot:
+    """One worker process, its pipe, and the one job it holds."""
+
+    def __init__(
+        self, index: int, mp_context, job_kwargs: Dict[str, object]
+    ) -> None:
+        self.index = index
+        self.job: Optional[Job] = None
+        self.conn = None
+        self._context = mp_context
+        self._job_kwargs = job_kwargs
+        self._process = None
+
+    def _start(self) -> None:
+        self.conn, child = self._context.Pipe()
+        self._process = self._context.Process(
+            target=_serve, args=(child, self._job_kwargs)
+        )
+        self._process.start()
+        child.close()
+
+    def send(self, job: Job) -> None:
+        """Hand ``job`` to this slot's process, forking a fresh one if
+        the slot has none or its process died between jobs."""
+        message = (job.kind, dict(job.params), job.key)
+        if self._process is not None:
+            try:
+                self.conn.send(message)
+            except OSError:
+                self.close()
+        if self._process is None:
+            self._start()
+            self.conn.send(message)
+        self.job = job
+
+    def receive(self) -> Dict[str, object]:
+        """The held job's payload.  If the process died running it, the
+        job fails and the slot is left empty for a fresh process."""
+        try:
+            payload = self.conn.recv()
+        except (EOFError, OSError):
+            self.close()
+            payload = {
+                "status": "failed",
+                "result": None,
+                "error": "worker process died while running this job",
+                "elapsed_s": 0.0,
+            }
+        self.job = None
+        return payload
+
+    def close(self) -> None:
+        """End this slot's process: an idle one is told to exit, one
+        still holding a job is terminated."""
+        if self._process is None:
+            return
+        if self.job is None:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass
+        else:
+            self._process.terminate()
+        self._process.join()
+        self.conn.close()
+        self._process = None
 
 
 def _run_parallel(
     pending: Sequence[Job],
     workers: int,
     mp_context,
-    on_done: Callable[[Job, Dict[str, object]], None],
-    telemetry_path: Optional[str] = None,
-    should_stop: Optional[Callable[[], bool]] = None,
-    job_kwargs: Optional[Dict[str, object]] = None,
+    on_start: Callable[[int, Job], None],
+    on_done: Callable[[int, Job, Dict[str, object]], None],
+    should_stop: Callable[[], bool],
+    job_kwargs: Dict[str, object],
 ) -> None:
-    """Shard ``pending`` over a worker pool, isolating crashers.
+    """Run ``pending`` on ``workers`` slots, one job per slot at a time.
 
-    When ``should_stop`` turns true (a drain signal), every not-yet-
-    started future is cancelled; jobs already running finish and are
-    recorded, so the drain loses no completed work.
+    When ``should_stop`` turns true (a drain signal), no further job is
+    handed out; jobs already running finish and are recorded, so the
+    drain loses no completed work.
     """
-    suspects: List[Job] = []
-    draining = False
-    with ProcessPoolExecutor(
-        max_workers=workers, mp_context=mp_context
-    ) as pool:
-        futures = {}
-        for index, job in enumerate(pending):
-            try:
-                future = pool.submit(
-                    execute_job, job.kind, dict(job.params),
-                    telemetry_path, job.key, job.label,
-                    **(job_kwargs or {}),
-                )
-            except BrokenProcessPool:
-                # A worker died before the last submit: the pool takes no
-                # more work, so the rest join the isolated re-runs below.
-                suspects.extend(pending[index:])
-                break
-            futures[future] = job
-        for future in as_completed(futures):
-            if not draining and should_stop is not None and should_stop():
-                draining = True
-                for other in futures:
-                    other.cancel()
-            job = futures[future]
-            if future.cancelled():
-                continue
-            try:
-                payload = future.result()
-            except BrokenProcessPool:
-                # A worker died; every unfinished future resolves this
-                # way and the crasher is not attributable here.  Defer
-                # to isolated re-runs below.
-                suspects.append(job)
-                continue
-            except Exception as exc:  # noqa: BLE001 - e.g. unpicklable
-                payload = {
-                    "status": "failed",
-                    "result": None,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "elapsed_s": 0.0,
-                }
-            on_done(job, payload)
-    if draining:
-        return
-    for job in suspects:
-        on_done(
-            job, _run_isolated(job, mp_context, telemetry_path, job_kwargs)
-        )
+    queue = deque(pending)
+    slots = [
+        _Slot(index, mp_context, job_kwargs)
+        for index in range(min(workers, len(queue)))
+    ]
+    idle = deque(slots)
+    busy = {}
+    try:
+        while True:
+            while idle and queue:
+                slot = idle.popleft()
+                job = queue.popleft()
+                on_start(slot.index, job)
+                slot.send(job)
+                busy[slot.conn] = slot
+            if not busy:
+                return
+            for conn in wait(list(busy)):
+                slot = busy.pop(conn)
+                job = slot.job
+                on_done(slot.index, job, slot.receive())
+                idle.append(slot)
+            if should_stop():
+                queue.clear()
+    finally:
+        for slot in slots:
+            slot.close()
 
 
 def run_sweep(
@@ -425,15 +443,17 @@ def run_sweep(
     of serving them from cache — the default serves them, because the
     simulator is deterministic and a re-run reproduces the failure.
     ``telemetry`` (a :class:`~repro.obs.stream.TelemetryWriter`) streams
-    the sweep lifecycle; workers append their own ``job_start`` and
-    ``heartbeat`` records when the writer is file-backed.
+    the sweep lifecycle; ``job_start`` and ``heartbeat`` records name
+    the slot (``worker``, 0 to ``workers`` - 1) that ran the job.
 
     Crash tolerance: ``job_timeout_s`` bounds each attempt's wall
     clock, ``job_retries`` re-executes timeouts/unexpected exceptions
     (deterministic backoff — see :func:`execute_job`), and
     ``checkpoint_dir`` lets the ``metrics`` runner snapshot mid-job
-    every ``checkpoint_every`` cycles so a killed worker's progress
-    survives to the retry or the next invocation.  With
+    every ``checkpoint_every`` cycles, so a timed-out attempt's progress
+    survives to its retry and a killed worker's to the next invocation
+    (a job whose worker died is recorded failed; ``retry_failed`` runs
+    it again).  With
     ``handle_signals=True`` a SIGINT/SIGTERM drains gracefully: running
     jobs finish and are stored, queued jobs are skipped, and the report
     says ``interrupted`` — re-running the same sweep resumes from the
@@ -449,11 +469,6 @@ def run_sweep(
     started = time.perf_counter()
     unique = dedupe(jobs)
     report = SweepReport(duplicates=len(jobs) - len(unique))
-    telemetry_path = (
-        str(telemetry.path)
-        if telemetry is not None and telemetry.path is not None
-        else None
-    )
 
     outcomes: Dict[str, JobOutcome] = {}
     pending: List[Job] = []
@@ -495,8 +510,24 @@ def run_sweep(
                 status=outcome.record.get("status"),
             )
 
-    def on_done(job: Job, payload: Dict[str, object]) -> None:
+    #: Jobs each slot has finished, for its heartbeats.
+    slot_jobs_done = [0] * workers
+
+    def on_start(slot: int, job: Job) -> None:
+        if telemetry is not None:
+            telemetry.emit(
+                "job_start",
+                key=job.key, kind=job.kind, label=job.label, worker=slot,
+            )
+            telemetry.emit(
+                "heartbeat",
+                worker=slot, jobs_done=slot_jobs_done[slot],
+                current=job.label, phase="start",
+            )
+
+    def on_done(slot: int, job: Job, payload: Dict[str, object]) -> None:
         nonlocal done_count, executed_done, failed_count
+        slot_jobs_done[slot] += 1
         record = make_record(
             job,
             status=payload["status"],
@@ -506,7 +537,6 @@ def run_sweep(
             attempts=payload.get("attempts", 1),
             traceback=payload.get("traceback"),
         )
-        report.heartbeat_drops += int(payload.get("heartbeat_drops", 0))
         store.put(record)
         outcomes[job.key] = JobOutcome(job, record, cached=False)
         done_count += 1
@@ -517,6 +547,11 @@ def run_sweep(
         if progress is not None:
             progress(job, record, False, done_count, len(unique))
         if telemetry is not None:
+            telemetry.emit(
+                "heartbeat",
+                worker=slot, jobs_done=slot_jobs_done[slot],
+                current=job.label, phase="done", status=payload["status"],
+            )
             telemetry.emit(
                 "job_fail" if failed else "job_done",
                 key=job.key,
@@ -566,11 +601,12 @@ def run_sweep(
                 for job in pending:
                     if stop_signals:
                         break
+                    on_start(0, job)
                     on_done(
+                        0,
                         job,
                         execute_job(
-                            job.kind, dict(job.params),
-                            telemetry_path, job.key, job.label,
+                            job.kind, dict(job.params), job.key,
                             **job_kwargs,
                         ),
                     )
@@ -580,10 +616,10 @@ def run_sweep(
                     workers,
                     mp_context if mp_context is not None
                     else _default_context(),
+                    on_start,
                     on_done,
-                    telemetry_path,
-                    should_stop=lambda: bool(stop_signals),
-                    job_kwargs=job_kwargs,
+                    lambda: bool(stop_signals),
+                    job_kwargs,
                 )
     finally:
         for signum, handler in previous_handlers.items():
@@ -604,7 +640,6 @@ def run_sweep(
             executed=report.executed,
             failed=report.failed,
             elapsed_s=report.elapsed_s,
-            heartbeat_drops=report.heartbeat_drops,
             interrupted=report.interrupted,
             summary=report.summary(),
         )

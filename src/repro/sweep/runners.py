@@ -1,10 +1,13 @@
 """Job runners: what a worker process executes for each job kind.
 
 A runner is a plain function ``params -> result dict`` registered under
-a job *kind*; the orchestrator ships ``(kind, params)`` to a worker,
-which looks the runner up in :data:`JOB_RUNNERS` and executes it.  Both
-sides of the boundary are JSON-level dicts so jobs pickle trivially and
-hash canonically.
+a job *kind*; the orchestrator sends ``(kind, params, key)`` to a
+worker process (or runs it in-process with one worker), which looks the
+runner up in :data:`JOB_RUNNERS` and executes it.  Both sides of the
+boundary are JSON-level dicts so jobs pickle trivially and hash
+canonically.  A worker only computes: its payload goes back to the
+orchestrating process, which alone writes the result store and the
+telemetry stream.
 
 Two kinds are built in:
 
@@ -30,7 +33,6 @@ text.
 
 from __future__ import annotations
 
-import os
 import signal
 import threading
 from contextlib import contextmanager
@@ -42,68 +44,6 @@ from ..core.system import build_system
 from ..resilience.faults import FaultConfig, FaultSite, ScheduledFault
 from ..sim.config import DdrGeneration, NocDesign, SystemConfig
 from ..sim.rng import derive_rng
-
-#: Jobs this process has finished — the heartbeat progress counter.
-#: Plain module state: each forked worker owns its copy.
-_jobs_done = 0
-
-#: Heartbeat/job_start emissions this process dropped on OSError.  The
-#: drops stay non-fatal (telemetry is never load-bearing) but are now
-#: *counted*: :func:`~repro.sweep.orchestrator.execute_job` folds the
-#: delta into its payload and the sweep report surfaces the total, so a
-#: full stream disk or bad path no longer silently blinds the monitor.
-_heartbeat_drops = 0
-
-
-def heartbeat_drops() -> int:
-    """This process's dropped-emission count (monotonic)."""
-    return _heartbeat_drops
-
-
-def worker_job_started(
-    telemetry_path: str, key: str, kind: str, label: str
-) -> None:
-    """Emit ``job_start`` + a heartbeat from inside a worker process.
-
-    Workers append single lines to the shared stream file themselves
-    (``O_APPEND``), so the monitor sees a job the moment a worker picks
-    it up — not only when the parent collects the result.  Telemetry is
-    never load-bearing: emission failures are swallowed, but counted in
-    :func:`heartbeat_drops`.
-    """
-    global _heartbeat_drops
-    from ..obs.stream import append_record
-
-    try:
-        append_record(
-            telemetry_path, "job_start",
-            key=key, kind=kind, label=label, worker=os.getpid(),
-        )
-        append_record(
-            telemetry_path, "heartbeat",
-            worker=os.getpid(), jobs_done=_jobs_done, current=label,
-            phase="start",
-        )
-    except OSError:
-        _heartbeat_drops += 1
-
-
-def worker_job_finished(
-    telemetry_path: str, key: str, label: str, status: str
-) -> None:
-    """Count the finished job and emit the worker's heartbeat."""
-    global _jobs_done, _heartbeat_drops
-    _jobs_done += 1
-    from ..obs.stream import append_record
-
-    try:
-        append_record(
-            telemetry_path, "heartbeat",
-            worker=os.getpid(), jobs_done=_jobs_done, current=label,
-            phase="done", status=status,
-        )
-    except OSError:
-        _heartbeat_drops += 1
 
 
 class JobFailure(Exception):
@@ -187,8 +127,8 @@ def retry_backoff_s(
 #: The job currently executing in this process, set by ``execute_job``:
 #: ``key`` plus the checkpoint policy the orchestrator was given.
 #: Runners that support mid-job snapshots (``metrics``) read it to find
-#: where to save/resume; plain module state, per-process like
-#: ``_jobs_done``.
+#: where to save/resume; plain module state, so each worker process
+#: owns its copy.
 _active_job: Dict[str, object] = {}
 
 

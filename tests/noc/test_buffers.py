@@ -1,4 +1,8 @@
-"""Wormhole buffer tests: credits, entries, slots, retiring exposure."""
+"""Wormhole buffer tests: credits, entries, slots, retiring exposure.
+
+Flits move between buffers only in ``Router.commit``, so flit-level
+cases drive a real router; whole packets enter through ``push_complete``.
+"""
 
 import pytest
 
@@ -17,35 +21,35 @@ def pkt(size_beats=8, pid=1, write=True):
     return request_packet(pid, request, src=1, dst=0, cycle=0)
 
 
+def forward(downstream_flits, packet, cycles):
+    """Router 4 of a 3x3 mesh forwarding ``packet`` from its EAST input
+    towards node 0 (XY: out of WEST) into a ``downstream_flits`` lane,
+    ticked ``cycles`` times; returns (EAST input, downstream lane)."""
+    router = Router(4, Mesh(3, 3), lambda n, p: RoundRobinFlowController(), 8)
+    downstream = InputBuffer(downstream_flits)
+    router.connect(Port.WEST, downstream)
+    upstream = router.input_buffer(Port.EAST)
+    upstream.push_complete(packet)
+    for cycle in range(cycles):
+        router.tick(cycle)
+    return upstream, downstream
+
+
 class TestCredits:
     def test_occupancy_tracks_resident_flits(self):
-        buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt(size_beats=8))
-        assert buffer.occupancy_flits == 0
-        buffer.commit_flit(entry)
-        buffer.commit_flit(entry)
-        assert buffer.occupancy_flits == 2
-        # Occupancy is maintained incrementally, so flit departures must go
-        # through send_flit (the router's commit path does).
-        buffer.send_flit(entry)
-        assert buffer.occupancy_flits == 1
-        assert entry.sent == 1
+        # Cycle 0 claims WEST; cycles 1 and 2 each move one flit.
+        upstream, downstream = forward(8, pkt(size_beats=8), 3)  # 4 flits
+        assert upstream.occupancy_flits == 2
+        assert downstream.occupancy_flits == 2
+        assert upstream.head().sent == 2
+        assert downstream.head().received == 2
 
     def test_credit_exhausted_at_capacity(self):
-        buffer = InputBuffer(2)
-        entry = buffer.open_entry(pkt(size_beats=8))
-        buffer.commit_flit(entry)
-        buffer.commit_flit(entry)
-        assert not buffer.has_credit()
-        with pytest.raises(RuntimeError):
-            buffer.commit_flit(entry)
-
-    def test_commit_past_packet_end_rejected(self):
-        buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt(size_beats=2))  # 1 flit
-        buffer.commit_flit(entry)
-        with pytest.raises(RuntimeError):
-            buffer.commit_flit(entry)
+        upstream, downstream = forward(2, pkt(size_beats=8), 10)
+        # The lane filled and the rest of the packet waits upstream.
+        assert not downstream.has_credit()
+        assert downstream.occupancy_flits == 2
+        assert upstream.occupancy_flits == 2
 
 
 class TestInjection:
@@ -96,43 +100,42 @@ class TestPacketSlots:
 class TestCandidates:
     def test_head_candidate_needs_head_flit(self):
         buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt())
+        buffer.open_entry(pkt())
         assert buffer.head_candidate() is None
-        buffer.commit_flit(entry)
-        assert buffer.head_candidate() is entry
+        # A lane the router moved one flit into offers its entry.
+        _, downstream = forward(8, pkt(size_beats=8), 2)
+        assert downstream.head().received == 1
+        assert downstream.head_candidate() is downstream.head()
 
     def test_claimed_head_hides_candidate(self):
         buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt())
-        buffer.commit_flit(entry)
+        buffer.push_complete(pkt())
+        entry = buffer.head()
         entry.claimed = True
         assert buffer.head_candidate() is None
 
     def test_retiring_head_exposes_successor(self):
         buffer = InputBuffer(8)
-        first = buffer.open_entry(pkt(pid=1, size_beats=2))
-        buffer.commit_flit(first)
-        second = buffer.open_entry(pkt(pid=2, size_beats=2))
-        buffer.commit_flit(second)
+        buffer.push_complete(pkt(pid=1, size_beats=2))
+        buffer.push_complete(pkt(pid=2, size_beats=2))
+        first, second = buffer.entries
         first.claimed = True
         assert buffer.head_candidate() is None
         first.retiring = True
         assert buffer.head_candidate() is second
 
     def test_pop_complete_requires_full_arrival(self):
-        buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt(size_beats=8))  # 4 flits
-        buffer.commit_flit(entry)
-        assert buffer.pop_complete() is None
-        for _ in range(3):
-            buffer.commit_flit(entry)
-        popped = buffer.pop_complete()
-        assert popped is entry.packet
+        packet = pkt(size_beats=8)  # 4 flits
+        _, downstream = forward(8, packet, 2)
+        assert downstream.head().received == 1
+        assert downstream.pop_complete() is None
+        _, downstream = forward(8, packet, 5)
+        assert downstream.pop_complete() is packet
 
     def test_retire_head_requires_fully_sent(self):
         buffer = InputBuffer(8)
-        entry = buffer.open_entry(pkt(size_beats=2))
-        buffer.commit_flit(entry)
+        buffer.push_complete(pkt(size_beats=2))
+        entry = buffer.head()
         with pytest.raises(RuntimeError):
             buffer.retire_head()
         entry.sent = 1

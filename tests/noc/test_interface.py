@@ -7,6 +7,7 @@ import pytest
 from tests.helpers import make_request
 from repro.core.sagm import SagmSplitter
 from repro.dram.device import SdramDevice
+from repro.dram.controller import FinishedRequest
 from repro.dram.subsystem import ThinMemorySubsystem
 from repro.dram.timing import DramTiming
 from repro.noc.buffers import InputBuffer
@@ -178,6 +179,62 @@ class TestMemoryInterface:
             ni.tick(cycle)
         injection.pop_complete()
         assert ni.idle
+
+
+class ScriptedSubsystem:
+    """Finishes each scripted request at its data-ready cycle."""
+
+    idle = True
+
+    def __init__(self, finishes):
+        self.finishes = finishes  # data-ready cycle -> request
+        self.cycle = None
+
+    def tick(self, cycle):
+        self.cycle = cycle
+
+    def drain_finished(self):
+        request = self.finishes.pop(self.cycle, None)
+        if request is None:
+            return []
+        return [FinishedRequest(request, self.cycle)]
+
+    def can_accept(self, request):
+        return True
+
+
+@pytest.mark.parametrize("priority_responses,expected", [
+    (True, [2, 1, 3]),
+    (False, [1, 2, 3]),
+], ids=["on", "off"])
+def test_ready_priority_response_goes_first(priority_responses, expected):
+    """Responses become ready at cycles 95 (best-effort, id 1), 98
+    (priority, id 2) and 99 (best-effort, id 3) while the injection
+    buffer is full until cycle 104.  With ``priority_responses`` the
+    waiting priority response is injected first."""
+    from repro.noc.packet import response_packet
+
+    subsystem = ScriptedSubsystem({
+        94: make_request(request_id=1),
+        97: make_request(request_id=2, priority=True),
+        98: make_request(request_id=3),
+    })
+    injection = InputBuffer(12)
+    blocker = response_packet(0, make_request(beats=24), 0, 1, 0)
+    injection.push_complete(blocker)  # 12 flits: nothing else fits
+    ni = MemoryInterface(
+        node=0, subsystem=subsystem, sink=InputBuffer(64),
+        injection_buffer=injection, master_nodes={0: 1},
+        packet_ids=count(1), priority_responses=priority_responses,
+    )
+    for cycle in range(90, 105):
+        ni.tick(cycle)
+    assert injection.pop_complete() is blocker
+    ni.tick(105)
+    injected = []
+    while (packet := injection.pop_complete()) is not None:
+        injected.append(packet.request.request_id)
+    assert injected == expected
 
 
 def _wasted_tick_share(monkeypatch, config) -> float:

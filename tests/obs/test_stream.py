@@ -9,7 +9,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.stream import (
     RECORD_TYPES,
     TelemetryWriter,
-    append_record,
     host_manifest,
     prometheus_exposition,
     read_stream,
@@ -55,22 +54,6 @@ class TestTelemetryWriter:
         line = path.read_text().strip()
         keys = list(json.loads(line))
         assert keys == sorted(keys)
-
-
-class TestAppendRecord:
-    def test_interleaves_with_writer(self, tmp_path):
-        path = tmp_path / "t.ndjson"
-        writer = TelemetryWriter(path)
-        writer.emit("sweep_start", total=2)
-        # A worker process appends through its own one-shot handle.
-        append_record(str(path), "job_start", key="k", worker=123)
-        writer.emit("sweep_end", total=2)
-        types = [r["type"] for r in read_stream(path)]
-        assert types == ["sweep_start", "job_start", "sweep_end"]
-
-    def test_rejects_unknown_type(self, tmp_path):
-        with pytest.raises(ValueError):
-            append_record(tmp_path / "t.ndjson", "bogus")
 
 
 class TestReaders:

@@ -93,6 +93,7 @@ class TestConfigError:
         (dict(app="nonexistent"), "app"),
         (dict(virtual_channels=0), "virtual_channels"),
         (dict(link_buffer_flits=0), "link_buffer_flits"),
+        (dict(virtual_channels=3), "virtual_channels"),
     ])
     def test_every_rejection_names_its_field(self, kwargs, field):
         with pytest.raises(ConfigError) as excinfo:

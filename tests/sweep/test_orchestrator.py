@@ -6,6 +6,7 @@ cases exercise the real multiprocess path.
 """
 
 import os
+import signal
 import sys
 
 import pytest
@@ -43,6 +44,20 @@ def _domain_failure(params):
 def _crash(params):
     if params["x"] == 2:
         os._exit(13)  # hard worker death: no exception, no cleanup
+    return {"value": params["x"]}
+
+
+@register_runner("unpicklable")
+def _unpicklable(params):
+    return {"value": lambda: params["x"]}
+
+
+@register_runner("logged-crash-first")
+def _logged_crash_first(params):
+    with open(params["log"], "a") as handle:
+        handle.write(f"{params['x']}\n")
+    if params["x"] == 0:
+        os._exit(13)
     return {"value": params["x"]}
 
 
@@ -172,9 +187,8 @@ class TestParallel:
         assert sum(o.ok for o in report.outcomes) == 2
 
     def test_worker_crash_isolated_to_its_job(self):
-        # x == 2 kills its worker process outright; the pool breaks,
-        # the orchestrator re-runs unfinished jobs in isolation, and
-        # only the crasher is marked failed.
+        # x == 2 kills its worker process outright; only the job its
+        # slot held is marked failed, and the rest complete.
         jobs = [
             Job(kind="crash", params={"x": v}, label=f"x={v}")
             for v in [1, 2, 3, 4]
@@ -188,27 +202,54 @@ class TestParallel:
             assert by_label[label].record["result"]["value"] \
                 == int(label[2:])
 
-    def test_pool_broken_during_submit_isolates_the_rest(self, monkeypatch):
-        """A worker can die before the last job is submitted; ``submit``
-        then raises ``BrokenProcessPool``.  Jobs not yet submitted re-run
-        in isolation like every other suspect, so each still resolves."""
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    def test_crash_fails_one_job_and_reruns_none(self, tmp_path):
+        """A dead worker fails only the job its slot held; a fresh
+        process takes the slot and no job runs twice."""
+        log = tmp_path / "executions"
+        jobs = [
+            Job(
+                kind="logged-crash-first",
+                params={"x": v, "log": str(log)},
+                label=f"x={v}",
+            )
+            for v in range(12)
+        ]
+        report = run_sweep(jobs, workers=2)
+        assert report.failed == 1
+        assert sum(o.ok for o in report.outcomes) == 11
+        assert "worker process died" in report.record_for(jobs[0])["error"]
+        assert sorted(log.read_text().split()) == sorted(
+            str(v) for v in range(12)
+        )
 
-        real_submit = ProcessPoolExecutor.submit
+    def test_worker_dead_between_jobs_is_replaced(self, monkeypatch):
+        """A worker killed while idle holds no job: its slot forks a
+        fresh process for the next job, and every job completes."""
+        from repro.sweep.orchestrator import _Slot
 
-        def submit(pool, *args, **kwargs):
-            # Counted per pool: each isolated re-run submits once.
-            pool.submits_seen = getattr(pool, "submits_seen", 0) + 1
-            if pool.submits_seen >= 3:
-                raise BrokenProcessPool("a worker died before this submit")
-            return real_submit(pool, *args, **kwargs)
+        receive = _Slot.receive
+        killed = []
 
-        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        def receive_then_kill(slot):
+            payload = receive(slot)
+            if not killed:
+                killed.append(slot._process.pid)
+                os.kill(slot._process.pid, signal.SIGKILL)
+                slot._process.join()
+            return payload
+
+        monkeypatch.setattr(_Slot, "receive", receive_then_kill)
         report = run_sweep(echo_jobs(range(6)), workers=2)
+        assert killed
         assert report.failed == 0
         assert [o.record["result"]["value"] for o in report.outcomes] \
             == [v * 10 for v in range(6)]
+
+    def test_unpicklable_result_fails_its_job(self):
+        jobs = echo_jobs([1]) + [Job(kind="unpicklable", params={"x": 2})]
+        report = run_sweep(jobs, workers=2)
+        assert report.outcomes[0].ok
+        assert "pickle" in report.outcomes[1].record["error"]
 
     def test_crashed_point_cached_as_failure(self):
         store = ResultStore()

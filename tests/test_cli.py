@@ -115,6 +115,9 @@ class TestInputHardening:
         ["arbiters", "--apps", "single_dtv", "--arbiters", "engine",
          "--cycles", "700", "--warmup", "100", "--seeds", "2010",
          "--store", DIR],
+        ["run", "--vcs", "3"],
+        ["sweep", "grid", "--axis", "max_outstanding=1,4", "--store", STORE],
+        ["sweep", "grid", "--axis", "virtual_channels=3", "--store", STORE],
     ])
     def test_bad_value_is_usage_error(self, argv, capsys, tmp_path):
         (tmp_path / "file").write_text("")
