@@ -30,6 +30,7 @@ from .core.system import build_system
 from .sim.config import (
     PAPER_CLOCK_POINTS, DdrGeneration, NocDesign, SystemConfig,
 )
+from .sim.stats import QUANTILES, quantiles
 
 
 #: Default content-addressed result store shared by `repro all` and
@@ -55,7 +56,7 @@ def _ddr(value: str) -> DdrGeneration:
 
 
 def _arbiter(value: str) -> str:
-    from .dram.scheduler import registered_backends
+    from .dram.subsystem import registered_backends
 
     if value not in registered_backends():
         raise argparse.ArgumentTypeError(
@@ -168,7 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_args(run)
     run.add_argument(
         "--percentiles", action="store_true",
-        help="also report p50/p95/p99 latency (keeps per-request samples)",
+        help=(
+            f"also report {'/'.join(name for name, _ in QUANTILES)} "
+            "latency (keeps per-request samples)"
+        ),
     )
     run.add_argument(
         "--telemetry", type=_output_path, metavar="PATH", default=None,
@@ -731,12 +735,11 @@ def _cmd_run(args) -> int:
     if args.percentiles:
         series = system.stats.all_packets
         if series.count:
-            print(
-                "percentiles   : "
-                f"p50={series.percentile(50):.0f} "
-                f"p95={series.percentile(95):.0f} "
-                f"p99={series.percentile(99):.0f} cycles"
+            summary = " ".join(
+                f"{name}={value:.0f}"
+                for name, value in quantiles(series.samples).items()
             )
+            print(f"percentiles   : {summary} cycles")
         else:
             print("percentiles   : n/a (no completed requests)")
     if system.resilience is not None:
@@ -775,13 +778,8 @@ def _cmd_run(args) -> int:
         from .obs.stream import prometheus_exposition
 
         registry = system.collect_metrics()
-        for name, series in (
-            ("latency.all", system.stats.all_packets),
-            ("latency.demand", system.stats.demand_packets),
-        ):
-            histogram = registry.histogram(name)
-            for value in series.samples:
-                histogram.record(value)
+        registry.publish("latency.all", system.stats.all_packets)
+        registry.publish("latency.demand", system.stats.demand_packets)
         _ensure_parent(args.prom)
         Path(args.prom).write_text(
             prometheus_exposition(registry), encoding="utf-8"

@@ -305,17 +305,11 @@ class SocSystem:
     # Observability
     # ------------------------------------------------------------------ #
 
-    def attach_sampler(
-        self,
-        interval: int,
-        capacity: int = 512,
-        on_sample=None,
-        clock=None,
-    ):
+    def attach_sampler(self, interval: int, on_sample=None, clock=None):
         """Attach a live time-series sampler (see
         :mod:`repro.obs.timeseries`): every ``interval`` cycles the
-        system's counters are snapshotted into ring-buffered windows and
-        handed to ``on_sample`` (a telemetry stream writer, usually).
+        system's counters are summarised into a window, handed to
+        ``on_sample`` (a telemetry stream writer, usually).
 
         The sampler registers *last* on the simulator so each sample
         observes end-of-cycle state, and it arms itself for its window
@@ -331,7 +325,6 @@ class SocSystem:
         self.sampler = TimeSeriesSampler(
             SystemSampleSource(self),
             interval,
-            capacity=capacity,
             on_sample=on_sample,
             clock=clock,
         )

@@ -10,13 +10,7 @@ from .dpq import DpqScheduler, dpq_latency_bound, service_slot_cycles
 from .memmax import MemMaxScheduler, ThreadQueue
 from .protocol import ProtocolChecker, Violation, audit_engine
 from .refresh import RefreshTimer
-from .scheduler import (
-    SCHEDULER_BACKENDS,
-    Scheduler,
-    register_scheduler,
-    registered_backends,
-    resolve_backend,
-)
+from .scheduler import Scheduler
 from .waveform import WaveformCapture, attach as attach_waveform
 from .request import MemoryRequest, ServiceClass
 from .subsystem import (
@@ -25,6 +19,8 @@ from .subsystem import (
     ThinMemorySubsystem,
     build_memory_subsystem,
     default_backend_for,
+    registered_backends,
+    resolve_backend,
 )
 from .timing import GENERATION_TIMING, AnalogTiming, DramTiming
 
@@ -49,7 +45,6 @@ __all__ = [
     "PagePolicy",
     "ProtocolChecker",
     "RefreshTimer",
-    "SCHEDULER_BACKENDS",
     "Scheduler",
     "Violation",
     "WaveformCapture",
@@ -64,7 +59,6 @@ __all__ = [
     "build_memory_subsystem",
     "default_backend_for",
     "dpq_latency_bound",
-    "register_scheduler",
     "registered_backends",
     "resolve_backend",
     "service_slot_cycles",

@@ -28,7 +28,7 @@ from ..sim.config import SystemConfig
 from .controller import CommandEngine, PagePolicy
 from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import Scheduler, register_scheduler
+from .scheduler import Scheduler
 from .timing import DramTiming
 
 #: Regulation window length, cycles.
@@ -188,7 +188,6 @@ class BankRegulatedScheduler(Scheduler):
         return stats
 
 
-@register_scheduler("bank-reg")
 def build_bankreg_backend(
     config: SystemConfig,
     device: SdramDevice,

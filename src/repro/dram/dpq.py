@@ -40,7 +40,7 @@ from ..sim.config import SystemConfig
 from .controller import CommandEngine, PagePolicy
 from .device import SdramDevice
 from .request import MemoryRequest
-from .scheduler import Scheduler, register_scheduler
+from .scheduler import Scheduler
 from .timing import DramTiming
 
 #: Device burst-length mode the DPQ programs (supported by every DDR
@@ -204,7 +204,6 @@ class DpqScheduler(Scheduler):
         return stats
 
 
-@register_scheduler("dpq")
 def build_dpq_backend(
     config: SystemConfig,
     device: SdramDevice,

@@ -17,7 +17,7 @@ plumbing; a backend supplies only its front-end:
   window has space (decrementing ``queued`` for each), then tick the
   engine: at most one SDRAM command per cycle.
 
-Backends self-register in :data:`SCHEDULER_BACKENDS` under a short name
+:data:`repro.dram.subsystem.BACKENDS` names the five backends
 (``engine``, ``memmax``, ``databahn``, ``dpq``, ``bank-reg``); the
 ``arbiter`` field of :class:`~repro.sim.config.SystemConfig` selects one
 by name (validated at config-construction time), and ``None`` — the
@@ -26,7 +26,7 @@ default — keeps the paper's design-matched choice.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..sim.stats import LatencySeries
 from .controller import CommandEngine, FinishedRequest
@@ -139,63 +139,3 @@ class Scheduler:
             stats["service.bound"] = float(bound)
         stats["accepted"] = float(self.accepted)
         return stats
-
-
-# --------------------------------------------------------------------- #
-# Backend registry
-# --------------------------------------------------------------------- #
-
-#: name -> factory(config, device, timing, tracer) -> Scheduler.
-SCHEDULER_BACKENDS: Dict[str, Callable] = {}
-
-#: The backends that ship with the repo (import side effect registers
-#: them; anything user-registered on top is also honoured).
-_BUILTIN_MODULES = (
-    "repro.dram.subsystem",   # engine / memmax / databahn
-    "repro.dram.dpq",         # dynamic priority queue
-    "repro.dram.bankreg",     # per-bank bandwidth regulation
-)
-
-
-def register_scheduler(name: str):
-    """Decorator registering a backend factory under ``name`` (last wins).
-
-    A factory is called as ``factory(config, device, timing, tracer)``
-    and must return a :class:`Scheduler`.
-    """
-
-    def register(factory):
-        SCHEDULER_BACKENDS[name] = factory
-        return factory
-
-    return register
-
-
-def _load_builtin_backends() -> None:
-    import importlib
-
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def registered_backends() -> List[str]:
-    """Names of every registered backend, builtin ones guaranteed loaded."""
-    _load_builtin_backends()
-    return sorted(SCHEDULER_BACKENDS)
-
-
-def resolve_backend(name: str) -> Callable:
-    """The factory for ``name``; raises ``KeyError`` listing what exists.
-
-    Misspellings normally never reach this point: the ``arbiter`` field
-    is validated against :func:`registered_backends` when the
-    :class:`~repro.sim.config.SystemConfig` is constructed.
-    """
-    _load_builtin_backends()
-    try:
-        return SCHEDULER_BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown memory-arbiter backend {name!r}; "
-            f"registered: {registered_backends()}"
-        ) from None

@@ -17,24 +17,26 @@ Three subsystems appear in the paper's evaluation:
 All subsystems subclass :class:`~repro.dram.scheduler.Scheduler`, which
 owns admission accounting, draining, the event contract and the stats
 surface; each class here supplies only its front-end.  This module
-registers the three paper-era backends (``engine``, ``memmax``, and
+builds the three paper-era backends (``engine``, ``memmax``, and
 ``databahn`` — the thin subsystem with the Databahn lookahead window);
 the newer arbiters live in :mod:`repro.dram.dpq` and
-:mod:`repro.dram.bankreg`.
+:mod:`repro.dram.bankreg`.  :data:`BACKENDS` names all five.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from ..sim.config import DdrGeneration, NocDesign, SystemConfig
 from ..sim.stats import StatsCollector
+from .bankreg import build_bankreg_backend
 from .controller import CommandEngine, FinishedRequest, PagePolicy
 from .device import SdramDevice
+from .dpq import build_dpq_backend
 from .memmax import MemMaxScheduler
 from .request import MemoryRequest
-from .scheduler import Scheduler, register_scheduler, resolve_backend
+from .scheduler import Scheduler
 from .timing import DramTiming
 
 #: Command look-ahead depth of Denali's Databahn [27] ("prepares pages in
@@ -174,7 +176,6 @@ class ConvMemorySubsystem(Scheduler):
 # Backend factories (the paper-era schedulers)
 # --------------------------------------------------------------------- #
 
-@register_scheduler("memmax")
 def build_memmax_backend(
     config: SystemConfig,
     device: SdramDevice,
@@ -191,7 +192,6 @@ def build_memmax_backend(
     )
 
 
-@register_scheduler("databahn")
 def build_databahn_backend(
     config: SystemConfig,
     device: SdramDevice,
@@ -209,7 +209,6 @@ def build_databahn_backend(
     )
 
 
-@register_scheduler("engine")
 def build_engine_backend(
     config: SystemConfig,
     device: SdramDevice,
@@ -244,6 +243,37 @@ def build_engine_backend(
     )
 
 
+#: name -> factory(config, device, timing, tracer) -> Scheduler.
+BACKENDS: Dict[str, Callable] = {
+    "bank-reg": build_bankreg_backend,
+    "databahn": build_databahn_backend,
+    "dpq": build_dpq_backend,
+    "engine": build_engine_backend,
+    "memmax": build_memmax_backend,
+}
+
+
+def registered_backends() -> List[str]:
+    """Names of every memory-arbiter backend."""
+    return sorted(BACKENDS)
+
+
+def resolve_backend(name: str) -> Callable:
+    """The factory for ``name``; raises ``KeyError`` listing what exists.
+
+    Misspellings normally never reach this point: the ``arbiter`` field
+    is validated against :func:`registered_backends` when the
+    :class:`~repro.sim.config.SystemConfig` is constructed.
+    """
+    try:
+        return BACKENDS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown memory-arbiter backend {name!r}; "
+            f"registered: {registered_backends()}"
+        ) from None
+
+
 def default_backend_for(design: NocDesign) -> str:
     """The design-matched backend: what Section V pairs with each NoC."""
     if design in (NocDesign.CONV, NocDesign.CONV_PFS):
@@ -256,8 +286,9 @@ def build_memory_subsystem(
 ):
     """Construct device + scheduler backend for ``config``.
 
-    ``config.arbiter`` picks a registered backend by name;  ``None`` —
-    the default — resolves to the design-matched choice of Section V.
+    ``config.arbiter`` picks a backend of :data:`BACKENDS` by name;
+    ``None`` — the default — resolves to the design-matched choice of
+    Section V.
     """
     timing = DramTiming.for_clock(config.ddr, config.clock_mhz)
     device = SdramDevice(timing, stats=stats, tracer=tracer)

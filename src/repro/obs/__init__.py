@@ -6,15 +6,18 @@ One subsystem answers "where did this packet's cycles go?" at every layer
 * :mod:`repro.obs.events` / :mod:`repro.obs.tracer` — typed lifecycle
   events (``INJECT`` ... ``COMPLETE``) with a zero-overhead
   :class:`NullTracer` default and an in-memory recorder;
-* :mod:`repro.obs.metrics` — a counters/gauges/histograms registry that
-  absorbs the stack's ad-hoc counters behind one dotted namespace, with
-  a deterministic :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`;
+* :mod:`repro.obs.metrics` — a counters/gauges registry that absorbs
+  the stack's ad-hoc counters behind one dotted namespace, publishes
+  latency series (:class:`~repro.sim.stats.LatencySeries`, the one
+  distribution type) by reference, and has a deterministic
+  :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`;
 * :mod:`repro.obs.exporters` — Chrome trace-event JSON (Perfetto /
   chrome://tracing), JSONL dumps, per-request latency breakdowns;
 * :mod:`repro.obs.profiler` — :func:`profile_run`: simulator time and
   calls per layer (``repro`` module) under cProfile, for hot spots;
 * :mod:`repro.obs.timeseries` — interval sampler riding the event-core
-  wake queue: ring-buffered per-window rates and latency percentiles;
+  wake queue: per-window rates and latency quantiles, handed to a
+  callback as each window closes;
 * :mod:`repro.obs.stream` — the newline-JSON telemetry stream protocol
   (run manifests, samples, sweep heartbeats) plus Prometheus exposition;
 * :mod:`repro.obs.monitor` — the ``repro monitor`` live terminal view;
@@ -41,13 +44,13 @@ __getattr__, __dir__ = lazy_exports(globals(), {
                    "read_jsonl", "render_latency_report",
                    "validate_chrome_trace", "write_chrome_trace",
                    "write_jsonl"),
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry"),
     ".monitor": ("MonitorState", "run_monitor"),
     ".profiler": ("profile_run",),
     ".stream": ("TelemetryWriter", "host_manifest", "prometheus_exposition",
                 "read_stream", "run_manifest", "validate_stream"),
-    ".timeseries": ("RingBuffer", "Sample", "SampleSource",
-                    "SystemSampleSource", "TimeSeriesSampler"),
+    ".timeseries": ("Sample", "SampleSource", "SystemSampleSource",
+                    "TimeSeriesSampler"),
     ".tracer": ("NULL_TRACER", "MemoryTracer", "NullTracer", "Tracer"),
 })
 
@@ -55,7 +58,6 @@ __all__ = [
     "Counter",
     "EventType",
     "Gauge",
-    "Histogram",
     "LIFECYCLE_EVENT_TYPES",
     "MemoryTracer",
     "MetricsRegistry",
@@ -64,7 +66,6 @@ __all__ = [
     "NullTracer",
     "RESILIENCE_EVENT_TYPES",
     "RequestBreakdown",
-    "RingBuffer",
     "Sample",
     "SampleSource",
     "SystemSampleSource",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..sim.stats import LatencySeries, StatsCollector
+from ..sim.stats import LatencySeries, StatsCollector, quantiles
 
 if TYPE_CHECKING:
     from ..noc.network import MeshNetwork
@@ -92,11 +92,8 @@ class TailLatency:
             # tail; report zeros rather than propagate the ValueError.
             return cls(mean=0.0, p50=0.0, p95=0.0, p99=0.0, maximum=0)
         return cls(
-            mean=series.mean,
-            p50=series.percentile(50),
-            p95=series.percentile(95),
-            p99=series.percentile(99),
-            maximum=series.maximum,
+            mean=series.mean, maximum=series.maximum,
+            **quantiles(series.samples),
         )
 
 

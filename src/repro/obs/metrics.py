@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and histograms in one namespace.
+"""Metrics registry: counters, gauges, and latency series in one namespace.
 
 The simulator accumulates ad-hoc counters all over the stack — per-link
 flit counts on router outputs, buffer high-water marks, per-bank row
@@ -7,16 +7,18 @@ one queryable, dotted namespace (``noc.link.5.EAST.flits``,
 ``dram.bank3.row_hits``) so reports, exporters, and tests read a single
 source instead of spelunking component attributes.
 
-Metrics are created lazily and get-or-create by name;  requesting an
-existing name with a different metric kind is an error (one name, one
-meaning).
+Counters and gauges are created lazily and get-or-create by name;
+requesting an existing name with a different metric kind is an error
+(one name, one meaning).  A latency distribution is not copied in: an
+existing :class:`~repro.sim.stats.LatencySeries` is published under a
+name and read by reference.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Union
 
-from ..sim.stats import percentile
+from ..sim.stats import LatencySeries, quantiles
 
 
 class Counter:
@@ -35,7 +37,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-value metric with a convenience maximum tracker."""
+    """Last-value metric."""
 
     __slots__ = ("name", "value")
 
@@ -46,49 +48,12 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def track_max(self, value: float) -> None:
-        """Keep the high-water mark of ``value`` (e.g. buffer occupancy)."""
-        if value > self.value:
-            self.value = value
 
-
-class Histogram:
-    """Sample distribution: streaming count/total/min/max plus raw samples."""
-
-    __slots__ = ("name", "count", "total", "minimum", "maximum", "samples")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Optional[float] = None
-        self.maximum: Optional[float] = None
-        self.samples: List[float] = []
-
-    def record(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
-        self.samples.append(value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        if not self.samples:
-            raise ValueError(f"histogram {self.name!r} has no samples")
-        return percentile(self.samples, q)
-
-
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Gauge, LatencySeries]
 
 
 class MetricsRegistry:
-    """One queryable namespace of counters, gauges, and histograms."""
+    """One queryable namespace of counters, gauges, and latency series."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
@@ -110,8 +75,13 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get_or_create(name, Gauge)  # type: ignore[return-value]
 
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)  # type: ignore[return-value]
+    def publish(self, name: str, series: LatencySeries) -> LatencySeries:
+        """Register ``series`` under ``name``.  The registry holds the
+        series itself, so every later query reads its current state."""
+        if name in self._metrics:
+            raise ValueError(f"metric {name!r} already registered")
+        self._metrics[name] = series
+        return series
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -133,40 +103,33 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    def as_dict(self) -> Dict[str, Union[float, Dict[str, float]]]:
-        """Flat snapshot: scalars for counters/gauges, summaries for
-        histograms — the JSON-export form."""
-        return self.snapshot()
-
     def snapshot(self) -> Dict[str, Union[float, Dict[str, float]]]:
         """Deterministic flat snapshot of the whole namespace.
 
         Key order is guaranteed: metric names sorted lexicographically,
-        histogram summary fields in a fixed order — so ``json.dumps``
+        latency summary fields in a fixed order — so ``json.dumps``
         of two snapshots of identical state is byte-identical no matter
         what order the metrics were registered or updated in.  JSONL
         telemetry, the Prometheus exposition, and the exporters all
         build on this guarantee, which is what lets stream and export
         output diff cleanly across runs.
 
-        Histograms additionally report p50/p95/p99 when raw samples
-        were kept.
+        Latency series additionally report their
+        :data:`~repro.sim.stats.QUANTILES` when raw samples were kept.
         """
         snapshot: Dict[str, Union[float, Dict[str, float]]] = {}
         for name in self.names():
             metric = self._metrics[name]
-            if isinstance(metric, Histogram):
+            if isinstance(metric, LatencySeries):
                 summary: Dict[str, float] = {
                     "count": float(metric.count),
                     "mean": metric.mean,
                 }
                 if metric.count:
-                    summary["min"] = float(metric.minimum)  # type: ignore[arg-type]
-                    summary["max"] = float(metric.maximum)  # type: ignore[arg-type]
+                    summary["min"] = float(metric.minimum)
+                    summary["max"] = float(metric.maximum)
                 if metric.samples:
-                    summary["p50"] = metric.percentile(50)
-                    summary["p95"] = metric.percentile(95)
-                    summary["p99"] = metric.percentile(99)
+                    summary.update(quantiles(metric.samples))
                 snapshot[name] = summary
             else:
                 snapshot[name] = metric.value
@@ -177,7 +140,7 @@ class MetricsRegistry:
         lines = [f"{'metric':<44s} {'value':>12s}"]
         for name in self.names(prefix):
             metric = self._metrics[name]
-            if isinstance(metric, Histogram):
+            if isinstance(metric, LatencySeries):
                 value = (
                     f"n={metric.count} mean={metric.mean:.1f}"
                     if metric.count else "n=0"

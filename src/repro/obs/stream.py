@@ -43,7 +43,8 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, TextIO, Union
 
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from ..sim.stats import QUANTILES, LatencySeries, quantiles
+from .metrics import Counter, Gauge, MetricsRegistry
 
 #: Record types a well-formed stream may carry.
 RECORD_TYPES = frozenset([
@@ -57,26 +58,18 @@ RECORD_TYPES = frozenset([
 class TelemetryWriter:
     """Append newline-JSON records to a file, pipe, or text stream.
 
-    A path is truncated (``mode="w"``, the default) or kept
-    (``mode="a"``), then opened for appending; each record is one line,
-    flushed as it is written.
+    A path is truncated, then opened for appending; each record is one
+    line, flushed as it is written.
     """
 
-    def __init__(
-        self,
-        sink: Union[str, Path, TextIO],
-        mode: str = "w",
-    ) -> None:
-        if mode not in ("w", "a"):
-            raise ValueError(f"mode must be 'w' or 'a', got {mode!r}")
+    def __init__(self, sink: Union[str, Path, TextIO]) -> None:
         self.path: Optional[Path] = None
         self._owned = False
         if isinstance(sink, (str, Path)):
             self.path = Path(sink)
             if self.path.parent != Path(""):
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-            if mode == "w":
-                self.path.open("w", encoding="utf-8").close()
+            self.path.open("w", encoding="utf-8").close()
             self._handle = self.path.open("a", encoding="utf-8")
             self._owned = True
         else:
@@ -261,7 +254,7 @@ def prometheus_exposition(
 ) -> str:
     """Render a metrics registry in the Prometheus text format.
 
-    Counters and gauges become single series; histograms become
+    Counters and gauges become single series; latency series become
     summaries (``_count`` / ``_sum`` plus ``quantile`` series when raw
     samples were kept).  Metric order is the registry's deterministic
     sorted order, so two snapshots of identical state diff cleanly.
@@ -276,14 +269,14 @@ def prometheus_exposition(
         elif isinstance(metric, Gauge):
             lines.append(f"# TYPE {prom} gauge")
             lines.append(f"{prom} {metric.value}")
-        elif isinstance(metric, Histogram):
+        elif isinstance(metric, LatencySeries):
             lines.append(f"# TYPE {prom} summary")
             if metric.samples:
-                for label, q in (("0.5", 50.0), ("0.95", 95.0), ("0.99", 99.0)):
+                summary = quantiles(metric.samples)
+                for key, q in QUANTILES:
                     lines.append(
-                        f'{prom}{{quantile="{label}"}} '
-                        f"{metric.percentile(q)}"
+                        f'{prom}{{quantile="{q / 100}"}} {summary[key]}'
                     )
-            lines.append(f"{prom}_sum {metric.total}")
+            lines.append(f"{prom}_sum {float(metric.total)}")
             lines.append(f"{prom}_count {metric.count}")
     return "\n".join(lines) + "\n"

@@ -1,13 +1,13 @@
-"""Time-resolved metrics: interval sampling into ring-buffered series.
+"""Time-resolved metrics: interval sampling into per-window records.
 
 Everything else in :mod:`repro.obs` is post-mortem — the registry,
 tracer, and profiler report once, at end of run.  This module makes the
 same counters *time-resolved*: a :class:`TimeSeriesSampler` snapshots a
 :class:`SampleSource` every ``interval`` cycles and turns cumulative
 counters into per-window deltas and rates (and latency series into
-per-window p50/p95/p99), keeping the most recent windows in a fixed-size
-ring buffer and handing each :class:`Sample` to an optional ``on_sample``
-callback (the telemetry stream writer, usually).
+per-window :data:`~repro.sim.stats.QUANTILES`), handing each
+:class:`Sample` to an optional ``on_sample`` callback (the telemetry
+stream writer, usually) and keeping only the last one.
 
 The sampler is an ordinary simulator component speaking the *event*
 dispatch contract (see :mod:`repro.sim.engine`):
@@ -31,10 +31,10 @@ monitor) but are never part of simulated state.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
-from ..sim.stats import percentile
+from ..sim.stats import LatencySeries, quantiles
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class Sample:
     rates: Dict[str, float]
     #: Instantaneous gauge readings at the window's end.
     gauges: Dict[str, float]
-    #: Per-latency-class window summaries: count/mean always, p50/p95/p99
-    #: when the source keeps raw samples.
+    #: Per-latency-class window summaries: count/mean always, the
+    #: quantiles when the source keeps raw samples.
     latency: Dict[str, Dict[str, float]]
     #: Wall-clock seconds (``time.perf_counter`` domain) at emission —
     #: observability only, never simulated state.
@@ -87,64 +87,14 @@ class Sample:
         }
 
 
-class RingBuffer:
-    """Fixed-capacity ring of the most recent samples (oldest evicted)."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._items: List[Sample] = []
-        self._start = 0
-        #: Total samples ever appended (evicted ones included).
-        self.appended = 0
-
-    def append(self, item: Sample) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(item)
-        else:
-            self._items[self._start] = item
-            self._start = (self._start + 1) % self.capacity
-        self.appended += 1
-
-    @property
-    def evicted(self) -> int:
-        return self.appended - len(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self):
-        n = len(self._items)
-        for offset in range(n):
-            yield self._items[(self._start + offset) % n]
-
-    def last(self) -> Optional[Sample]:
-        if not self._items:
-            return None
-        return self._items[(self._start - 1) % len(self._items)]
-
-    def series(self, key: str, kind: str = "rates") -> List[float]:
-        """One metric's values across the buffered windows, oldest first."""
-        return [getattr(sample, kind).get(key, 0.0) for sample in self]
-
-
-def window_percentiles(values: Sequence[float]) -> Dict[str, float]:
-    """p50/p95/p99 of one window's latency samples (R-7, see
-    :func:`repro.sim.stats.percentile`)."""
-    return {
-        name: percentile(values, q)
-        for name, q in (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
-    }
-
-
 class SampleSource:
     """What the sampler reads every window.  Subclass or duck-type:
 
     * :meth:`counters` — cumulative, monotone scalars (diffed to rates);
     * :meth:`gauges` — instantaneous scalars (reported as-is);
-    * :meth:`latency_series` — per-class objects exposing ``count``,
-      ``total``, and (optionally populated) ``samples``.
+    * :meth:`latency_series` — per-class
+      :class:`~repro.sim.stats.LatencySeries` (or objects exposing its
+      ``count``, ``total`` and, possibly empty, ``samples``).
     """
 
     def counters(self) -> Dict[str, float]:
@@ -153,7 +103,7 @@ class SampleSource:
     def gauges(self) -> Dict[str, float]:
         return {}
 
-    def latency_series(self) -> Mapping[str, object]:
+    def latency_series(self) -> Mapping[str, LatencySeries]:
         return {}
 
 
@@ -204,7 +154,7 @@ class SystemSampleSource(SampleSource):
             ),
         }
 
-    def latency_series(self) -> Mapping[str, object]:
+    def latency_series(self) -> Mapping[str, LatencySeries]:
         stats = self.system.stats
         return {"all": stats.all_packets, "demand": stats.demand_packets}
 
@@ -213,9 +163,10 @@ class TimeSeriesSampler:
     """Interval sampler as a first-class wake-queue client.
 
     Register with ``simulator.add(sampler)`` *after* the system's other
-    components so each sample observes end-of-cycle state.  The engine
-    also treats it as a run listener (``on_run_start``/``on_run_end``),
-    which is how partial trailing windows get flushed at every
+    components so each sample observes end-of-cycle state.  The counter
+    baseline of the first window is taken at construction.  The engine
+    also treats it as a run listener (``on_run_end``), which is how
+    partial trailing windows get flushed at every
     :meth:`~repro.sim.engine.Simulator.run` exit.
     """
 
@@ -223,7 +174,6 @@ class TimeSeriesSampler:
         self,
         source: SampleSource,
         interval: int,
-        capacity: int = 512,
         on_sample: Optional[Callable[[Sample], None]] = None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -231,27 +181,28 @@ class TimeSeriesSampler:
             raise ValueError("sampling interval must be positive")
         self.source = source
         self.interval = interval
-        self.samples = RingBuffer(capacity)
         self.on_sample = on_sample
         self._clock = clock if clock is not None else time.perf_counter
         #: Next window-boundary cycle (the cycle whose tick emits).
         self._next = interval - 1
         #: Last cycle already covered by an emitted sample.
         self._covered = -1
-        self._baseline: Optional[Dict[str, float]] = None
-        self._latency_counts: Dict[str, int] = {}
-        self._latency_totals: Dict[str, float] = {}
-        self._latency_seen: Dict[str, int] = {}
+        #: Counter readings and per-class latency marks at the last
+        #: emission (at construction before the first).
+        self._baseline = dict(source.counters())
+        self._marks = self._latency_marks()
         #: Total samples emitted (a coalesced sample counts once).
         self.emitted = 0
+        #: The most recent sample emitted.
+        self.last: Optional[Sample] = None
 
     def __getstate__(self):
         """Emission plumbing is process-local and never serialized: the
         ``on_sample`` callback usually holds an open telemetry stream and
         ``_clock`` may be any local callable.  Counter state (windows,
-        baselines, ring buffer) round-trips, so a restored run samples on
-        the same boundaries — re-attach a writer before resuming if live
-        emission should continue."""
+        baselines, the last sample) round-trips, so a restored run
+        samples on the same boundaries — re-attach a writer before
+        resuming if live emission should continue."""
         state = self.__dict__.copy()
         state["on_sample"] = None
         state["_clock"] = None
@@ -272,12 +223,6 @@ class TimeSeriesSampler:
     def event_wake_at(self, cycle: int) -> Optional[int]:
         return self._next if self._next > cycle else cycle + 1
 
-    def on_run_start(self, cycle: int) -> None:
-        # Capture the counter baseline lazily so attach order (and any
-        # pre-run warm state) is irrelevant.
-        if self._baseline is None:
-            self._ensure_baseline()
-
     def on_run_end(self, cycle: int) -> None:
         """Flush the trailing partial window at every run exit."""
         self.flush(cycle)
@@ -286,12 +231,12 @@ class TimeSeriesSampler:
     # Sampling
     # ------------------------------------------------------------------ #
 
-    def _ensure_baseline(self) -> None:
-        self._baseline = dict(self.source.counters())
-        for name, series in self.source.latency_series().items():
-            self._latency_counts[name] = series.count
-            self._latency_totals[name] = float(series.total)
-            self._latency_seen[name] = len(getattr(series, "samples", ()))
+    def _latency_marks(self) -> Dict[str, Tuple[int, float, int]]:
+        """Per class: completions, latency total and samples kept."""
+        return {
+            name: (series.count, float(series.total), len(series.samples))
+            for name, series in self.source.latency_series().items()
+        }
 
     def _catch_up(self, now: int) -> None:
         """Emit every sample due at or before ``now`` as one record.
@@ -315,11 +260,9 @@ class TimeSeriesSampler:
             self._catch_up(end)
         if end > self._covered:
             return self._emit(end, windows=0, partial=True)
-        return self.samples.last()
+        return self.last
 
     def _emit(self, end: int, windows: int, partial: bool) -> Sample:
-        if self._baseline is None:
-            self._ensure_baseline()
         span = end - self._covered
         counters = self.source.counters()
         baseline = self._baseline
@@ -330,20 +273,16 @@ class TimeSeriesSampler:
         rates = {name: delta / span for name, delta in deltas.items()}
         latency: Dict[str, Dict[str, float]] = {}
         for name, series in self.source.latency_series().items():
-            count = series.count - self._latency_counts.get(name, 0)
-            total = float(series.total) - self._latency_totals.get(name, 0.0)
+            count0, total0, seen = self._marks.get(name, (0, 0.0, 0))
+            count = series.count - count0
+            total = float(series.total) - total0
             summary: Dict[str, float] = {
                 "count": float(count),
                 "mean": total / count if count else 0.0,
             }
-            raw = getattr(series, "samples", None)
-            seen = self._latency_seen.get(name, 0)
-            if raw is not None and len(raw) > seen:
-                summary.update(window_percentiles(raw[seen:]))
+            if len(series.samples) > seen:
+                summary.update(quantiles(series.samples[seen:]))
             latency[name] = summary
-            self._latency_counts[name] = series.count
-            self._latency_totals[name] = float(series.total)
-            self._latency_seen[name] = len(raw) if raw is not None else 0
         sample = Sample(
             cycle=end,
             span=span,
@@ -357,8 +296,9 @@ class TimeSeriesSampler:
             wall_s=self._clock(),
         )
         self._baseline = counters
+        self._marks = self._latency_marks()
         self._covered = end
-        self.samples.append(sample)
+        self.last = sample
         self.emitted += 1
         if self.on_sample is not None:
             self.on_sample(sample)

@@ -26,9 +26,6 @@ from .events import EventType, TraceEvent
 class Tracer:
     """Tracer interface (see module docstring for the emission contract)."""
 
-    #: Falsy tracers are skipped at every instrumentation site.
-    enabled = True
-
     def __bool__(self) -> bool:
         # Explicit so subclasses defining __len__ (like MemoryTracer when
         # empty) stay truthy: "is there a tracer" must not depend on
@@ -49,8 +46,6 @@ class Tracer:
 
 class NullTracer(Tracer):
     """Discards everything; falsy so emission sites skip it entirely."""
-
-    enabled = False
 
     def __bool__(self) -> bool:
         return False

@@ -177,7 +177,7 @@ class SystemConfig:
             # SystemConfig.  Validating here turns a misspelled backend
             # name into a ConfigError at the call site instead of a deep
             # construction-time KeyError.
-            from ..dram.scheduler import registered_backends
+            from ..dram.subsystem import registered_backends
 
             if self.arbiter not in registered_backends():
                 raise ConfigError(

@@ -51,13 +51,12 @@ Component contract
   :meth:`Simulator.run` entry whether event dispatch is active, so
   components can enable internal event-only shortcuts (e.g. router sleep
   states) only when the reference kernel is not in use.
-* ``on_run_start(cycle)`` / ``on_run_end(cycle)`` (optional) — run
-  brackets: called at every :meth:`Simulator.run` entry and exit (exit
-  fires even when the run raises).  This is how observation components —
-  the telemetry sampler above all — flush partial state at run
-  boundaries without the system layer having to know about them: the
-  sampler is just another registered component, armed on the wake queue
-  like everything else.
+* ``on_run_end(cycle)`` (optional) — called at every
+  :meth:`Simulator.run` exit, even when the run raises.  This is how
+  observation components — the telemetry sampler above all — flush
+  partial state at run boundaries without the system layer having to
+  know about them: the sampler is just another registered component,
+  armed on the wake queue like everything else.
 
 Serialization
 -------------
@@ -118,7 +117,6 @@ class Simulator:
         self._ticks: List[Callable[[int], None]] = []
         self._event_wakes: List[Callable[[int], Optional[int]]] = []
         self._mode_hooks: List[Callable[[bool], None]] = []
-        self._run_starts: List[Callable[[int], None]] = []
         self._run_ends: List[Callable[[int], None]] = []
         #: Armed wake cycle per component (_NEVER = not armed); the heap
         #: holds (cycle, index) entries validated lazily against it.
@@ -166,9 +164,6 @@ class Simulator:
         mode_hook = getattr(component, "on_run_mode", None)
         if callable(mode_hook):
             self._mode_hooks.append(mode_hook)
-        run_start = getattr(component, "on_run_start", None)
-        if callable(run_start):
-            self._run_starts.append(run_start)
         run_end = getattr(component, "on_run_end", None)
         if callable(run_end):
             self._run_ends.append(run_end)
@@ -360,8 +355,6 @@ class Simulator:
     def _run_bracketed(
         self, cycles: int, until: Optional[Callable[[], bool]]
     ) -> int:
-        for run_start in self._run_starts:
-            run_start(self._cycle)
         try:
             return self._run(cycles, until)
         finally:

@@ -24,19 +24,36 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 
+#: The reported quantiles, by name: every latency summary (the registry
+#: snapshot, the Prometheus exposition, the sampler's windows, ``repro
+#: run --percentiles`` and the tail-latency report) carries these.
+QUANTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
+
+
 def percentile(samples: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0-100) of ``samples``, with linear
     interpolation between closest ranks (the numpy/R-7 default).
 
     The one estimator behind every reported percentile:
-    :meth:`LatencySeries.percentile`, the metrics registry's histograms
-    and the sampler's per-window p50/p95/p99.
+    :meth:`LatencySeries.percentile` and :func:`quantiles`.
     """
     if not 0 <= q <= 100:
         raise ValueError("percentile must be within [0, 100]")
     if not samples:
         raise ValueError("percentile of no samples")
+    return _interpolate(sorted(samples), q)
+
+
+def quantiles(samples: Sequence[float]) -> Dict[str, float]:
+    """The :data:`QUANTILES` of ``samples``, by :func:`percentile`'s
+    estimator, sorting the samples once."""
+    if not samples:
+        raise ValueError("percentile of no samples")
     ordered = sorted(samples)
+    return {name: _interpolate(ordered, q) for name, q in QUANTILES}
+
+
+def _interpolate(ordered: Sequence[float], q: float) -> float:
     rank = q / 100 * (len(ordered) - 1)
     lower = int(rank)
     fraction = rank - lower
@@ -47,7 +64,12 @@ def percentile(samples: Sequence[float], q: float) -> float:
 
 @dataclass
 class LatencySeries:
-    """Running latency statistics for one request class."""
+    """Running latency statistics for one request class.
+
+    The one latency-distribution type: a
+    :class:`~repro.obs.metrics.MetricsRegistry` publishes a series by
+    reference, and the telemetry sampler reads its windows from one.
+    """
 
     count: int = 0
     total: int = 0

@@ -22,7 +22,9 @@ Failure containment is per point, never per sweep:
 * a worker process that dies outright (segfault, ``os._exit``, OOM
   kill) fails exactly the job its slot held, since a slot holds one;
   a fresh process takes the slot for the next job, and no other job
-  runs twice.
+  runs twice;
+* a parent that dies outright leaves no worker behind: each worker
+  also waits on its parent's sentinel and exits when it fires.
 
 Workers are forked where available (Linux/macOS ``fork`` context) so
 runner registrations made by the parent are visible without re-import;
@@ -293,8 +295,19 @@ def _default_context():
 
 def _serve(conn, job_kwargs: Dict[str, object]) -> None:
     """A worker process's body: run each ``(kind, params, key)`` that
-    arrives on ``conn`` and send its payload back, until ``None``."""
-    for kind, params, key in iter(conn.recv, None):
+    arrives on ``conn`` and send its payload back, until ``None`` or
+    the parent's death.
+
+    A parent that dies leaves the pipe open, since this worker and any
+    forked after it hold copies of the parent's ends, so the worker also
+    waits on the parent's sentinel.
+    """
+    parent = multiprocessing.parent_process().sentinel
+    while parent not in wait([conn, parent]):
+        message = conn.recv()
+        if message is None:
+            return
+        kind, params, key = message
         payload = execute_job(kind, params, key, **job_kwargs)
         try:
             conn.send(payload)

@@ -216,7 +216,8 @@ def replay_into_system(
 
     Feeding the same request stream to different NoC designs isolates
     scheduling effects from the closed-loop feedback of the live
-    generators; the golden-identity tests replay traces this way.
+    generators; two golden-identity tests replay scripted traffic this
+    way to compare event and naive dispatch on one request stream.
     """
     for interface, core in zip(system.core_interfaces, system.cores):
         entries = traces.get(core.master, [])

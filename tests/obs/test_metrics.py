@@ -2,7 +2,15 @@
 
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
+from repro.sim.stats import LatencySeries
+
+
+def series_of(values, keep_samples=True):
+    series = LatencySeries(keep_samples=keep_samples)
+    for value in values:
+        series.record(value)
+    return series
 
 
 class TestCounter:
@@ -23,40 +31,47 @@ class TestGauge:
         gauge.set(3.5)
         assert gauge.value == 3.5
 
-    def test_track_max(self):
-        gauge = Gauge("g")
-        for value in (2, 7, 4):
-            gauge.track_max(value)
-        assert gauge.value == 7
-
 
 class TestHistogram:
+    """A published :class:`LatencySeries` is the registry's histogram."""
+
     def test_streaming_summary(self):
-        hist = Histogram("h")
-        for value in (1, 2, 3):
-            hist.record(value)
+        registry = MetricsRegistry()
+        hist = registry.publish("h", series_of((1, 2, 3)))
+        assert registry.get("h") is hist
         assert hist.count == 3
         assert hist.mean == 2.0
         assert hist.minimum == 1
         assert hist.maximum == 3
 
     def test_percentile(self):
-        hist = Histogram("h")
-        for value in range(1, 101):
-            hist.record(value)
+        hist = series_of(range(1, 101))
         assert hist.percentile(0) == 1
         assert hist.percentile(100) == 100
         assert 49 <= hist.percentile(50) <= 51
 
     def test_empty_percentile_raises(self):
-        with pytest.raises(ValueError, match="no samples"):
-            Histogram("h").percentile(50)
+        with pytest.raises(ValueError, match="empty series"):
+            series_of(()).percentile(50)
 
     def test_percentile_bounds(self):
-        hist = Histogram("h")
-        hist.record(1)
         with pytest.raises(ValueError):
-            hist.percentile(101)
+            series_of((1,)).percentile(101)
+
+    def test_published_by_reference(self):
+        registry = MetricsRegistry()
+        series = registry.publish("lat", series_of((4,)))
+        series.record(8)
+        assert registry.snapshot()["lat"]["count"] == 2.0
+
+    def test_publish_rejects_a_taken_name(self):
+        registry = MetricsRegistry()
+        registry.counter("lat")
+        with pytest.raises(ValueError, match="already registered"):
+            registry.publish("lat", series_of((4,)))
+        registry.publish("series", series_of((4,)))
+        with pytest.raises(ValueError, match="already registered"):
+            registry.counter("series")
 
 
 class TestRegistry:
@@ -88,12 +103,12 @@ class TestRegistry:
         assert registry.names("noc") == ["noc.link.flits", "noc.link.packets"]
         assert len(registry.names()) == 4
 
-    def test_as_dict(self):
+    def test_snapshot_values(self):
         registry = MetricsRegistry()
         registry.counter("c").inc(3)
         registry.gauge("g").set(1.5)
-        registry.histogram("h").record(10)
-        snapshot = registry.as_dict()
+        registry.publish("h", series_of((10,)))
+        snapshot = registry.snapshot()
         assert snapshot["c"] == 3
         assert snapshot["g"] == 1.5
         assert snapshot["h"]["count"] == 1.0
@@ -102,7 +117,7 @@ class TestRegistry:
     def test_render_lists_all(self):
         registry = MetricsRegistry()
         registry.counter("dram.commands").inc(2)
-        registry.histogram("lat").record(5)
+        registry.publish("lat", series_of((5,)))
         text = registry.render()
         assert "dram.commands" in text
         assert "n=1" in text
@@ -118,9 +133,7 @@ class TestSnapshotDeterminism:
         for name in order:
             registry.counter(f"counter.{name}").inc(3)
         registry.gauge("gauge.z").set(1.0)
-        hist = registry.histogram("hist.lat")
-        for value in (5.0, 1.0, 9.0):
-            hist.record(value)
+        registry.publish("hist.lat", series_of((5, 1, 9)))
 
     def test_json_dumps_byte_identical_across_orders(self):
         import json
@@ -139,22 +152,27 @@ class TestSnapshotDeterminism:
 
     def test_histogram_summary_field_order_fixed(self):
         registry = MetricsRegistry()
-        registry.histogram("h").record(4.0)
+        registry.publish("h", series_of((4,)))
         summary = registry.snapshot()["h"]
         assert list(summary) == ["count", "mean", "min", "max", "p50",
                                  "p95", "p99"]
 
     def test_empty_histogram_omits_extremes(self):
         registry = MetricsRegistry()
-        registry.histogram("h")
+        registry.publish("h", series_of(()))
         summary = registry.snapshot()["h"]
         assert list(summary) == ["count", "mean"]
 
+    def test_series_without_samples_omits_quantiles(self):
+        registry = MetricsRegistry()
+        registry.publish("h", series_of((3, 5), keep_samples=False))
+        assert registry.snapshot()["h"] == {
+            "count": 2.0, "mean": 4.0, "min": 3.0, "max": 5.0,
+        }
+
     def test_percentiles_reported_when_samples_kept(self):
         registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        for value in range(1, 101):
-            hist.record(float(value))
+        registry.publish("h", series_of(range(1, 101)))
         summary = registry.snapshot()["h"]
         assert summary["p95"] == 95.05
         assert summary["min"] == 1.0 and summary["max"] == 100.0

@@ -16,6 +16,7 @@ from repro.obs.stream import (
     validate_stream,
 )
 from repro.sim.config import SystemConfig
+from repro.sim.stats import LatencySeries
 
 
 class TestTelemetryWriter:
@@ -119,9 +120,11 @@ class TestPrometheus:
         registry = MetricsRegistry()
         registry.counter("noc.link.flits").inc(7)
         registry.gauge("buffer.highwater").set(3.0)
-        hist = registry.histogram("latency.all")
-        for value in (10.0, 20.0, 30.0):
-            hist.record(value)
+        series = registry.publish(
+            "latency.all", LatencySeries(keep_samples=True)
+        )
+        for value in (10, 20, 30):
+            series.record(value)
         text = prometheus_exposition(registry)
         assert "# TYPE repro_noc_link_flits counter" in text
         assert "repro_noc_link_flits 7" in text

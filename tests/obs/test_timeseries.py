@@ -1,65 +1,10 @@
-"""Time-series sampler: windowing, coalescing, ring buffer, system runs."""
+"""Time-series sampler: windows, coalescing, window quantiles, system runs."""
 
 import pytest
 
 from repro.core.system import build_system
-from repro.obs.timeseries import (
-    RingBuffer,
-    Sample,
-    SampleSource,
-    TimeSeriesSampler,
-    window_percentiles,
-)
+from repro.obs.timeseries import SampleSource, TimeSeriesSampler
 from repro.sim.config import NocDesign, SystemConfig
-
-
-def make_sample(cycle, span=1, **overrides):
-    fields = dict(
-        cycle=cycle, span=span, windows=1, partial=False,
-        totals={}, deltas={}, rates={"x": float(cycle)}, gauges={},
-        latency={}, wall_s=0.0,
-    )
-    fields.update(overrides)
-    return Sample(**fields)
-
-
-class TestRingBuffer:
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RingBuffer(0)
-
-    def test_keeps_most_recent_in_order(self):
-        ring = RingBuffer(3)
-        for cycle in range(5):
-            ring.append(make_sample(cycle))
-        assert [s.cycle for s in ring] == [2, 3, 4]
-        assert ring.last().cycle == 4
-        assert ring.appended == 5
-        assert ring.evicted == 2
-
-    def test_series_extracts_one_metric(self):
-        ring = RingBuffer(4)
-        for cycle in range(3):
-            ring.append(make_sample(cycle))
-        assert ring.series("x") == [0.0, 1.0, 2.0]
-        assert ring.series("missing") == [0.0, 0.0, 0.0]
-
-    def test_empty_last_is_none(self):
-        assert RingBuffer(2).last() is None
-
-
-class TestWindowPercentiles:
-    def test_single_value(self):
-        assert window_percentiles([7.0]) == {
-            "p50": 7.0, "p95": 7.0, "p99": 7.0
-        }
-
-    def test_nearest_rank(self):
-        values = [float(v) for v in range(1, 101)]
-        out = window_percentiles(values)
-        assert 49.0 <= out["p50"] <= 51.0
-        assert out["p95"] == 95.05
-        assert out["p99"] == 99.01
 
 
 class FakeSeries:
@@ -92,6 +37,40 @@ class FakeSource(SampleSource):
         return {"all": self.series}
 
 
+def sampler_for(source, interval):
+    """A sampler whose emissions collect in ``sampler.seen``."""
+    seen = []
+    sampler = TimeSeriesSampler(
+        source, interval, on_sample=seen.append, clock=lambda: 0.0
+    )
+    sampler.seen = seen
+    return sampler
+
+
+class TestWindowPercentiles:
+    """Each window reports the quantiles of its own latency samples."""
+
+    def test_single_value(self):
+        source = FakeSource()
+        sampler = sampler_for(source, 10)
+        source.series.record(7.0)
+        sampler.tick(9)
+        assert sampler.last.latency["all"] == {
+            "count": 1.0, "mean": 7.0, "p50": 7.0, "p95": 7.0, "p99": 7.0
+        }
+
+    def test_nearest_rank(self):
+        source = FakeSource()
+        sampler = sampler_for(source, 10)
+        for value in range(1, 101):
+            source.series.record(float(value))
+        sampler.tick(9)
+        out = sampler.last.latency["all"]
+        assert 49.0 <= out["p50"] <= 51.0
+        assert out["p95"] == 95.05
+        assert out["p99"] == 99.01
+
+
 class TestSampler:
     def test_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
@@ -99,13 +78,12 @@ class TestSampler:
 
     def test_window_deltas_and_rates(self):
         source = FakeSource()
-        sampler = TimeSeriesSampler(source, 10, clock=lambda: 0.0)
-        sampler.on_run_start(0)
+        sampler = sampler_for(source, 10)
         for cycle in range(25):
             source.done += 1
             sampler.tick(cycle)
         assert sampler.emitted == 2
-        samples = list(sampler.samples)
+        samples = sampler.seen
         assert [s.cycle for s in samples] == [9, 19]
         assert all(s.span == 10 and s.windows == 1 for s in samples)
         assert samples[0].deltas["done"] == 10.0
@@ -115,14 +93,13 @@ class TestSampler:
 
     def test_coalesced_gap_emits_one_sample(self):
         source = FakeSource()
-        sampler = TimeSeriesSampler(source, 10, clock=lambda: 0.0)
-        sampler.on_run_start(0)
+        sampler = sampler_for(source, 10)
         source.done = 35.0
         # Ticked first at cycle 34, three window boundaries late: a
         # sampler attached to a system that has already run starts so.
         sampler.tick(34)
         assert sampler.emitted == 1
-        sample = sampler.samples.last()
+        sample = sampler.last
         assert sample.windows == 3  # boundaries 9, 19, 29 folded
         assert sample.cycle == 29
         assert sample.span == 30
@@ -132,13 +109,12 @@ class TestSampler:
 
     def test_flush_emits_trailing_partial(self):
         source = FakeSource()
-        sampler = TimeSeriesSampler(source, 10, clock=lambda: 0.0)
-        sampler.on_run_start(0)
+        sampler = sampler_for(source, 10)
         for cycle in range(14):
             source.done += 1
             sampler.tick(cycle)
         sampler.on_run_end(14)
-        last = sampler.samples.last()
+        last = sampler.last
         assert last.partial and last.windows == 0
         assert last.cycle == 13 and last.span == 4
         assert last.deltas["done"] == 4.0
@@ -148,30 +124,28 @@ class TestSampler:
 
     def test_deltas_sum_to_totals(self):
         source = FakeSource()
-        sampler = TimeSeriesSampler(source, 7, clock=lambda: 0.0)
-        sampler.on_run_start(0)
+        sampler = sampler_for(source, 7)
         for cycle in range(40):
             source.done += (cycle % 3)
             sampler.tick(cycle)
         sampler.on_run_end(40)
-        total = sum(s.deltas["done"] for s in sampler.samples)
+        total = sum(s.deltas["done"] for s in sampler.seen)
         assert total == source.done
 
     def test_window_latency_percentiles(self):
         source = FakeSource()
-        sampler = TimeSeriesSampler(source, 10, clock=lambda: 0.0)
-        sampler.on_run_start(0)
+        sampler = sampler_for(source, 10)
         for value in (5.0, 10.0, 15.0):
             source.series.record(value)
         sampler.tick(9)
-        first = sampler.samples.last().latency["all"]
+        first = sampler.last.latency["all"]
         assert first["count"] == 3.0
         assert first["mean"] == pytest.approx(10.0)
         assert first["p50"] == 10.0
         # The next window only sees *new* samples.
         source.series.record(100.0)
         sampler.tick(19)
-        second = sampler.samples.last().latency["all"]
+        second = sampler.last.latency["all"]
         assert second["count"] == 1.0
         assert second["p95"] == 100.0
 
@@ -182,26 +156,34 @@ class TestSampler:
         assert sampler.event_wake_at(9) == 10  # boundary tick pending
 
     def test_on_sample_callback_sees_every_emission(self):
-        seen = []
-        source = FakeSource()
-        sampler = TimeSeriesSampler(
-            source, 10, on_sample=seen.append, clock=lambda: 0.0
-        )
-        sampler.on_run_start(0)
+        sampler = sampler_for(FakeSource(), 10)
+        assert sampler.last is None
         for cycle in range(12):
             sampler.tick(cycle)
         sampler.on_run_end(12)
-        assert len(seen) == sampler.emitted == 2
+        assert len(sampler.seen) == sampler.emitted == 2
+        assert sampler.last is sampler.seen[-1]
+
+    def test_baseline_taken_at_construction(self):
+        source = FakeSource()
+        source.done = 4.0
+        source.series.record(50.0)
+        sampler = sampler_for(source, 10)
+        source.done = 6.0
+        source.series.record(70.0)
+        sampler.tick(9)
+        assert sampler.last.deltas["done"] == 2.0
+        assert sampler.last.latency["all"]["count"] == 1.0
+        assert sampler.last.latency["all"]["p50"] == 70.0
 
     def test_to_dict_sorted_and_json_ready(self):
         import json
 
         source = FakeSource()
         sampler = TimeSeriesSampler(source, 5, clock=lambda: 1.5)
-        sampler.on_run_start(0)
         source.done = 5
         sampler.tick(4)
-        payload = sampler.samples.last().to_dict()
+        payload = sampler.last.to_dict()
         assert list(payload["rates"]) == sorted(payload["rates"])
         json.dumps(payload)  # must not raise
 
@@ -213,14 +195,14 @@ class TestSystemAttachment:
             design=NocDesign.GSS_SAGM, seed=2010,
         )
         system = build_system(config)
-        sampler = system.attach_sampler(500)
+        seen = []
+        sampler = system.attach_sampler(500, on_sample=seen.append)
         metrics = system.run()
-        assert sampler.emitted >= 6
+        assert sampler.emitted == len(seen) >= 6
         assert sum(
-            s.deltas["requests.completed"] for s in sampler.samples
+            s.deltas["requests.completed"] for s in seen
         ) == system.stats.all_packets.count
-        last = sampler.samples.last()
-        assert last.cycle == system.simulator.cycle - 1
+        assert sampler.last.cycle == system.simulator.cycle - 1
         assert metrics.completed > 0
 
     def test_double_attach_rejected(self):
@@ -251,4 +233,4 @@ class TestSystemAttachment:
         assert sampler.emitted > before_emitted
         # Every jumped window is still accounted for: coverage is gapless
         # up to the last simulated cycle.
-        assert sampler.samples.last().cycle == system.simulator.cycle - 1
+        assert sampler.last.cycle == system.simulator.cycle - 1

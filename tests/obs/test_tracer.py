@@ -11,9 +11,6 @@ class TestNullTracer:
         assert not NullTracer()
         assert not NULL_TRACER
 
-    def test_disabled(self):
-        assert NullTracer().enabled is False
-
     def test_emit_is_noop(self):
         NULL_TRACER.emit(EventType.HOP, 3, "router0", packet_id=1)
 
@@ -34,7 +31,6 @@ class TestMemoryTracer:
         tracer = MemoryTracer()
         assert len(tracer) == 0
         assert tracer
-        assert tracer.enabled
 
     def test_records_events(self):
         tracer = MemoryTracer()

@@ -166,28 +166,32 @@ def test_resume_identity_with_sampler(tmp_path):
     bit-identical to a straight run, and its sample stream matches an
     unserialized run split at the same cycle (the sampler flushes a
     partial window at every run exit, serialized or not)."""
-    def build():
+    def build(seen):
         system = build_system(_config(NocDesign.GSS_SAGM, None))
-        system.attach_sampler(250, capacity=64)
+        system.attach_sampler(250, on_sample=seen.append)
         return system
 
-    straight = build()
+    straight = build([])
     straight.simulator.run(CYCLES)
 
-    split = build()
+    split_seen = []
+    split = build(split_seen)
     split.simulator.run(MID)
     split.simulator.run(CYCLES - MID)
 
-    system = build()
+    seen = []
+    system = build(seen)
     system.simulator.run(MID)
     restored = load_checkpoint(
         save_checkpoint(tmp_path / "sampled.ckpt", system)
     )
+    assert restored.sampler.on_sample is None
+    restored.sampler.on_sample = seen.append
     restored.simulator.run(CYCLES - MID)
     assert restored.simulator.last_dispatch_mode == "event"
     assert not _diffs(_observe(restored), _observe(straight))
-    assert [s.cycle for s in restored.sampler.samples] == [
-        s.cycle for s in split.sampler.samples
+    assert [dict(s.to_dict(), wall_s=0.0) for s in seen] == [
+        dict(s.to_dict(), wall_s=0.0) for s in split_seen
     ]
 
 

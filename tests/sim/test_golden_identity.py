@@ -590,16 +590,13 @@ def test_sampler_leaves_metrics_bit_identical(interval):
             design=NocDesign.GSS_SAGM, seed=2010,
         )
         system = build_system(config)
-        sampler = (
-            # Capacity covers every window so the delta-sum check below
-            # sees the whole run, not just the ring's tail.
-            system.attach_sampler(interval, capacity=CYCLES + 8)
-            if attach else None
-        )
+        seen = []
+        if attach:
+            system.attach_sampler(interval, on_sample=seen.append)
         metrics = system.run(CYCLES)
-        return dataclasses.asdict(metrics), system, sampler
+        return dataclasses.asdict(metrics), system, seen
 
-    sampled, sampled_system, sampler = run(True)
+    sampled, sampled_system, samples = run(True)
     plain, plain_system, _ = run(False)
     assert sampled == plain, (
         f"sampler at interval {interval} perturbed metrics: "
@@ -610,5 +607,5 @@ def test_sampler_leaves_metrics_bit_identical(interval):
     # Coverage is complete and conservative: window deltas sum to the
     # final cumulative counter.
     assert sum(
-        s.deltas["requests.completed"] for s in sampler.samples
+        s.deltas["requests.completed"] for s in samples
     ) == sampled_system.stats.all_packets.count

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.engine import Simulator
-from repro.sim.stats import LatencySeries, RunMetrics, StatsCollector
+from repro.sim.stats import (
+    QUANTILES,
+    LatencySeries,
+    RunMetrics,
+    StatsCollector,
+    percentile,
+    quantiles,
+)
 
 
 def clocked_collector(cycles, **kwargs):
@@ -305,17 +312,18 @@ class TestPercentiles:
         "values", [[10, 20], list(range(1, 101))], ids=["two", "1..100"]
     )
     def test_every_reported_percentile_agrees(self, values):
-        """`run --percentiles`, the `--prom` histograms and the sampler's
-        windows report one series with one set of numbers."""
-        from repro.obs.metrics import Histogram
-        from repro.obs.timeseries import window_percentiles
-
+        """`run --percentiles`, `--prom`, the registry snapshot, the
+        sampler's windows and the tail report all read one summary,
+        which agrees with the series' own percentiles."""
         series = LatencySeries(keep_samples=True)
-        histogram = Histogram("latency.all")
-        for value in values:
+        for value in reversed(values):
             series.record(value)
-            histogram.record(value)
-        window = window_percentiles(values)
-        for name, q in (("p50", 50), ("p95", 95), ("p99", 99)):
-            assert histogram.percentile(q) == series.percentile(q)
-            assert window[name] == series.percentile(q)
+        summary = quantiles(series.samples)
+        assert list(summary) == [name for name, _ in QUANTILES]
+        for name, q in QUANTILES:
+            assert summary[name] == series.percentile(q)
+            assert summary[name] == percentile(values, q)
+
+    def test_quantiles_of_no_samples_raise(self):
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles([])

@@ -6,8 +6,11 @@ cases exercise the real multiprocess path.
 """
 
 import os
+import pathlib
 import signal
+import subprocess
 import sys
+import time
 
 import pytest
 
@@ -59,6 +62,42 @@ def _logged_crash_first(params):
     if params["x"] == 0:
         os._exit(13)
     return {"value": params["x"]}
+
+
+#: A sweep of 0.2 s jobs on 2 workers; each job leaves its worker's pid
+#: in the directory named by the first argument.
+SLOW_SWEEP = """
+import os, sys, time
+from repro.sweep import Job, register_runner, run_sweep
+
+@register_runner("pid-sleep")
+def _pid_sleep(params):
+    open(os.path.join(params["dir"], str(os.getpid())), "w").close()
+    time.sleep(0.2)
+    return {}
+
+if __name__ == "__main__":
+    run_sweep(
+        [Job(kind="pid-sleep", params={"dir": sys.argv[1], "x": x})
+         for x in range(200)],
+        workers=2,
+    )
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` still runs; a zombie awaiting its reaper is gone."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    if not os.path.exists("/proc/self/stat"):
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
 
 
 def echo_jobs(values):
@@ -244,6 +283,43 @@ class TestParallel:
         assert report.failed == 0
         assert [o.record["result"]["value"] for o in report.outcomes] \
             == [v * 10 for v in range(6)]
+
+    @needs_fork
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        """SIGKILL of a sweep's parent mid-job leaves no worker behind,
+        and the workers exit without a traceback."""
+        script = tmp_path / "sweep.py"
+        script.write_text(SLOW_SWEEP)
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        src = pathlib.Path(__file__).resolve().parents[2] / "src"
+        parent = subprocess.Popen(
+            [sys.executable, str(script), str(pids)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stderr=subprocess.PIPE,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = [int(path.name) for path in pids.iterdir()]
+            assert len(workers) == 2, "both workers never started a job"
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while any(map(_alive, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _alive(pid)]
+            assert b"Traceback" not in parent.stderr.read()
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=10)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.stderr.close()
 
     def test_unpicklable_result_fails_its_job(self):
         jobs = echo_jobs([1]) + [Job(kind="unpicklable", params={"x": 2})]
