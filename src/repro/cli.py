@@ -465,28 +465,6 @@ def _add_sweep_args(parser: argparse.ArgumentParser) -> None:
         "`repro monitor PATH --follow`",
     )
     parser.add_argument(
-        "--job-timeout", type=_seconds, default=None, metavar="SECONDS",
-        help="wall-clock deadline per job attempt; a timed-out attempt "
-        "fails (and is retried under --job-retries)",
-    )
-    parser.add_argument(
-        "--job-retries", type=_non_negative, default=0, metavar="N",
-        help="re-executions allowed after a timeout or unexpected "
-        "exception, with deterministic jittered backoff between "
-        "attempts (domain failures are never retried)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", metavar="DIR", default=None,
-        help="mid-job snapshot directory: metrics jobs save "
-        "<job-key>.ckpt periodically, and a retried or resumed job "
-        "continues from its snapshot bit-identically",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=_positive, default=None, metavar="CYCLES",
-        help="cycles between mid-job snapshots (default: a quarter of "
-        "each job's run)",
-    )
-    parser.add_argument(
         "--fsync-store", action="store_true",
         help="fsync the result store after every append, so no "
         "completed job is lost even to a power failure",
@@ -1001,10 +979,6 @@ def _cmd_sweep(args, parser: argparse.ArgumentParser) -> int:
                 retry_failed=args.retry_failed,
                 progress=progress,
                 telemetry=telemetry,
-                job_timeout_s=args.job_timeout,
-                job_retries=args.job_retries,
-                checkpoint_dir=args.checkpoint_dir,
-                checkpoint_every=args.checkpoint_every,
                 handle_signals=True,
             )
         finally:

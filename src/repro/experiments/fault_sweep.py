@@ -195,11 +195,3 @@ def render(points: List[FaultSweepPoint]) -> str:
             + ("" if p.quiesced else f"  [HUNG >{p.drain_budget}c]")
         )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fault_sweep()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

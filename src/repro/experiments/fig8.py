@@ -120,11 +120,3 @@ def knee_index(curve: Fig8Curve, fraction: float = 0.8) -> int:
         if value >= threshold:
             return curve.gss_router_counts[i]
     return curve.gss_router_counts[-1]
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_fig8()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,11 +82,3 @@ def _metric_short(metric: str) -> str:
         "latency_all": "lat",
         "latency_demand": "dem",
     }[metric]
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_table1()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

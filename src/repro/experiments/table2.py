@@ -78,11 +78,3 @@ def render(result: Table2Result) -> str:
             + "  ".join(f"{metric}={values[metric]:.3f}" for metric in METRICS)
         )
     return body + "\n" + "\n".join(ratio_lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_table2()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -110,11 +110,3 @@ def render(rows: List[Table3Row]) -> str:
         f"{sum(r.priority_latency_improvement for r in rows)/n:+6.1%}"
     )
     return "\n".join(lines)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render(run_table3()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

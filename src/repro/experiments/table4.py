@@ -33,11 +33,3 @@ def render(result: Dict[str, Dict[str, int]] | None = None) -> str:
             row += [gates, gates / ours if ours else 0.0]
         rows.append(row)
     return format_table("Table IV — gate count at 400 MHz", headers, rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,11 +82,3 @@ def render(result: Optional[Dict[str, Dict[str, float]]] = None) -> str:
             + [row["conv"] / ours if ours else 0.0, row["sdram-aware"] / ours if ours else 0.0]
         )
     return format_table("Table V — average power", headers, rows)
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -45,7 +45,7 @@ def per_master_report(
     reports = []
     for master in sorted(stats.per_master):
         series = stats.per_master[master]
-        p95 = series.percentile(95) if series.keep_samples else None
+        p95 = quantiles(series.samples)["p95"] if series.keep_samples else None
         reports.append(
             MasterReport(
                 master=master,

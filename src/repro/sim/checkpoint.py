@@ -45,7 +45,7 @@ import pickle
 import struct
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 #: File magic: identifies a repro checkpoint regardless of extension.
 MAGIC = b"REPROCKP"
@@ -217,35 +217,3 @@ def load_checkpoint(path: PathLike):
             f"({type(exc).__name__}: {exc}) — was it written by a "
             "different code revision?"
         ) from exc
-
-
-def latest_checkpoint(
-    candidates: Union[PathLike, Iterable[PathLike]],
-    pattern: str = "*.ckpt",
-) -> Optional[Path]:
-    """The newest *valid* snapshot among ``candidates``.
-
-    ``candidates`` may be a directory (searched with ``pattern``), one
-    path, or an iterable of paths.  Each candidate's header is validated
-    (cheap); invalid or unreadable files are skipped, so a torn temp
-    file or foreign file next to real snapshots never wins.  "Newest"
-    means highest recorded cycle, ties broken by modification time.
-    Returns ``None`` when no candidate validates.
-    """
-    if isinstance(candidates, (str, Path)):
-        root = Path(candidates)
-        paths = sorted(root.glob(pattern)) if root.is_dir() else [root]
-    else:
-        paths = [Path(p) for p in candidates]
-    best: Optional[Tuple[int, float, Path]] = None
-    for path in paths:
-        try:
-            header = read_header(path)
-            mtime = path.stat().st_mtime
-        except (CheckpointError, OSError):
-            continue
-        cycle = header.get("cycle")
-        rank = (int(cycle) if isinstance(cycle, int) else -1, mtime, path)
-        if best is None or rank[:2] > best[:2]:
-            best = rank
-    return best[2] if best is not None else None

@@ -293,17 +293,6 @@ class StatsCollector:
         total = self.row_hits + self.row_misses
         return self.row_hits / total if total else 0.0
 
-    def summary(self) -> Dict[str, float]:
-        """Flat dict of the headline metrics, for reports and tests."""
-        return {
-            "utilization": self.utilization,
-            "raw_utilization": self.raw_utilization,
-            "latency_all": self.mean_latency,
-            "latency_demand": self.mean_demand_latency,
-            "completed": float(self.all_packets.count),
-            "row_hit_rate": self.row_hit_rate,
-        }
-
 
 @dataclass
 class RunMetrics:

@@ -65,13 +65,7 @@ from typing import (
     Union,
 )
 
-from .runners import (
-    JOB_RUNNERS,
-    JobFailure,
-    job_context,
-    job_deadline,
-    retry_backoff_s,
-)
+from .runners import JOB_RUNNERS, JobFailure
 from .spec import Job, SweepSpec, dedupe
 from .store import ResultStore, make_record
 
@@ -79,73 +73,41 @@ from .store import ResultStore, make_record
 ProgressFn = Callable[[Job, Mapping[str, object], bool, int, int], None]
 
 
-def execute_job(
-    kind: str,
-    params: Dict[str, object],
-    key: Optional[str] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-) -> Dict[str, object]:
-    """Run one job in the current process; never raises.
+def execute_job(kind: str, params: Dict[str, object]) -> Dict[str, object]:
+    """Run one job once in the current process; never raises.
 
     The worker-side entry point: every failure mode is folded into the
-    returned payload so a Python-level error can never end a worker.
-
-    ``timeout_s`` bounds each attempt's wall clock (SIGALRM, see
-    :func:`~repro.sweep.runners.job_deadline`); ``retries`` allows that
-    many *re*-executions after a timeout or an unexpected exception,
-    each preceded by the deterministic jittered backoff of
-    :func:`~repro.sweep.runners.retry_backoff_s`.  A
-    :class:`~repro.sweep.runners.JobFailure` is never retried: the
-    simulator is deterministic, so a domain-level failure reproduces
-    exactly.  The payload reports ``attempts`` (executions, including
-    the first) and the last failure's ``traceback``.
+    returned payload, with the failure's ``traceback``, so a
+    Python-level error can never end a worker.  Nothing is retried: the
+    simulator is deterministic, so a second run would fail the same way.
     """
     started = time.perf_counter()
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            runner = JOB_RUNNERS.get(kind)
-            if runner is None:
-                raise JobFailure(
-                    f"unknown job kind {kind!r}; "
-                    f"registered: {sorted(JOB_RUNNERS)}"
-                )
-            with job_context(key or "", checkpoint_dir, checkpoint_every):
-                with job_deadline(timeout_s):
-                    result = runner(params)
-            payload = {
-                "status": "ok",
-                "result": dict(result),
-                "error": None,
-                "traceback": None,
-            }
-            break
-        except JobFailure as failure:
-            payload = {
-                "status": "failed",
-                "result": failure.result,
-                "error": failure.error,
-                "traceback": failure.traceback
-                or traceback_mod.format_exc(),
-            }
-            break
-        except Exception as exc:  # noqa: BLE001 - boundary: fold into record
-            trace = traceback_mod.format_exc()
-            if attempts <= retries:
-                time.sleep(retry_backoff_s(key or kind, attempts))
-                continue
-            payload = {
-                "status": "failed",
-                "result": None,
-                "error": f"{type(exc).__name__}: {exc}",
-                "traceback": trace,
-            }
-            break
-    payload["attempts"] = attempts
+    try:
+        runner = JOB_RUNNERS.get(kind)
+        if runner is None:
+            raise JobFailure(
+                f"unknown job kind {kind!r}; registered: {sorted(JOB_RUNNERS)}"
+            )
+        payload = {
+            "status": "ok",
+            "result": dict(runner(params)),
+            "error": None,
+            "traceback": None,
+        }
+    except JobFailure as failure:
+        payload = {
+            "status": "failed",
+            "result": failure.result,
+            "error": failure.error,
+            "traceback": traceback_mod.format_exc(),
+        }
+    except Exception as exc:  # noqa: BLE001 - boundary: fold into record
+        payload = {
+            "status": "failed",
+            "result": None,
+            "error": f"{type(exc).__name__}: {exc}",
+            "traceback": traceback_mod.format_exc(),
+        }
     payload["elapsed_s"] = time.perf_counter() - started
     return payload
 
@@ -293,10 +255,10 @@ def _default_context():
         return multiprocessing.get_context()
 
 
-def _serve(conn, job_kwargs: Dict[str, object]) -> None:
-    """A worker process's body: run each ``(kind, params, key)`` that
-    arrives on ``conn`` and send its payload back, until ``None`` or
-    the parent's death.
+def _serve(conn) -> None:
+    """A worker process's body: run each ``(kind, params)`` that arrives
+    on ``conn`` and send its payload back, until ``None`` or the
+    parent's death.
 
     A parent that dies leaves the pipe open, since this worker and any
     forked after it hold copies of the parent's ends, so the worker also
@@ -307,8 +269,7 @@ def _serve(conn, job_kwargs: Dict[str, object]) -> None:
         message = conn.recv()
         if message is None:
             return
-        kind, params, key = message
-        payload = execute_job(kind, params, key, **job_kwargs)
+        payload = execute_job(*message)
         try:
             conn.send(payload)
         except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable result
@@ -323,28 +284,23 @@ def _serve(conn, job_kwargs: Dict[str, object]) -> None:
 class _Slot:
     """One worker process, its pipe, and the one job it holds."""
 
-    def __init__(
-        self, index: int, mp_context, job_kwargs: Dict[str, object]
-    ) -> None:
+    def __init__(self, index: int, mp_context) -> None:
         self.index = index
         self.job: Optional[Job] = None
         self.conn = None
         self._context = mp_context
-        self._job_kwargs = job_kwargs
         self._process = None
 
     def _start(self) -> None:
         self.conn, child = self._context.Pipe()
-        self._process = self._context.Process(
-            target=_serve, args=(child, self._job_kwargs)
-        )
+        self._process = self._context.Process(target=_serve, args=(child,))
         self._process.start()
         child.close()
 
     def send(self, job: Job) -> None:
         """Hand ``job`` to this slot's process, forking a fresh one if
         the slot has none or its process died between jobs."""
-        message = (job.kind, dict(job.params), job.key)
+        message = (job.kind, dict(job.params))
         if self._process is not None:
             try:
                 self.conn.send(message)
@@ -395,7 +351,6 @@ def _run_parallel(
     on_start: Callable[[int, Job], None],
     on_done: Callable[[int, Job, Dict[str, object]], None],
     should_stop: Callable[[], bool],
-    job_kwargs: Dict[str, object],
 ) -> None:
     """Run ``pending`` on ``workers`` slots, one job per slot at a time.
 
@@ -404,10 +359,7 @@ def _run_parallel(
     drain loses no completed work.
     """
     queue = deque(pending)
-    slots = [
-        _Slot(index, mp_context, job_kwargs)
-        for index in range(min(workers, len(queue)))
-    ]
+    slots = [_Slot(i, mp_context) for i in range(min(workers, len(queue)))]
     idle = deque(slots)
     busy = {}
     try:
@@ -441,10 +393,6 @@ def run_sweep(
     progress: Optional[ProgressFn] = None,
     mp_context=None,
     telemetry=None,
-    job_timeout_s: Optional[float] = None,
-    job_retries: int = 0,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
     handle_signals: bool = False,
 ) -> SweepReport:
     """Resolve every job — from the store where possible, by
@@ -459,19 +407,14 @@ def run_sweep(
     the sweep lifecycle; ``job_start`` and ``heartbeat`` records name
     the slot (``worker``, 0 to ``workers`` - 1) that ran the job.
 
-    Crash tolerance: ``job_timeout_s`` bounds each attempt's wall
-    clock, ``job_retries`` re-executes timeouts/unexpected exceptions
-    (deterministic backoff — see :func:`execute_job`), and
-    ``checkpoint_dir`` lets the ``metrics`` runner snapshot mid-job
-    every ``checkpoint_every`` cycles, so a timed-out attempt's progress
-    survives to its retry and a killed worker's to the next invocation
-    (a job whose worker died is recorded failed; ``retry_failed`` runs
-    it again).  With
+    Each job runs once.  The store is the only recovery state: every
+    finished job is appended to it, a job whose worker died is recorded
+    failed, and re-running the same sweep against the store runs only
+    what is missing (and, with ``retry_failed``, what failed).  With
     ``handle_signals=True`` a SIGINT/SIGTERM drains gracefully: running
     jobs finish and are stored, queued jobs are skipped, and the report
-    says ``interrupted`` — re-running the same sweep resumes from the
-    store.  (Signal handlers are process-global: only the CLI, which
-    owns the process, turns this on.)
+    says ``interrupted``.  (Signal handlers are process-global: only
+    the CLI, which owns the process, turns this on.)
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -547,7 +490,6 @@ def run_sweep(
             result=payload["result"],
             error=payload["error"],
             elapsed_s=payload["elapsed_s"],
-            attempts=payload.get("attempts", 1),
             traceback=payload.get("traceback"),
         )
         store.put(record)
@@ -585,12 +527,6 @@ def run_sweep(
                 eta_s=remaining / rate if rate else None,
             )
 
-    job_kwargs: Dict[str, object] = {
-        "timeout_s": job_timeout_s,
-        "retries": job_retries,
-        "checkpoint_dir": checkpoint_dir,
-        "checkpoint_every": checkpoint_every,
-    }
     stop_signals: List[int] = []
     previous_handlers: Dict[int, object] = {}
     if handle_signals:
@@ -615,14 +551,7 @@ def run_sweep(
                     if stop_signals:
                         break
                     on_start(0, job)
-                    on_done(
-                        0,
-                        job,
-                        execute_job(
-                            job.kind, dict(job.params), job.key,
-                            **job_kwargs,
-                        ),
-                    )
+                    on_done(0, job, execute_job(job.kind, dict(job.params)))
             else:
                 _run_parallel(
                     pending,
@@ -632,7 +561,6 @@ def run_sweep(
                     on_start,
                     on_done,
                     lambda: bool(stop_signals),
-                    job_kwargs,
                 )
     finally:
         for signum, handler in previous_handlers.items():

@@ -1,9 +1,9 @@
 """Job runners: what a worker process executes for each job kind.
 
 A runner is a plain function ``params -> result dict`` registered under
-a job *kind*; the orchestrator sends ``(kind, params, key)`` to a
-worker process (or runs it in-process with one worker), which looks the
-runner up in :data:`JOB_RUNNERS` and executes it.  Both sides of the
+a job *kind*; the orchestrator sends ``(kind, params)`` to a worker
+process (or runs it in-process with one worker), which looks the runner
+up in :data:`JOB_RUNNERS` and executes it once.  Both sides of the
 boundary are JSON-level dicts so jobs pickle trivially and hash
 canonically.  A worker only computes: its payload goes back to the
 orchestrating process, which alone writes the result store and the
@@ -28,129 +28,32 @@ Two kinds are built in:
 A runner signals a domain-level failure by raising :class:`JobFailure`
 (optionally with the partial result); any other exception is caught at
 the execution boundary and recorded as a failed job with the exception
-text.
+text and traceback.  A job is never retried or resumed mid-run: the
+simulator is deterministic, so a re-run reproduces a failure, and a
+job whose worker died is failed.  The result store is the only
+recovery state: ``repro sweep --resume`` runs the jobs it lacks, and
+``--retry-failed`` the jobs it holds as failed.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
-from contextlib import contextmanager
 from dataclasses import asdict
-from pathlib import Path
 from typing import Callable, Dict, Mapping, Optional
 
 from ..core.system import build_system
 from ..resilience.faults import FaultConfig, FaultSite, ScheduledFault
 from ..sim.config import DdrGeneration, NocDesign, SystemConfig
-from ..sim.rng import derive_rng
 
 
 class JobFailure(Exception):
-    """A runner-reported failure, optionally with a partial result.
-
-    ``attempts`` and ``traceback`` are stamped by the execution boundary
-    (:func:`~repro.sweep.orchestrator.execute_job`) so the stored record
-    says how many executions it took and what the last one looked like.
-    """
+    """A runner-reported failure, optionally with a partial result."""
 
     def __init__(
-        self,
-        error: str,
-        result: Optional[Mapping[str, object]] = None,
-        attempts: int = 1,
-        traceback: Optional[str] = None,
+        self, error: str, result: Optional[Mapping[str, object]] = None
     ) -> None:
         super().__init__(error)
         self.error = error
         self.result = dict(result) if result is not None else None
-        self.attempts = attempts
-        self.traceback = traceback
-
-
-class JobTimeout(Exception):
-    """A runner exceeded its wall-clock deadline (see :func:`job_deadline`)."""
-
-
-@contextmanager
-def job_deadline(seconds: Optional[float]):
-    """Raise :class:`JobTimeout` if the body runs longer than ``seconds``.
-
-    Implemented with ``SIGALRM`` — the only way to interrupt a CPU-bound
-    simulation loop from within the same process.  Worker processes run
-    jobs on their main thread, where signal delivery works; off the main
-    thread (or with ``seconds=None``/non-POSIX) the deadline degrades to
-    a no-op rather than failing the job.
-    """
-    usable = (
-        seconds is not None
-        and seconds > 0
-        and hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
-
-    def expire(signum, frame):
-        raise JobTimeout(f"job exceeded its {seconds:g}s deadline")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def retry_backoff_s(
-    key: str,
-    attempt: int,
-    base_s: float = 0.25,
-    cap_s: float = 8.0,
-) -> float:
-    """Deterministic jittered exponential backoff before retry ``attempt``.
-
-    Exponential in the attempt number, jittered to de-thunder a pool of
-    workers retrying together — but the jitter is *derived* from the job
-    key (via the same SHA-256 stream derivation every other seed in the
-    repo uses), not wall-clock randomness, so a re-run of a sweep waits
-    the exact same delays and the retry schedule is reproducible.
-    """
-    if attempt < 1:
-        raise ValueError(f"attempt must be >= 1, got {attempt}")
-    rng = derive_rng(0, "job-retry", key, attempt)
-    return min(cap_s, base_s * (2.0 ** (attempt - 1))) * (0.5 + rng.random())
-
-
-#: The job currently executing in this process, set by ``execute_job``:
-#: ``key`` plus the checkpoint policy the orchestrator was given.
-#: Runners that support mid-job snapshots (``metrics``) read it to find
-#: where to save/resume; plain module state, so each worker process
-#: owns its copy.
-_active_job: Dict[str, object] = {}
-
-
-@contextmanager
-def job_context(
-    key: str,
-    checkpoint_dir: Optional[str] = None,
-    checkpoint_every: Optional[int] = None,
-):
-    """Install the per-job execution context around one runner call."""
-    previous = dict(_active_job)
-    _active_job.clear()
-    _active_job.update(
-        key=key,
-        checkpoint_dir=checkpoint_dir,
-        checkpoint_every=checkpoint_every,
-    )
-    try:
-        yield
-    finally:
-        _active_job.clear()
-        _active_job.update(previous)
 
 
 #: kind -> runner. Workers resolve kinds here; register new experiment
@@ -249,60 +152,8 @@ def metrics_job(config: SystemConfig, label: Optional[str] = None):
 
 @register_runner("metrics")
 def run_metrics_job(params: Mapping[str, object]) -> Dict[str, object]:
-    """Simulate one configuration; result = RunMetrics fields.
-
-    When the orchestrator supplies a checkpoint policy (``execute_job``
-    sets it in the job context), the run snapshots to
-    ``<checkpoint_dir>/<job_key>.ckpt`` every ``checkpoint_every``
-    cycles, resumes from a valid existing snapshot (a SIGKILLed worker's
-    partial progress), and deletes the snapshot on success.  The
-    checkpoint-identity guarantee makes the resumed result bit-identical
-    to an uninterrupted run, so caching semantics are unchanged.
-    """
-    config = config_from_payload(params)
-    checkpoint_dir = _active_job.get("checkpoint_dir")
-    if not checkpoint_dir:
-        system = build_system(config)
-        metrics = system.run()
-        return asdict(metrics)
-
-    from ..sim.checkpoint import (
-        CheckpointError,
-        load_checkpoint,
-        save_checkpoint,
-    )
-    from ..sim.stats import RunMetrics
-
-    path = Path(checkpoint_dir) / f"{_active_job.get('key', 'job')}.ckpt"
-    system = None
-    if path.exists():
-        try:
-            system = load_checkpoint(path)
-        except CheckpointError:
-            # Invalid snapshot (torn write from the crash itself):
-            # discard it and start the job over.
-            system = None
-    if system is None:
-        system = build_system(config)
-    every = _active_job.get("checkpoint_every") or max(1, config.cycles // 4)
-
-    def snapshot(cycle: int) -> bool:
-        save_checkpoint(path, system)
-        return False  # keep running
-
-    system.simulator.run(
-        max(0, config.cycles - system.simulator.cycle),
-        checkpoint_every=every,
-        on_checkpoint=snapshot,
-    )
-    metrics = RunMetrics.from_collector(
-        system.stats, system.simulator.cycle, scheduler=system.subsystem
-    )
-    try:
-        path.unlink()
-    except OSError:
-        pass
-    return asdict(metrics)
+    """Simulate one configuration; result = RunMetrics fields."""
+    return asdict(build_system(config_from_payload(params)).run())
 
 
 @register_runner("fault-point")

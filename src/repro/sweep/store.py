@@ -67,14 +67,12 @@ def make_record(
     result: Optional[Mapping[str, object]],
     error: Optional[str] = None,
     elapsed_s: float = 0.0,
-    attempts: int = 1,
     traceback: Optional[str] = None,
 ) -> Dict[str, object]:
     """One store row: job identity plus outcome.
 
-    ``attempts`` counts executions including retries; ``traceback`` is
-    the last failure's formatted traceback (``None`` for ok rows), so a
-    failed row is debuggable without re-running the job.
+    ``traceback`` is the failure's formatted traceback (``None`` for ok
+    rows), so a failed row is debuggable without re-running the job.
     """
     if status not in ("ok", "failed"):
         raise ValueError(f"unknown record status {status!r}")
@@ -87,7 +85,6 @@ def make_record(
         "status": status,
         "result": dict(result) if result is not None else None,
         "error": error,
-        "attempts": int(attempts),
         "traceback": traceback,
         "elapsed_s": round(float(elapsed_s), 6),
         "stored_at": time.time(),
@@ -99,7 +96,7 @@ class ResultStore:
 
     ``get`` / ``put`` maintain an in-memory index; with a ``path`` every
     ``put`` is also appended to the file immediately, so an interrupted
-    sweep loses at most the in-flight job and a re-run resumes from the
+    sweep loses at most its in-flight jobs and a re-run resumes from the
     last completed point for free.
 
     ``fsync=True`` additionally fsyncs every append, shrinking the

@@ -9,7 +9,7 @@ from repro.obs.analysis import (
     tail_latencies,
 )
 from repro.sim.engine import Simulator
-from repro.sim.stats import StatsCollector
+from repro.sim.stats import StatsCollector, quantiles
 
 
 def populated_stats(keep_samples=True):
@@ -36,6 +36,13 @@ class TestPerMaster:
         reports = per_master_report(populated_stats(), names={0: "cpu"})
         assert reports[0].name == "cpu"
         assert reports[1].name == "core1"
+
+    def test_p95_is_the_series_quantile(self):
+        stats = populated_stats()
+        reports = per_master_report(stats)
+        assert reports[1].p95_latency == quantiles(
+            stats.per_master[1].samples
+        )["p95"] == 219.0
 
     def test_p95_requires_samples(self):
         reports = per_master_report(populated_stats(keep_samples=False))
@@ -74,7 +81,7 @@ class TestEndToEnd:
     def test_analysis_of_real_run(self):
         from repro.core.system import build_system
         from repro.sim.config import SystemConfig
-        from repro.sim.stats import StatsCollector
+        from repro.sim.stats import StatsCollector, quantiles
 
         config = SystemConfig(app="bluray", cycles=2_500, warmup=400)
         system = build_system(config)

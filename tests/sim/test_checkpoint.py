@@ -6,7 +6,7 @@ bit-identical — same metrics, same resilience ledger, same trace-event
 stream — in both dispatch modes and under cycle-by-cycle ``step()``,
 clean and faulty, for both NoC designs.  Alongside the identity, the
 snapshot file format itself: atomic writes, CRC/schema/truncation
-rejection with precise errors, and newest-valid selection.
+rejection with precise errors.
 """
 
 import dataclasses
@@ -21,7 +21,6 @@ from repro.sim.checkpoint import (
     MAGIC,
     SCHEMA_VERSION,
     CheckpointError,
-    latest_checkpoint,
     load_checkpoint,
     read_header,
     save_checkpoint,
@@ -403,19 +402,6 @@ class TestSnapshotFile:
     def test_unserializable_system_rejected_cleanly(self, tmp_path):
         with pytest.raises(CheckpointError, match="not serializable"):
             save_checkpoint(tmp_path / "bad.ckpt", lambda: None)
-
-    def test_latest_checkpoint_picks_newest_valid(self, tmp_path):
-        for cycles, name in [(200, "old"), (600, "new")]:
-            system = build_system(_config(NocDesign.GSS_SAGM, None))
-            system.simulator.run(cycles)
-            save_checkpoint(tmp_path / f"{name}.ckpt", system)
-        (tmp_path / "corrupt.ckpt").write_bytes(b"REPROCKPgarbage")
-        best = latest_checkpoint(tmp_path)
-        assert best is not None and best.name == "new.ckpt"
-
-    def test_latest_checkpoint_none_when_nothing_valid(self, tmp_path):
-        (tmp_path / "junk.ckpt").write_bytes(b"nope")
-        assert latest_checkpoint(tmp_path) is None
 
 
 # ---------------------------------------------------------------------- #

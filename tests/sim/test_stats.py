@@ -167,14 +167,6 @@ class TestStatsCollector:
         stats.record_command(0, "PRE")
         assert stats.commands_issued == {"ACT": 2, "PRE": 1}
 
-    def test_summary_keys(self):
-        stats = StatsCollector()
-        summary = stats.summary()
-        assert set(summary) == {
-            "utilization", "raw_utilization", "latency_all",
-            "latency_demand", "completed", "row_hit_rate",
-        }
-
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError):
             StatsCollector(warmup=-1)

@@ -1,14 +1,11 @@
-"""Crash tolerance: kill -9 + resume, timeouts, retries, drain.
+"""Crash tolerance: kill -9 + resume, failed records, drain.
 
-The scenarios ISSUE 9 calls out: a SIGKILLed worker must not poison the
-sweep, and re-running with the same store must converge to a store
-bit-identical to an uninterrupted run; the ``metrics`` runner must
-resume mid-job from its own snapshot (and survive a torn one); wall
-clock deadlines and retries must be bounded, counted, and — because the
-backoff jitter is derived from the job key — deterministic.
+A SIGKILLed worker must not poison the sweep, and re-running with the
+same store must converge to a store bit-identical to an uninterrupted
+run.  A job runs once: a failure is stored with its traceback, never
+retried.  A SIGINT drains the sweep, storing what finished.
 """
 
-import multiprocessing
 import os
 import signal
 import sys
@@ -16,12 +13,7 @@ import time
 
 import pytest
 
-from repro.core.system import build_system
-from repro.sim.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from repro.sim.config import SystemConfig
 from repro.sweep import Job, JobFailure, ResultStore, register_runner, run_sweep
-from repro.sweep.orchestrator import execute_job
-from repro.sweep.runners import config_from_payload, metrics_job, retry_backoff_s
 
 needs_fork = pytest.mark.skipif(
     sys.platform == "win32", reason="fork start method required"
@@ -45,32 +37,18 @@ def _armed_kill(params):
     return {"value": params["x"] * 10}
 
 
-@register_runner("cr-sleepy")
-def _sleepy(params):
-    time.sleep(params["sleep_s"])
-    return {"value": 1}
-
-
-@register_runner("cr-flaky")
-def _flaky(params):
-    # Cross-attempt state via a counter file: fail the first
-    # ``fail_times`` calls, then succeed.  Retries re-execute in the
-    # same process, but a file survives worker replacement too.
-    counter = params["counter"]
-    with open(counter, "a") as handle:
-        handle.write("x\n")
-    with open(counter) as handle:
-        calls = len(handle.readlines())
-    if calls <= params["fail_times"]:
-        raise RuntimeError(f"transient failure on call {calls}")
-    return {"calls": calls}
-
-
 @register_runner("cr-domain-fail")
 def _domain_fail(params):
     with open(params["counter"], "a") as handle:
         handle.write("x\n")
     raise JobFailure("point diverged deterministically")
+
+
+@register_runner("cr-raise")
+def _raise(params):
+    with open(params["counter"], "a") as handle:
+        handle.write("x\n")
+    raise RuntimeError("runner bug")
 
 
 @register_runner("cr-sigint-self")
@@ -125,7 +103,7 @@ class TestKillResume:
             assert report.record_for(job)["status"] == "ok"
 
         # Disarm and resume against the same store (what the CLI's
-        # --resume does: reload, repair, re-run with retry_failed).
+        # --resume --retry-failed does: reload, repair, re-run failed).
         sentinel.unlink()
         resumed_store = ResultStore(store_path)
         assert resumed_store.repair() == 0  # parent-side appends are whole
@@ -165,146 +143,25 @@ class TestKillResume:
 
 
 # ---------------------------------------------------------------------- #
-# Mid-job checkpointing in the metrics runner
+# Failed records: one execution, traceback kept
 # ---------------------------------------------------------------------- #
 
 
-class TestMidJobCheckpoint:
-    CONFIG = SystemConfig(
-        app="single_dtv", cycles=1_200, warmup=200, seed=7
-    )
-
-    def clean_result(self):
-        job = metrics_job(self.CONFIG)
-        payload = execute_job("metrics", dict(job.params), key=job.key)
-        assert payload["status"] == "ok"
-        return job, payload["result"]
-
-    def test_resumes_from_partial_snapshot_bit_identical(self, tmp_path):
-        job, clean = self.clean_result()
-        # A crashed worker's leavings: the job ran to cycle 500 and
-        # snapshotted before dying.
-        partial = build_system(config_from_payload(job.params))
-        partial.simulator.run(500)
-        ckpt = tmp_path / f"{job.key}.ckpt"
-        save_checkpoint(ckpt, partial)
-
-        payload = execute_job(
-            "metrics", dict(job.params), key=job.key,
-            checkpoint_dir=str(tmp_path),
-        )
-        assert payload["status"] == "ok"
-        assert payload["result"] == clean
-        assert not ckpt.exists()  # deleted on success
-
-    def test_torn_snapshot_discarded_job_starts_over(self, tmp_path):
-        job, clean = self.clean_result()
-        ckpt = tmp_path / f"{job.key}.ckpt"
-        ckpt.write_bytes(b"REPROCKP" + b"\x00" * 40)  # torn mid-write
-        with pytest.raises(CheckpointError):
-            load_checkpoint(ckpt)
-        payload = execute_job(
-            "metrics", dict(job.params), key=job.key,
-            checkpoint_dir=str(tmp_path),
-        )
-        assert payload["status"] == "ok"
-        assert payload["result"] == clean
-        assert not ckpt.exists()
-
-    def test_without_checkpoint_dir_no_snapshot_files(self, tmp_path):
-        job, _ = self.clean_result()
-        assert list(tmp_path.iterdir()) == []
-
-
-# ---------------------------------------------------------------------- #
-# Deadlines, retries, attempt accounting
-# ---------------------------------------------------------------------- #
-
-
-class TestTimeoutAndRetry:
-    def test_timeout_fails_with_attempt_count(self):
-        payload = execute_job(
-            "cr-sleepy", {"sleep_s": 30.0},
-            key="t-timeout", timeout_s=0.2, retries=1,
-        )
-        assert payload["status"] == "failed"
-        assert payload["attempts"] == 2
-        assert "deadline" in payload["error"]
-        assert "JobTimeout" in payload["traceback"]
-
-    def test_transient_failure_retried_to_success(self, tmp_path):
+class TestFailedRecord:
+    @pytest.mark.parametrize("kind, exception", [
+        ("cr-domain-fail", "JobFailure"),
+        ("cr-raise", "RuntimeError"),
+    ], ids=["JobFailure", "RuntimeError"])
+    def test_runs_once_and_keeps_traceback(self, tmp_path, kind, exception):
         counter = tmp_path / "calls"
-        payload = execute_job(
-            "cr-flaky", {"counter": str(counter), "fail_times": 1},
-            key="t-flaky", retries=1,
-        )
-        assert payload["status"] == "ok"
-        assert payload["attempts"] == 2
-        assert payload["result"] == {"calls": 2}
-        assert payload["traceback"] is None
-
-    def test_retries_exhausted_keeps_last_traceback(self, tmp_path):
-        counter = tmp_path / "calls"
-        payload = execute_job(
-            "cr-flaky", {"counter": str(counter), "fail_times": 5},
-            key="t-exhaust", retries=2,
-        )
-        assert payload["status"] == "failed"
-        assert payload["attempts"] == 3
-        assert "transient failure on call 3" in payload["error"]
-        assert "RuntimeError" in payload["traceback"]
-
-    def test_job_failure_never_retried(self, tmp_path):
-        counter = tmp_path / "calls"
-        payload = execute_job(
-            "cr-domain-fail", {"counter": str(counter)},
-            key="t-domain", retries=3,
-        )
-        assert payload["status"] == "failed"
-        assert payload["attempts"] == 1
+        job = Job(kind=kind, params={"counter": str(counter)})
+        store_path = tmp_path / "store.jsonl"
+        report = run_sweep([job], store=ResultStore(store_path))
+        record = ResultStore(store_path).get(job.key)
+        assert record == report.outcomes[0].record
+        assert record["status"] == "failed"
+        assert exception in record["traceback"]
         assert counter.read_text() == "x\n"  # exactly one execution
-
-    def test_attempts_and_traceback_reach_the_store(self, tmp_path):
-        counter = tmp_path / "calls"
-        job = Job(
-            kind="cr-flaky",
-            params={"counter": str(counter), "fail_times": 1},
-            label="flaky",
-        )
-        store = ResultStore(tmp_path / "store.jsonl")
-        report = run_sweep([job], store=store, job_retries=1)
-        record = report.outcomes[0].record
-        assert record["status"] == "ok"
-        assert record["attempts"] == 2
-        assert record["traceback"] is None
-        # And a stored failure keeps its last traceback for debugging.
-        bad = Job(kind="cr-domain-fail", params={"counter": str(counter)})
-        report = run_sweep([bad], store=store)
-        record = report.outcomes[0].record
-        assert record["attempts"] == 1
-        assert "JobFailure" in record["traceback"]
-
-
-class TestBackoff:
-    def test_deterministic_for_same_key_and_attempt(self):
-        assert retry_backoff_s("k", 1) == retry_backoff_s("k", 1)
-        assert retry_backoff_s("k", 2) == retry_backoff_s("k", 2)
-
-    def test_varies_with_key_and_attempt(self):
-        assert retry_backoff_s("k", 1) != retry_backoff_s("other", 1)
-        assert retry_backoff_s("k", 1) != retry_backoff_s("k", 2)
-
-    def test_jitter_window_and_cap(self):
-        for attempt in range(1, 12):
-            delay = retry_backoff_s("k", attempt, base_s=0.25, cap_s=8.0)
-            ceiling = min(8.0, 0.25 * 2 ** (attempt - 1))
-            assert 0.5 * ceiling <= delay <= 1.5 * ceiling
-        # Deep attempts stay capped, never overflow.
-        assert retry_backoff_s("k", 200) <= 1.5 * 8.0
-
-    def test_rejects_nonpositive_attempt(self):
-        with pytest.raises(ValueError, match="attempt"):
-            retry_backoff_s("k", 0)
 
 
 # ---------------------------------------------------------------------- #

@@ -30,6 +30,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_only_run_takes_snapshot_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "grid", "--help"])
+        sweep_help = capsys.readouterr().out
+        for flag in ("--job-timeout", "--job-retries", "--checkpoint-dir",
+                     "--checkpoint-every"):
+            assert flag not in sweep_help
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert "--checkpoint-every" in capsys.readouterr().out
+
 
 #: Stands for a result-store path under the test's ``tmp_path``.
 STORE = "<store>"
@@ -81,8 +92,6 @@ class TestInputHardening:
         ["monitor", STORE, "--refresh", "0"],
         ["monitor", STORE, "--refresh", "-1"],
         ["monitor", STORE, "--max-seconds", "-1"],
-        ["sweep", "grid", "--axis", "seed=1", "--set", "cycles=500",
-         "--set", "warmup=100", "--job-timeout", "0", "--store", STORE],
         ["fig8", "--warmup", "25000", "--max-routers", "0", "--seeds", "2010"],
         ["table3", "--warmup", "20000", "--seeds", "2010"],
         ["faults", "--warmup", "25000", "--rates", "0"],
