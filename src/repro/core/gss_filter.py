@@ -159,9 +159,12 @@ def select(
     ``T_o(0)`` preference is this paper's addition (it keeps SAGM split
     chains together, Section IV-B).
     """
-    eligible = [
-        c for c in candidates if not table.is_excluded(c[1], c[0])
-    ]
+    # Lines 4-6: only a pending priority packet excludes anyone.
+    eligible = candidates
+    if table._pending_priority:
+        eligible = [
+            c for c in candidates if not table.is_excluded(c[1], c[0])
+        ]
     if not eligible:
         return None
     # Lines 19-24: if nothing passes, grant extra tokens and retry.  The
@@ -173,13 +176,14 @@ def select(
         # MAX_TOKENS bump tier passes everything, so a lone eligible
         # candidate is selected whichever tier first lets it through.
         return eligible[0]
-    tiers = [(c, table.tokens(c[1])) for c in eligible]
+    tokens = table.tokens
+    tiers = [(c, tokens(c[1])) for c in eligible]
     for bump in range(MAX_TOKENS + 1):
         passing = [
-            c
-            for c, tokens in tiers
-            if passes_filter(state, c[1].request, tokens + bump, cycle,
-                             sti_enabled)
+            tier
+            for tier in tiers
+            if passes_filter(state, tier[0][1].request, tier[1] + bump,
+                             cycle, sti_enabled)
         ]
         if passing:
             return _cascade(state, table, passing, priority_aware,
@@ -192,7 +196,7 @@ def select(
 def _cascade(
     state: SchedulerState,
     table: TokenTable,
-    passing: List[Candidate],
+    passing: List[Tuple[Candidate, int]],
     priority_aware: bool,
     row_hit_stage: bool,
     cycle: int = 0,
@@ -200,28 +204,32 @@ def _cascade(
 ) -> Candidate:
     """SP = A ? B ? C (Fig. 4): priority > row-hit (T_o(0)) > best-effort.
 
-    With STI enabled, candidates whose bank is still inside its
+    ``passing`` pairs each candidate that passed its filter with its
+    tokens.  With STI enabled, candidates whose bank is still inside its
     turn-around window rank behind ready-bank candidates of the same
     stage — a preference, so a turnaround-bound packet is only delayed
     while a better-ordered alternative actually exists (Fig. 4(b)).
     """
     if len(passing) == 1:
         # All three stages return a member of ``passing``.
-        return passing[0]
+        return passing[0][0]
 
-    def seniority(candidate: Candidate):
-        entry = table.entry(candidate[1])
+    def seniority(tier: Tuple[Candidate, int]):
+        candidate, tokens = tier
+        packet = candidate[1]
         ready = 1
-        if sti_enabled and state.sti_blocked(candidate[1].request, cycle):
+        if sti_enabled and state.sti_blocked(packet.request, cycle):
             ready = 0
-        return (ready, entry.tokens, -entry.arrival_cycle)
+        return (ready, tokens, -table.entry(packet).arrival_cycle)
 
     if priority_aware:
-        priority = [c for c in passing if c[1].is_priority]
+        priority = [tier for tier in passing if tier[0][1].is_priority]
         if priority:
-            return max(priority, key=seniority)
+            return max(priority, key=seniority)[0]
     if row_hit_stage:
-        row_hits = [c for c in passing if state.row_hit(c[1].request)]
+        row_hits = [
+            tier for tier in passing if state.row_hit(tier[0][1].request)
+        ]
         if row_hits:
-            return max(row_hits, key=seniority)
-    return max(passing, key=seniority)
+            return max(row_hits, key=seniority)[0]
+    return max(passing, key=seniority)[0]

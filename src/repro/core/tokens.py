@@ -22,8 +22,7 @@ the channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..noc.packet import Packet
 from ..noc.topology import Port
@@ -39,13 +38,20 @@ MAX_TOKENS = 6
 ARRIVAL_AGING_CAP = 4
 
 
-@dataclass
-class TokenEntry:
-    """Per-queued-packet scheduling state."""
+class TokenEntry(NamedTuple):
+    """Per-queued-packet scheduling state.
+
+    Arrival aging (line 3) is not written back: an entry keeps the tokens
+    it arrived with and its arrival sequence number, and its tokens are
+    read off the table's arrival counter (:meth:`TokenTable.tokens`), so
+    an arrival costs the same however many packets are queued.
+    """
 
     packet: Packet
     port: Port
-    tokens: int
+    initial: int
+    #: Value of the table's arrival counter once this packet had arrived.
+    sequence: int
     arrival_cycle: int
 
 
@@ -57,6 +63,9 @@ class TokenTable:
             raise ValueError(f"PCT must be in 1..{MAX_TOKENS}, got {pct}")
         self.pct = pct
         self._entries: Dict[int, TokenEntry] = {}
+        #: Packets that ever arrived here: each one after an entry's own
+        #: arrival aged that entry by one token (up to the cap).
+        self._arrived = 0
         # Pending (not yet scheduled) priority packets: id -> (bank, port).
         self._pending_priority: Dict[int, Tuple[int, Port]] = {}
 
@@ -67,14 +76,12 @@ class TokenTable:
     def on_arrival(self, port: Port, packet: Packet, cycle: int) -> None:
         if packet.request is None:
             raise ValueError("token table only tracks memory request packets")
-        for entry in self._entries.values():
-            if entry.tokens < ARRIVAL_AGING_CAP:
-                entry.tokens += 1
-        initial = self.pct if packet.is_priority else 1
+        self._arrived += 1
+        priority = packet.is_priority
         self._entries[packet.packet_id] = TokenEntry(
-            packet=packet, port=port, tokens=initial, arrival_cycle=cycle
+            packet, port, self.pct if priority else 1, self._arrived, cycle
         )
-        if packet.is_priority:
+        if priority:
             self._pending_priority[packet.packet_id] = (packet.request.bank, port)
 
     # ------------------------------------------------------------------ #
@@ -88,7 +95,15 @@ class TokenTable:
         return found
 
     def tokens(self, packet: Packet) -> int:
-        return self.entry(packet).tokens
+        """Line 3 aging: one token per later arrival, up to
+        :data:`ARRIVAL_AGING_CAP`; an entry that arrived at or above the
+        cap keeps its tokens."""
+        found = self._entries[packet.packet_id]
+        initial = found.initial
+        if initial >= ARRIVAL_AGING_CAP:
+            return initial
+        aged = initial + self._arrived - found.sequence
+        return aged if aged < ARRIVAL_AGING_CAP else ARRIVAL_AGING_CAP
 
     def is_excluded(self, packet: Packet, port: Port) -> bool:
         """Lines 4-6: best-effort packet blocked by a same-bank pending
@@ -120,4 +135,4 @@ class TokenTable:
         return set(self._entries)
 
     def token_counts(self) -> List[Tuple[int, Packet]]:
-        return [(e.tokens, e.packet) for e in self._entries.values()]
+        return [(self.tokens(e.packet), e.packet) for e in self._entries.values()]

@@ -12,7 +12,7 @@ from .flow_control import (
 from .interface import CoreInterface, MemoryInterface, TrafficGenerator
 from .network import MeshNetwork
 from .packet import Packet, PacketKind, flits_for_beats, request_packet, response_packet
-from .router import ControllerFactory, OutputPort, Router, Transfer
+from .router import ControllerFactory, OutputPort, Router
 from .routing import RoutingPolicy, admissible_ports, route_path, xy_route
 from .topology import Mesh, Mesh3D, Port
 
@@ -37,7 +37,6 @@ __all__ = [
     "RoutingPolicy",
     "Router",
     "TrafficGenerator",
-    "Transfer",
     "flits_for_beats",
     "request_packet",
     "response_packet",

@@ -24,15 +24,25 @@ from .packet import Packet
 
 
 class FlitEntry:
-    """One packet's presence in a buffer (possibly partially arrived)."""
+    """One packet's presence in a buffer (possibly partially arrived).
 
-    __slots__ = ("packet", "received", "sent", "claimed", "retiring")
+    An output that wins arbitration for the entry claims it in place: the
+    entry then names its own ``buffer``, the downstream ``lane`` it was
+    granted and, once the first flit has landed there, the ``dst_entry``
+    that flit opened.  The claiming output holds the entry itself, so a
+    claim allocates nothing.
+    """
+
+    __slots__ = (
+        "packet", "received", "sent", "claimed", "retiring",
+        "buffer", "lane", "dst_entry",
+    )
 
     def __init__(self, packet: Packet, received: int = 0) -> None:
         self.packet = packet
         self.received = received
         self.sent = 0
-        self.claimed = False   # an output transfer owns this entry
+        self.claimed = False   # an output owns this entry
         self.retiring = False  # its final flit is planned to move this cycle
 
     @property
@@ -42,10 +52,6 @@ class FlitEntry:
     @property
     def fully_received(self) -> bool:
         return self.received >= self.packet.size_flits
-
-    @property
-    def fully_sent(self) -> bool:
-        return self.sent >= self.packet.size_flits
 
     def __repr__(self) -> str:
         return (
@@ -67,6 +73,9 @@ class InputBuffer:
         self.capacity_flits = capacity_flits
         self.max_packets = max_packets
         self.entries: Deque[FlitEntry] = deque()
+        #: Packet slots an upstream router claimed for packets whose first
+        #: flit has not landed yet (taken at the claim, given back when
+        #: that flit opens the packet's entry here).
         self._reserved_slots = 0
         #: Optional shared occupancy cell (a one-element int list) the
         #: owning router installs across its input buffers, so its idle
@@ -116,36 +125,6 @@ class InputBuffer:
         """May the upstream link commit one more flit here?"""
         return self._occupancy < self.capacity_flits
 
-    def can_open_entry(self) -> bool:
-        """May a new packet begin arriving (flit credit + packet slot)?"""
-        if (
-            self.max_packets is not None
-            and len(self.entries) + self._reserved_slots >= self.max_packets
-        ):
-            return False
-        return self.has_credit()
-
-    def reserve_slot(self) -> None:
-        """Claim a packet slot at arbitration time (consumed by the
-        matching :meth:`open_entry` when the first flit commits)."""
-        if not self.can_open_entry():
-            raise RuntimeError("slot reservation without a free slot")
-        self._reserved_slots += 1
-
-    def open_entry(self, packet: Packet) -> FlitEntry:
-        """Start receiving ``packet`` (wormhole: head flit not yet here)."""
-        if self._reserved_slots > 0:
-            self._reserved_slots -= 1
-        elif self.max_packets is not None and len(self.entries) >= self.max_packets:
-            raise RuntimeError("packet slots exhausted")
-        entry = FlitEntry(packet)
-        self.entries.append(entry)
-        tally = self.entry_tally
-        if tally is not None:
-            tally[0] += 1
-            self._arrivals.append(packet)
-        return entry
-
     def push_complete(self, packet: Packet) -> None:
         """Inject a whole packet at once (local NI injection)."""
         occupancy = self._occupancy
@@ -180,36 +159,6 @@ class InputBuffer:
     def head(self) -> Optional[FlitEntry]:
         return self.entries[0] if self.entries else None
 
-    def head_candidate(self) -> Optional[FlitEntry]:
-        """The first arbitratable entry: head flit present, not owned by a
-        transfer.  When the head's final flit is already planned to depart
-        this cycle (``retiring``), the entry behind it is exposed — the way
-        a real router presents the next packet as the tail flit leaves, so
-        short packets chain without a bubble per hop."""
-        if not self.entries:
-            return None
-        head = self.entries[0]
-        if head.claimed:
-            if not head.retiring or len(self.entries) < 2:
-                return None
-            head = self.entries[1]
-            if head.claimed:
-                return None
-        if head.received < 1:
-            return None
-        return head
-
-    def retire_head(self) -> Packet:
-        """Remove the fully-forwarded head entry."""
-        head = self.head()
-        if head is None or not head.fully_sent:
-            raise RuntimeError("retiring an unfinished head entry")
-        self.entries.popleft()
-        tally = self.entry_tally
-        if tally is not None:
-            tally[0] -= 1
-        return head.packet
-
     def pop_complete(self) -> Optional[Packet]:
         """Consume the head packet if fully received (local NI ejection)."""
         head = self.head()
@@ -224,12 +173,6 @@ class InputBuffer:
         if wake is not None:
             wake()
         return head.packet
-
-    def drain_arrivals(self) -> List[Packet]:
-        """Packets whose head entered since the last drain (token hooks);
-        router-owned buffers only."""
-        arrivals, self._arrivals = self._arrivals, []
-        return arrivals
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -7,18 +7,18 @@ exactly one cycle regardless of router iteration order.
 
 The plan phase has two parts:
 
-* :func:`plan_moves` gives every claimed channel (an output owned by a
-  winner-take-all transfer) one flit move, provided the flit has arrived
-  in the source buffer and the downstream lane has credit — wormhole
-  cut-through: long packets pipeline across hops.  A claimed channel
-  needs no arbitration until its transfer's final flit is planned, which
-  marks the source entry *retiring*;
+* :func:`plan_moves` gives every claimed channel (an output holding the
+  source :class:`~repro.noc.buffers.FlitEntry` it granted, winner take
+  all) one flit move, provided the flit has arrived in the source buffer
+  and the downstream lane has credit — wormhole cut-through: long
+  packets pipeline across hops.  A claimed channel needs no arbitration
+  until the entry's final flit is planned, which marks it *retiring*;
 * :meth:`Router.plan` registers newly arrived packet heads with the flow
   controllers of the outputs their route selects — this is where GSS
   token bookkeeping (Algorithm 1, lines 1-13) happens — and arbitrates
   every idle or retiring output among the input-buffer heads routed to
-  it: the flow controller picks a winner, which claims the channel until
-  its last flit has left.
+  it: the flow controller picks a winner, whose entry claims the channel
+  until its last flit has left.
 
 Under event dispatch a router arbitrates only when something that can
 change an arbitration outcome happened since its last plan (see
@@ -45,22 +45,8 @@ ControllerFactory = Callable[[int, Port], FlowController]
 #: Sort key of claimed-channel lists: (node, output index) as one int.
 _RANK = attrgetter("rank")
 
-
-class Transfer:
-    """An in-progress winner-take-all packet transfer on one channel."""
-
-    __slots__ = ("src_buffer", "entry", "dst_entry", "dst_buffer")
-
-    def __init__(
-        self,
-        src_buffer: InputBuffer,
-        entry: FlitEntry,
-        dst_buffer: InputBuffer,
-    ):
-        self.src_buffer = src_buffer
-        self.entry = entry
-        self.dst_entry: Optional[FlitEntry] = None
-        self.dst_buffer = dst_buffer
+#: Allocates an uninitialised entry (the commit loop sets its fields).
+_new_entry = FlitEntry.__new__
 
 
 class OutputPort:
@@ -88,8 +74,10 @@ class OutputPort:
         #: arbitration loop can skip :meth:`lane_for` (set by
         #: :meth:`Router.connect`; None while unwired or multi-lane).
         self._single_lane: Optional[InputBuffer] = None
-        self.transfer: Optional[Transfer] = None
-        self._pending_transfer: Optional[Transfer] = None
+        #: The claimed source entry whose flits this channel carries, and
+        #: the one claimed to follow it once its final flit leaves.
+        self.transfer: Optional[FlitEntry] = None
+        self._pending_transfer: Optional[FlitEntry] = None
         self.packets_sent = 0
         self.flits_sent = 0
 
@@ -125,10 +113,9 @@ def plan_moves(channels: List[OutputPort]) -> Tuple[List["Router"], int]:
     moving: List[Router] = []
     retiring = 0
     for output in channels:
-        transfer = output.transfer
-        entry = transfer.entry
+        entry = output.transfer
         if entry.received > entry.sent:
-            lane = transfer.dst_buffer
+            lane = entry.lane
             if lane._occupancy < lane.capacity_flits:
                 router = output.router
                 planned = router._planned_outputs
@@ -206,7 +193,7 @@ class Router:
         for _, buffer in self._input_items:
             buffer.entry_tally = self._entry_tally
             buffer._arrivals = []
-        #: Entries in this router's inputs that an output transfer owns:
+        #: Entries in this router's inputs that an output has claimed:
         #: ``_entry_tally[0] > _claimed_entries`` says one is unclaimed.
         self._claimed_entries = 0
         self._output_list = list(self.outputs.values())
@@ -215,15 +202,11 @@ class Router:
         }
         # One bit per output (its index in ``_output_list``), and per
         # destination the OR of its admissible outputs' bits — so the
-        # requested-ports superset in :meth:`plan` is integer arithmetic.
+        # requested outputs in :meth:`plan` are integer arithmetic.
         port_bit = {
             output.port: 1 << index
             for index, output in enumerate(self._output_list)
         }
-        self._output_bits = [
-            (output, 1 << index)
-            for index, output in enumerate(self._output_list)
-        ]
         self._route_masks = [
             sum(port_bit[out_port] for out_port in routes
                 if out_port in port_bit)
@@ -305,75 +288,56 @@ class Router:
         """
         if not self._entry_tally[0]:
             return False
-        # One pass over the inputs that hold packets: arbitration below
-        # only claims existing entries (it never adds any), so the
-        # ``active`` snapshot stays valid for the whole cycle.  Arrival
-        # registration rides the same
-        # loop — a buffer with pending arrivals always holds the arrived
-        # entry (entries only leave via retire, which needs a prior
-        # arbitration, which needs this registration first), so scanning
-        # only occupied buffers is exact.
-        #
-        # ``requested`` accumulates, as a bitmask over outputs, the ports
-        # any arbitratable entry could route to this cycle.  Mirroring
-        # ``head_candidate``: an unclaimed head with its head flit present
-        # is a candidate; behind a claimed head only the second entry can
-        # be (exposed if the head is retiring, so it is included whenever
-        # the head is claimed).  New claims never mark an entry retiring,
-        # so nothing becomes a candidate mid-arbitration: claims only
-        # *remove* candidates, and this superset lets every other output
-        # skip its candidate scan entirely.
+        # One pass over the inputs registers arrivals and collects each
+        # lane's candidate: its unclaimed head or, behind a retiring head,
+        # the entry that head exposes — the way a real router presents
+        # the next packet as the tail flit leaves, so short packets chain
+        # without a bubble per hop.  Every entry holds at least its head
+        # flit: the commit that opens an entry moves that flit in.  A lane
+        # with pending arrivals always holds the arrived entry (entries
+        # only leave once claimed, which needs this registration first).
+        # ``requested`` accumulates, one bit per output, the outputs the
+        # candidates route to.  Arbitration only claims candidates, and a
+        # fresh claim never marks an entry retiring, so no entry becomes
+        # a candidate mid-arbitration: later outputs see the same
+        # candidates minus the claimed ones, which _arbitrate skips.
         route_table = self._route_table
         route_masks = self._route_masks
-        active: List = []
+        heads: List = []
         requested = 0
-        for item in self._input_items:
-            buffer = item[1]
+        for port, buffer in self._input_items:
             entries = buffer.entries
             if not entries:
                 continue
-            active.append(item)
-            if buffer._arrivals:
-                port = item[0]
+            arrivals = buffer._arrivals
+            if arrivals:
+                buffer._arrivals = []
                 controllers = self._controller_by_port
-                for packet in buffer.drain_arrivals():
+                for packet in arrivals:
                     for out_port in route_table[packet.dst]:
                         controllers[out_port].on_arrival(port, packet, cycle)
-            head = entries[0]
-            if not head.claimed:
-                if head.received:
-                    requested |= route_masks[head.packet.dst]
-            elif len(entries) > 1:
-                second = entries[1]
-                if not second.claimed and second.received:
-                    requested |= route_masks[second.packet.dst]
-        if not requested:
-            return False
-        arbitrating: List[Tuple[OutputPort, int]] = []
-        for pair in self._output_bits:
-            if requested & pair[1]:
-                transfer = pair[0].transfer
-                if transfer is None or transfer.entry.retiring:
-                    arbitrating.append(pair)
-        if not arbitrating:
-            return False
-        # Head candidates are resolved once per cycle.  Arbitration only
-        # *claims* entries — a freshly claimed head never exposes the
-        # entry behind it (that needs ``retiring``) — so later outputs
-        # see the same candidates minus the claimed ones, which the
-        # per-output claimed filter in :meth:`_arbitrate` reproduces
-        # exactly.
-        heads: List = []
-        for port, buffer in active:
-            entry = buffer.head_candidate()
-            if entry is not None:
-                heads.append(
-                    (port, buffer, entry, route_masks[entry.packet.dst])
-                )
+            entry = entries[0]
+            if entry.claimed:
+                if not entry.retiring or len(entries) < 2:
+                    continue
+                entry = entries[1]
+                if entry.claimed:
+                    continue
+            mask = route_masks[entry.packet.dst]
+            requested |= mask
+            heads.append((port, buffer, entry, mask))
+        # Arbitrate each requested output that is idle or retiring, in
+        # output order, by walking the set bits.
+        outputs = self._output_list
         claimed = False
-        for output, bit in arbitrating:
-            if self._arbitrate(output, bit, cycle, heads):
-                claimed = True
+        while requested:
+            bit = requested & -requested
+            requested ^= bit
+            output = outputs[bit.bit_length() - 1]
+            current = output.transfer
+            if current is None or current.retiring:
+                if self._arbitrate(output, bit, cycle, heads):
+                    claimed = True
         return claimed
 
     def _routes(self, packet: Packet) -> Tuple[Port, ...]:
@@ -389,35 +353,49 @@ class Router:
         single = output._single_lane
         candidates: List[Candidate] = []
         sources = []
-        for port, buffer, entry, mask in heads:
+        for head in heads:
+            port, _, entry, mask = head
             if not mask & bit or entry.claimed:
                 continue
             packet = entry.packet
             lane = single if single is not None else output.lane_for(packet)
-            # Inlined can_open_entry: the plain (no packet-slot cap) case
-            # is just the flit-credit comparison.
-            if lane.max_packets is None:
-                if lane._occupancy >= lane.capacity_flits:
-                    continue
-            elif not lane.can_open_entry():
+            # A packet may begin arriving in a lane with flit credit and,
+            # where packets are capped, a free packet slot.
+            if lane._occupancy >= lane.capacity_flits or (
+                lane.max_packets is not None
+                and len(lane.entries) + lane._reserved_slots
+                >= lane.max_packets
+            ):
                 continue
             candidates.append((port, packet))
-            sources.append((packet, entry, buffer, lane))
+            sources.append(head)
         if not candidates:
             return False
         winner = output.controller.pick(candidates, cycle)
         if winner is None:
             return False
         port, packet = winner
-        entry = src_buffer = dst_buffer = None
-        for won, won_entry, won_buffer, won_lane in sources:
-            if won is packet:
-                entry, src_buffer, dst_buffer = won_entry, won_buffer, won_lane
+        for head in sources:
+            if head[2].packet is packet:
                 break
-        assert entry is not None, "controller picked a non-candidate packet"
+        else:
+            raise AssertionError("controller picked a non-candidate packet")
+        _, buffer, entry, _ = head
+        lane = single if single is not None else output.lane_for(packet)
+        # The claim reserves a packet slot in the lane for its first flit.
+        # ``pick`` must not mutate state, so the winner's lane is still
+        # open; a controller that broke that would over-reserve it.
+        if lane._occupancy >= lane.capacity_flits or (
+            lane.max_packets is not None
+            and len(lane.entries) + lane._reserved_slots >= lane.max_packets
+        ):
+            raise RuntimeError("slot reservation without a free slot")
+        lane._reserved_slots += 1
         entry.claimed = True
+        entry.buffer = buffer
+        entry.lane = lane
+        entry.dst_entry = None
         self._claimed_entries += 1
-        dst_buffer.reserve_slot()
         output.controller.on_scheduled(port, packet, cycle)
         # Adaptive routing: withdraw the packet from the controllers of the
         # other admissible outputs.  That can lift an exclusion an output
@@ -433,13 +411,13 @@ class Router:
             network = self._network
             if network is not None:
                 network._awake |= self._bit
-        next_transfer = Transfer(src_buffer, entry, dst_buffer)
         if output.transfer is None:
-            output.transfer = next_transfer
+            output.transfer = entry
             insort(self._channels, output, key=_RANK)
         else:
-            # Current transfer finishes this cycle; queue the successor.
-            output._pending_transfer = next_transfer
+            # The current entry's final flit leaves this cycle; queue the
+            # successor.
+            output._pending_transfer = entry
         return True
 
     # ------------------------------------------------------------------ #
@@ -454,17 +432,34 @@ class Router:
         injector = self.fault_injector
         awake = 0
         for output in planned:
-            transfer = output.transfer
-            entry = transfer.entry
+            entry = output.transfer
             packet = entry.packet
             size = packet.size_flits
-            dst_buffer = transfer.dst_buffer
-            dst_entry = transfer.dst_entry
+            lane = entry.lane
+            dst_entry = entry.dst_entry
             if dst_entry is None:
-                dst_entry = transfer.dst_entry = dst_buffer.open_entry(packet)
-                # A new entry downstream is a new candidate (and arrival)
-                # there; its later flits change no arbitration.
-                target = dst_buffer.consumer_router
+                # The first flit opens the packet's entry downstream, in
+                # the slot its claim reserved.  A new entry is a new
+                # candidate (and arrival) there; later flits change no
+                # arbitration.
+                if lane._reserved_slots > 0:
+                    lane._reserved_slots -= 1
+                elif (
+                    lane.max_packets is not None
+                    and len(lane.entries) >= lane.max_packets
+                ):
+                    raise RuntimeError("packet slots exhausted")
+                # FlitEntry(packet), built without a Python-level call.
+                dst_entry = entry.dst_entry = _new_entry(FlitEntry)
+                dst_entry.packet = packet
+                dst_entry.received = dst_entry.sent = 0
+                dst_entry.claimed = dst_entry.retiring = False
+                lane.entries.append(dst_entry)
+                tally = lane.entry_tally
+                if tally is not None:
+                    tally[0] += 1
+                    lane._arrivals.append(packet)
+                target = lane.consumer_router
                 if target is not None:
                     awake |= target._bit
             # The flit moves here: plan only schedules this move
@@ -474,21 +469,21 @@ class Router:
             # state cannot change between plan and commit.
             received = dst_entry.received + 1
             dst_entry.received = received
-            occupancy = dst_buffer._occupancy + 1
-            dst_buffer._occupancy = occupancy
-            if occupancy > dst_buffer.highwater_flits:
-                dst_buffer.highwater_flits = occupancy
+            occupancy = lane._occupancy + 1
+            lane._occupancy = occupancy
+            if occupancy > lane.highwater_flits:
+                lane.highwater_flits = occupancy
             sent = entry.sent + 1
             entry.sent = sent
-            src_buffer = transfer.src_buffer
+            src_buffer = entry.buffer
             occupancy = src_buffer._occupancy
             src_buffer._occupancy = occupancy - 1
             output.flits_sent += 1
             # NI-facing buffers (local sinks) take the full wake hook so
             # the NI's own engine wake fires, but only on the tail flit:
             # both NIs consume complete packets only.
-            if received >= size and dst_buffer.consumer_router is None:
-                wake = dst_buffer.wake_consumer
+            if received >= size and lane.consumer_router is None:
+                wake = lane.wake_consumer
                 if wake is not None:
                     wake()
             # A full lane going not full may admit a candidate upstream.
@@ -499,8 +494,13 @@ class Router:
             if injector is not None:
                 injector.on_link_flit(cycle, self.node, output.port, packet)
             if sent >= size:
-                retired = src_buffer.retire_head()
-                assert retired is packet
+                # The final flit left: the entry, the head of its lane
+                # (in-order buffers forward only their head), retires.
+                entries = src_buffer.entries
+                if entries[0] is not entry:
+                    raise RuntimeError("retiring an unfinished head entry")
+                entries.popleft()
+                self._entry_tally[0] -= 1
                 self._claimed_entries -= 1
                 output.controller.on_delivered(packet, cycle)
                 output.packets_sent += 1

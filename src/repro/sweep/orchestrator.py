@@ -24,7 +24,8 @@ Failure containment is per point, never per sweep:
   a fresh process takes the slot for the next job, and no other job
   runs twice;
 * a parent that dies outright leaves no worker behind: each worker
-  also waits on its parent's sentinel and exits when it fires.
+  watches its parent's sentinel and exits the moment it fires, even
+  mid-job.
 
 Workers are forked where available (Linux/macOS ``fork`` context) so
 runner registrations made by the parent are visible without re-import;
@@ -47,8 +48,10 @@ Liveness has two optional surfaces, both off by default:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import signal
 import sys
+import threading
 import time
 import traceback as traceback_mod
 from collections import deque
@@ -255,17 +258,28 @@ def _default_context():
         return multiprocessing.get_context()
 
 
+def _exit_with_parent(sentinel) -> None:
+    """End this process as soon as ``sentinel`` (the parent's) fires."""
+    wait([sentinel])
+    os._exit(1)
+
+
 def _serve(conn) -> None:
     """A worker process's body: run each ``(kind, params)`` that arrives
     on ``conn`` and send its payload back, until ``None`` or the
     parent's death.
 
     A parent that dies leaves the pipe open, since this worker and any
-    forked after it hold copies of the parent's ends, so the worker also
-    waits on the parent's sentinel.
+    forked after it hold copies of the parent's ends, and no one would
+    take the result of the job in hand, so a daemon thread waits on the
+    parent's sentinel and ends the process the moment it fires.
     """
-    parent = multiprocessing.parent_process().sentinel
-    while parent not in wait([conn, parent]):
+    threading.Thread(
+        target=_exit_with_parent,
+        args=(multiprocessing.parent_process().sentinel,),
+        daemon=True,
+    ).start()
+    while True:
         message = conn.recv()
         if message is None:
             return

@@ -1,6 +1,8 @@
 """TokenTable tests (Algorithm 1 lines 1-13 and 19-24)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.helpers import make_request
 from repro.core.tokens import ARRIVAL_AGING_CAP, MAX_TOKENS, TokenTable
@@ -117,3 +119,58 @@ class TestRetirement:
 
     def test_unknown_schedule_tolerated(self):
         TokenTable(pct=5).on_scheduled(pkt(99))
+
+
+class PerArrivalAging:
+    """Reference for line 3 as written: on every arrival each queued
+    packet below ARRIVAL_AGING_CAP gains one token."""
+
+    def __init__(self, pct):
+        self.pct = pct
+        self.tokens = {}
+
+    def on_arrival(self, packet):
+        for packet_id, tokens in self.tokens.items():
+            if tokens < ARRIVAL_AGING_CAP:
+                self.tokens[packet_id] = tokens + 1
+        self.tokens[packet.packet_id] = self.pct if packet.is_priority else 1
+
+    def on_scheduled(self, packet):
+        self.tokens.pop(packet.packet_id, None)
+
+
+PORTS = [Port.NORTH, Port.EAST, Port.SOUTH, Port.WEST, Port.LOCAL]
+
+#: One step: ("arrive", priority, port), or a schedule or withdrawal of
+#: the queued packet at an index (both release its token entry).
+STEPS = st.one_of(
+    st.tuples(st.just("arrive"), st.booleans(), st.sampled_from(PORTS)),
+    st.tuples(st.sampled_from(["schedule", "withdraw"]),
+              st.integers(min_value=0, max_value=63)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pct=st.integers(min_value=1, max_value=MAX_TOKENS),
+       steps=st.lists(STEPS, max_size=60))
+def test_counter_aging_matches_per_arrival_loop(pct, steps):
+    table = TokenTable(pct=pct)
+    reference = PerArrivalAging(pct)
+    queued = []
+    for cycle, step in enumerate(steps):
+        if step[0] == "arrive":
+            packet = pkt(cycle, priority=step[1], bank=cycle % 4)
+            table.on_arrival(step[2], packet, cycle)
+            reference.on_arrival(packet)
+            queued.append(packet)
+        elif queued:
+            packet = queued.pop(step[1] % len(queued))
+            table.on_scheduled(packet)
+            reference.on_scheduled(packet)
+        for packet in queued:
+            assert table.tokens(packet) == reference.tokens[packet.packet_id]
+        assert sorted(
+            (tokens, packet.packet_id) for tokens, packet in table.token_counts()
+        ) == sorted(
+            (tokens, packet_id) for packet_id, tokens in reference.tokens.items()
+        )

@@ -1,13 +1,18 @@
 """Router tests: wormhole pipelining, winner-take-all, backpressure."""
 
+import sys
+
 import pytest
 
 from tests.helpers import make_request
+from repro.core.system import build_system
+from repro.noc import buffers, router as router_module
 from repro.noc.buffers import InputBuffer
 from repro.noc.flow_control import RoundRobinFlowController
 from repro.noc.packet import request_packet, response_packet
 from repro.noc.router import Router, plan_moves
 from repro.noc.topology import Mesh, Port
+from repro.sim.config import DdrGeneration, NocDesign, SystemConfig
 
 
 def build_router(node=4, mesh=None, buffer_flits=16):
@@ -159,3 +164,44 @@ class TestPipelining:
             cycle += 1
         # store-and-forward would need ~32+ cycles; cut-through ~19
         assert cycle < 26
+
+
+def test_hop_path_makes_no_buffer_call():
+    """Deterministic cost guard: 2,000 stepped cycles of the
+    gss_prio_dual configuration move thousands of packets hop by hop,
+    and the router's plan and commit make no Python call into
+    ``noc/buffers.py``: claiming, opening, streaming and retiring an
+    entry is attribute work on the entry and its lanes."""
+    system = build_system(SystemConfig(
+        app="dual_dtv", ddr=DdrGeneration.DDR2, clock_mhz=400,
+        design=NocDesign.GSS_SAGM, priority_enabled=True, pct=5,
+        cycles=100_000,
+    ))
+    router_file = router_module.__file__
+    buffers_file = buffers.__file__
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if (
+            event == "call"
+            and frame.f_code.co_filename == buffers_file
+            and frame.f_back is not None
+            and frame.f_back.f_code.co_filename == router_file
+        ):
+            calls += 1
+
+    step = system.simulator.step
+    sys.setprofile(profile)
+    try:
+        for _ in range(2_000):
+            step()
+    finally:
+        sys.setprofile(None)
+    hops = sum(
+        output.packets_sent
+        for node in system.network.routers
+        for output in node.outputs.values()
+    )
+    assert hops > 1_000
+    assert calls == 0, f"{calls} Python calls from the router into buffers"

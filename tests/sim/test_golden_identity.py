@@ -293,7 +293,7 @@ def _withdrawal_claims(event_dispatch: bool) -> list:
         def tick(self, cycle):
             for output in (east, south):
                 transfer = output.transfer
-                if transfer is not None and transfer.entry.packet is best_effort:
+                if transfer is not None and transfer.packet is best_effort:
                     claims.append((cycle, output.port.name))
 
     simulator = Simulator(idle_skip=event_dispatch)
@@ -301,7 +301,7 @@ def _withdrawal_claims(event_dispatch: bool) -> list:
     simulator.add(Observer())
     simulator.run(4)
     assert south.packets_sent or (
-        south.transfer is not None and south.transfer.entry.packet is priority
+        south.transfer is not None and south.transfer.packet is priority
     ), "SOUTH never claimed the priority packet"
     return claims
 

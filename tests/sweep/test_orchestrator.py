@@ -84,6 +84,28 @@ if __name__ == "__main__":
     )
 """
 
+#: Two jobs that each spin for 30 s, so a parent killed once both have
+#: started dies while each worker holds one.
+LONG_SWEEP = """
+import os, sys, time
+from repro.sweep import Job, register_runner, run_sweep
+
+@register_runner("pid-spin")
+def _pid_spin(params):
+    open(os.path.join(params["dir"], str(os.getpid())), "w").close()
+    end = time.monotonic() + 30
+    while time.monotonic() < end:
+        pass
+    return {}
+
+if __name__ == "__main__":
+    run_sweep(
+        [Job(kind="pid-spin", params={"dir": sys.argv[1], "x": x})
+         for x in range(2)],
+        workers=2,
+    )
+"""
+
 
 def _alive(pid):
     """Whether ``pid`` still runs; a zombie awaiting its reaper is gone."""
@@ -98,6 +120,46 @@ def _alive(pid):
             return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
     except OSError:
         return False
+
+
+def _kill_sweep_parent(tmp_path, script_text, grace_s):
+    """Run ``script_text`` as a 2-worker sweep, SIGKILL its parent once
+    both workers have logged their pid, and return the workers still
+    alive ``grace_s`` later (then killed) and the stderr all of them
+    shared."""
+    script = tmp_path / "sweep.py"
+    script.write_text(script_text)
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    parent = subprocess.Popen(
+        [sys.executable, str(script), str(pids)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stderr=subprocess.PIPE,
+    )
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = [int(path.name) for path in pids.iterdir()]
+        assert len(workers) == 2, "both workers never started a job"
+        parent.kill()
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + grace_s
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if _alive(pid)]
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait(timeout=10)
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        stderr = parent.stderr.read()
+        parent.stderr.close()
+    return survivors, stderr
 
 
 def echo_jobs(values):
@@ -288,38 +350,16 @@ class TestParallel:
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
         """SIGKILL of a sweep's parent mid-job leaves no worker behind,
         and the workers exit without a traceback."""
-        script = tmp_path / "sweep.py"
-        script.write_text(SLOW_SWEEP)
-        pids = tmp_path / "pids"
-        pids.mkdir()
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        parent = subprocess.Popen(
-            [sys.executable, str(script), str(pids)],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            stderr=subprocess.PIPE,
-        )
-        workers = []
-        try:
-            deadline = time.monotonic() + 60
-            while len(workers) < 2 and time.monotonic() < deadline:
-                time.sleep(0.05)
-                workers = [int(path.name) for path in pids.iterdir()]
-            assert len(workers) == 2, "both workers never started a job"
-            parent.kill()
-            parent.wait(timeout=10)
-            deadline = time.monotonic() + 5
-            while any(map(_alive, workers)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert not [pid for pid in workers if _alive(pid)]
-            assert b"Traceback" not in parent.stderr.read()
-        finally:
-            if parent.poll() is None:
-                parent.kill()
-                parent.wait(timeout=10)
-            for pid in workers:
-                if _alive(pid):
-                    os.kill(pid, signal.SIGKILL)
-            parent.stderr.close()
+        survivors, stderr = _kill_sweep_parent(tmp_path, SLOW_SWEEP, 5)
+        assert not survivors
+        assert b"Traceback" not in stderr
+
+    def test_workers_exit_mid_job_when_the_parent_is_killed(self, tmp_path):
+        """A worker does not run its job to the end for a dead parent:
+        each holds a 30 s job and must be gone within 3 s of the kill."""
+        survivors, stderr = _kill_sweep_parent(tmp_path, LONG_SWEEP, 3)
+        assert not survivors, f"workers {survivors} outlived the parent"
+        assert b"Traceback" not in stderr
 
     def test_unpicklable_result_fails_its_job(self):
         jobs = echo_jobs([1]) + [Job(kind="unpicklable", params={"x": 2})]
