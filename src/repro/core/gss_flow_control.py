@@ -9,10 +9,12 @@ toward the memory subsystem.  It composes
 * the Fig. 4 tiered filter + ``A ? B ? C`` cascade in
   :mod:`repro.core.gss_filter`,
 
-and maintains the per-bank STI counters: when a packet finishes delivery to
-the next router, its bank's counter is set to ``tWR + tRP`` cycles for a
-write and ``tRP`` for a read (Section IV-B), counting down implicitly
-against the current cycle.
+and, with STI on, maintains the per-bank STI counters: when a packet
+finishes delivery to the next router, its bank's counter is set to
+``tWR + tRP`` cycles for a write and ``tRP`` for a read (Section IV-B),
+counting down implicitly against the current cycle.  Only the Fig. 4(b)
+filter reads them, so with STI off a delivery changes nothing here and
+the router is given no delivery hook (:meth:`GssFlowController.hooks`).
 
 :class:`SdramAwareFlowController` is the state-of-the-art baseline [4]
 expressed in the same machinery: a priority-equal scheduler (every packet
@@ -27,7 +29,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..dram.timing import DramTiming
-from ..noc.flow_control import Candidate, MemoryFlowController
+from ..noc.flow_control import Candidate, Hooks, MemoryFlowController
 from ..noc.packet import Packet
 from ..noc.topology import Port
 from ..obs.events import EventType
@@ -50,16 +52,21 @@ class GssFlowController(MemoryFlowController):
         tracer=None,
         trace_label: str = "gss",
     ) -> None:
-        self.timing = timing
         self.sti_enabled = sti_enabled
         self.table = TokenTable(pct=self._initial_pct(pct))
+        #: Lines 4-6 are the only refusal of a lone candidate, and only a
+        #: pending priority packet excludes anyone: the router vets a
+        #: lone request while this map of them is non-empty.
+        self.vetoes = self.table._pending_priority
         self.state = SchedulerState()
+        # The STI windows a delivery arms: tWR + tRP after a write, tRP
+        # after a read.
+        self._write_window = timing.write_to_precharge
+        self._read_window = timing.read_to_precharge
         if sti_enabled:
             # Same-bank reuse window in scheduled packets: the write
             # turn-around time divided by a typical burst service slot.
-            self.state.sti_distance = max(
-                2, -(-timing.write_to_precharge // 4)
-            )
+            self.state.sti_distance = max(2, -(-self._write_window // 4))
         self.scheduled_count = 0
         self.tracer = tracer
         self.trace_label = trace_label
@@ -106,19 +113,27 @@ class GssFlowController(MemoryFlowController):
             )
 
     def on_delivered(self, packet: Packet, cycle: int) -> None:
-        if packet.request is None:
+        # Only the Fig. 4(b) filter reads the per-bank STI counters.
+        if packet.request is None or not self.sti_enabled:
             return
         self.state.note_delivered(
-            packet.request,
-            cycle,
-            write_window=self.timing.write_to_precharge,
-            read_window=self.timing.read_to_precharge,
+            packet.request, cycle, self._write_window, self._read_window,
         )
 
     def on_withdrawn(self, packet: Packet, cycle: int) -> None:
         # Adaptive routing: another output claimed the packet; release the
         # token entry and any priority-exclusion it was enforcing.
         self.table.on_scheduled(packet)
+
+    def hooks(self) -> Hooks:
+        """Arrivals go straight to the token table, and a delivery needs
+        no hook unless STI is on."""
+        return (
+            self.table.on_arrival,
+            self.on_scheduled,
+            self.on_delivered if self.sti_enabled else None,
+            self.on_withdrawn,
+        )
 
     def tracked_packet_ids(self):
         return self.table.tracked_packet_ids()
@@ -145,6 +160,10 @@ class SdramAwareFlowController(GssFlowController):
         # [4] has no priority semantics: drop the exclusion bookkeeping.
         self.table._pending_priority.clear()
 
+    def hooks(self) -> Hooks:
+        _, claim, delivery, withdrawal = super().hooks()
+        return self.on_arrival, claim, delivery, withdrawal
+
 
 class PfsMemoryFlowController(MemoryFlowController):
     """Priority-first service in front of an SDRAM-aware scheduler.
@@ -157,6 +176,9 @@ class PfsMemoryFlowController(MemoryFlowController):
 
     def __init__(self, inner: GssFlowController) -> None:
         self.inner = inner
+        # A lone priority packet always wins; a lone best-effort one is
+        # the inner scheduler's to refuse.
+        self.vetoes = inner.vetoes
 
     def on_arrival(self, port: Port, packet: Packet, cycle: int) -> None:
         self.inner.on_arrival(port, packet, cycle)
@@ -175,6 +197,9 @@ class PfsMemoryFlowController(MemoryFlowController):
 
     def on_withdrawn(self, packet: Packet, cycle: int) -> None:
         self.inner.on_withdrawn(packet, cycle)
+
+    def hooks(self) -> Hooks:
+        return self.inner.hooks()
 
     def tracked_packet_ids(self):
         return self.inner.tracked_packet_ids()

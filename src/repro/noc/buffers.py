@@ -81,10 +81,11 @@ class InputBuffer:
         #: owning router installs across its input buffers, so its idle
         #: check is O(1) instead of a scan over every lane's entries.
         self.entry_tally: Optional[List[int]] = None
-        #: Packets whose head entered since the owning router's last plan
-        #: (token registration).  The router installs the list together
-        #: with ``entry_tally``; NI-facing sinks have neither, so they
-        #: keep nothing per delivered packet.
+        #: Memory requests whose head entered since the owning router's
+        #: last plan (token registration).  The router installs the list
+        #: together with ``entry_tally`` where one of its outputs has a
+        #: memory scheduler; NI-facing sinks have neither, so they keep
+        #: nothing per delivered packet.
         self._arrivals: Optional[List[Packet]] = None
         # Resident flits, maintained incrementally (here and in the
         # router's commit loop, which moves every flit between links), so
@@ -121,10 +122,6 @@ class InputBuffer:
     def occupancy_flits(self) -> int:
         return self._occupancy
 
-    def has_credit(self) -> bool:
-        """May the upstream link commit one more flit here?"""
-        return self._occupancy < self.capacity_flits
-
     def push_complete(self, packet: Packet) -> None:
         """Inject a whole packet at once (local NI injection)."""
         occupancy = self._occupancy
@@ -139,7 +136,9 @@ class InputBuffer:
         tally = self.entry_tally
         if tally is not None:
             tally[0] += 1
-            self._arrivals.append(packet)
+        arrivals = self._arrivals
+        if arrivals is not None and packet.is_memory_request:
+            arrivals.append(packet)
         wake = self.wake_consumer
         if wake is not None:
             wake()
@@ -164,7 +163,12 @@ class InputBuffer:
         head = self.head()
         if head is None or head.claimed or not head.fully_received:
             return None
-        self.entries.popleft()
+        return self.pop_head()
+
+    def pop_head(self) -> Packet:
+        """Consume the head entry, which the caller found unclaimed and
+        fully received."""
+        head = self.entries.popleft()
         self._occupancy -= head.received - head.sent
         tally = self.entry_tally
         if tally is not None:

@@ -388,8 +388,9 @@ class MemoryInterface:
             retries = resilience.dram_retries
             while retries and self.subsystem.can_accept(retries[0]):
                 self.subsystem.enqueue(retries.popleft(), cycle)
+        sink = self.sink
         while True:
-            head = self.sink.head()
+            head = sink.head()
             if head is None or head.claimed or not head.fully_received:
                 break
             packet = head.packet
@@ -397,12 +398,12 @@ class MemoryInterface:
             assert request is not None
             if resilience is not None and packet.corrupted:
                 # CRC failure on arrival: discard and NACK the sender.
-                self.sink.pop_complete()
+                sink.pop_head()
                 resilience.on_corrupt_request(cycle, packet)
                 continue
             if not self.subsystem.can_accept(request):
                 break
-            self.sink.pop_complete()
+            sink.pop_head()
             self.subsystem.enqueue(request, cycle)
             self.admitted += 1
             if resilience is not None:

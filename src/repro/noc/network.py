@@ -108,14 +108,15 @@ class MeshNetwork:
 
         Moves are planned first, for every claimed channel, so the
         ``retiring`` flags are fixed before any router arbitrates; then
-        every awake router plans, in node order; then every router with
-        a planned move commits, in node order, so commits, link-fault
-        draws and ``HOP`` events keep one order.  Planning reads only
-        start-of-cycle state and each router's arbitration only its own
-        inputs, controllers and downstream lanes, so the split into
-        phases plans exactly what per-router planning would.
+        every awake router plans, in node order; then one
+        :meth:`Router.commit` pass applies every planned move, in (node,
+        output) order, so commits, link-fault draws and ``HOP`` events
+        keep one order.  Planning reads only start-of-cycle state and
+        each router's arbitration only its own inputs, controllers and
+        downstream lanes, so the split into phases plans exactly what
+        per-router planning would.
         """
-        moving, retiring = plan_moves(self._channels)
+        planned, retiring = plan_moves(self._channels)
         awake = self._awake | retiring
         if self._event_dispatch:
             self._awake = 0
@@ -126,9 +127,9 @@ class MeshNetwork:
             awake ^= bit
             if routers[bit.bit_length() - 1].plan(cycle):
                 claimed = True
-        for router in moving:
-            router.commit(cycle)
-        self._busy = claimed or bool(moving)
+        if planned:
+            Router.commit(planned, cycle)
+        self._busy = claimed or bool(planned)
 
     # ------------------------------------------------------------------ #
     # Event-dispatch contract

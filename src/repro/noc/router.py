@@ -13,12 +13,23 @@ The plan phase has two parts:
   and the downstream lane has credit — wormhole cut-through: long
   packets pipeline across hops.  A claimed channel needs no arbitration
   until the entry's final flit is planned, which marks it *retiring*;
-* :meth:`Router.plan` registers newly arrived packet heads with the flow
-  controllers of the outputs their route selects — this is where GSS
-  token bookkeeping (Algorithm 1, lines 1-13) happens — and arbitrates
-  every idle or retiring output among the input-buffer heads routed to
-  it: the flow controller picks a winner, whose entry claims the channel
-  until its last flit has left.
+* :meth:`Router.plan` registers newly arrived memory requests with the
+  memory schedulers of the outputs their route selects — this is where
+  GSS token bookkeeping (Algorithm 1, lines 1-13) happens — and
+  arbitrates every idle or retiring output among the input-buffer heads
+  routed to it; the winner's entry claims the channel until its last
+  flit has left.
+
+The commit phase, :meth:`Router.commit`, applies every planned move of
+the cycle in one pass, in (node, output) order.
+
+Each output resolves its flow controller's Fig. 3 split once, when the
+router is built (:class:`OutputPort`): the memory scheduler's hooks
+(arrival, claim, delivery, withdrawal) are called for memory-request
+packets only, a claim advances the conventional arbiter's round-robin
+rotation in place, and ``pick`` runs only when there is a choice or a
+lone memory request meets a scheduler that may refuse it (non-empty
+:attr:`~repro.noc.flow_control.MemoryFlowController.vetoes`).
 
 Under event dispatch a router arbitrates only when something that can
 change an arbitration outcome happened since its last plan (see
@@ -34,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..obs.events import EventType
 from .buffers import FlitEntry, InputBuffer
-from .flow_control import Candidate, FlowController
+from .flow_control import FlowController, RoundRobinFlowController
 from .packet import Packet
 from .routing import RoutingPolicy, build_route_table
 from .topology import Mesh, Port
@@ -64,7 +75,20 @@ class OutputPort:
         rank: int,
     ) -> None:
         self.port = port
+        #: Arbitrates a contested channel (``pick``).
         self.controller = controller
+        # Fig. 3's split, resolved once: the memory scheduler (None if
+        # this output has none) and its hooks, called for memory-request
+        # packets only, and the conventional arbiter's round-robin
+        # rotation, which every claim advances.
+        memory, normal = controller.fig3_split()
+        self.memory = memory
+        hooks = memory.hooks() if memory is not None else (None,) * 4
+        (self.arrival_hook, self.claim_hook, self.delivery_hook,
+         self.withdrawal_hook) = hooks
+        self.rotation = (
+            normal if isinstance(normal, RoundRobinFlowController) else None
+        )
         #: The owning router, and this channel's position in claimed-channel
         #: lists: node-major, then output order (see :func:`plan_moves`).
         self.router = router
@@ -94,7 +118,7 @@ class OutputPort:
         return self.downstream[1]
 
 
-def plan_moves(channels: List[OutputPort]) -> Tuple[List["Router"], int]:
+def plan_moves(channels: List[OutputPort]) -> Tuple[List[OutputPort], int]:
     """Plan one flit move for every claimed channel in ``channels``.
 
     A channel moves a flit when one is resident in its source entry and
@@ -102,31 +126,29 @@ def plan_moves(channels: List[OutputPort]) -> Tuple[List["Router"], int]:
     ``retiring``, so the channel may be arbitrated again this cycle.
     Only committed start-of-cycle state is read, so the order of the
     list does not change which moves are planned; it does fix the order
-    in which each router's moves commit (``channels`` is kept in node,
-    then output order).
+    in which they commit (``channels`` is kept in node, then output
+    order).
 
-    Returns the routers with a planned move, in ``channels`` order, and
-    the wake bits of those whose final flit was planned while they hold
-    an unclaimed entry: the retiring channel and the entry it exposes may
-    change their arbitration this cycle.
+    Returns the channels with a planned move, in ``channels`` order, for
+    :meth:`Router.commit`, and the wake bits of the routers whose final
+    flit was planned while they hold an unclaimed entry: the retiring
+    channel and the entry it exposes may change their arbitration this
+    cycle.
     """
-    moving: List[Router] = []
+    planned: List[OutputPort] = []
     retiring = 0
     for output in channels:
         entry = output.transfer
         if entry.received > entry.sent:
             lane = entry.lane
             if lane._occupancy < lane.capacity_flits:
-                router = output.router
-                planned = router._planned_outputs
-                if not planned:
-                    moving.append(router)
                 planned.append(output)
                 if entry.sent + 1 >= entry.packet.size_flits:
                     entry.retiring = True
+                    router = output.router
                     if router._entry_tally[0] > router._claimed_entries:
                         retiring |= router._bit
-    return moving, retiring
+    return planned, retiring
 
 
 class Router:
@@ -185,21 +207,31 @@ class Router:
             (port, buffer) for port, lanes in self.inputs.items()
             for buffer in lanes
         ]
+        # Per destination, the arrival hooks of its admissible outputs
+        # (route order): where plan() registers an arrived memory request.
+        arrival_hook = {
+            port: output.arrival_hook for port, output in self.outputs.items()
+        }
+        self._arrival_hooks = [
+            tuple(
+                arrival_hook[out_port] for out_port in routes
+                if arrival_hook.get(out_port) is not None
+            )
+            for routes in self._route_table
+        ]
+        registers = any(self._arrival_hooks)
         # Shared entry count across all input lanes, maintained by the
-        # buffers themselves: the idle check is one comparison.  Each
-        # input also gets the arrival list plan() drains for token
-        # registration (only router inputs record arrivals).
+        # buffers themselves: the idle check is one comparison.  Where an
+        # output has an arrival hook, each input also gets the list of
+        # arrived memory requests plan() drains to register them.
         self._entry_tally = [0]
         for _, buffer in self._input_items:
             buffer.entry_tally = self._entry_tally
-            buffer._arrivals = []
+            buffer._arrivals = [] if registers else None
         #: Entries in this router's inputs that an output has claimed:
         #: ``_entry_tally[0] > _claimed_entries`` says one is unclaimed.
         self._claimed_entries = 0
         self._output_list = list(self.outputs.values())
-        self._controller_by_port = {
-            port: output.controller for port, output in self.outputs.items()
-        }
         # One bit per output (its index in ``_output_list``), and per
         # destination the OR of its admissible outputs' bits — so the
         # requested outputs in :meth:`plan` are integer arithmetic.
@@ -216,8 +248,6 @@ class Router:
         #: own; :class:`~repro.noc.network.MeshNetwork` installs one list
         #: shared by all its routers, from which it plans every move.
         self._channels: List[OutputPort] = []
-        # Outputs whose transfer moves a flit this cycle, for commit.
-        self._planned_outputs: List[OutputPort] = []
         # --- event-dispatch wake state ---------------------------------- #
         # Under event dispatch a router in a network plans only while its
         # bit is set in the network's awake mask, which is cleared before
@@ -281,27 +311,29 @@ class Router:
     # ------------------------------------------------------------------ #
 
     def plan(self, cycle: int) -> bool:
-        """Register arrivals and arbitrate idle and retiring outputs.
+        """Register arrived memory requests and arbitrate idle and
+        retiring outputs.
 
         Runs after :func:`plan_moves` of the same cycle, which fixed the
         ``retiring`` flags.  Returns whether a channel was claimed.
         """
         if not self._entry_tally[0]:
             return False
-        # One pass over the inputs registers arrivals and collects each
-        # lane's candidate: its unclaimed head or, behind a retiring head,
-        # the entry that head exposes — the way a real router presents
-        # the next packet as the tail flit leaves, so short packets chain
-        # without a bubble per hop.  Every entry holds at least its head
-        # flit: the commit that opens an entry moves that flit in.  A lane
-        # with pending arrivals always holds the arrived entry (entries
-        # only leave once claimed, which needs this registration first).
+        # One pass over the inputs registers arrived memory requests with
+        # the memory schedulers of their admissible outputs and collects
+        # each lane's candidate: its unclaimed head or, behind a retiring
+        # head, the entry that head exposes — the way a real router
+        # presents the next packet as the tail flit leaves, so short
+        # packets chain without a bubble per hop.  Every entry holds at
+        # least its head flit: the commit that opens an entry moves that
+        # flit in.  A lane with pending arrivals always holds the arrived
+        # entry (entries only leave once claimed, which needs this
+        # registration first).
         # ``requested`` accumulates, one bit per output, the outputs the
         # candidates route to.  Arbitration only claims candidates, and a
         # fresh claim never marks an entry retiring, so no entry becomes
         # a candidate mid-arbitration: later outputs see the same
         # candidates minus the claimed ones, which _arbitrate skips.
-        route_table = self._route_table
         route_masks = self._route_masks
         heads: List = []
         requested = 0
@@ -312,10 +344,10 @@ class Router:
             arrivals = buffer._arrivals
             if arrivals:
                 buffer._arrivals = []
-                controllers = self._controller_by_port
+                arrival_hooks = self._arrival_hooks
                 for packet in arrivals:
-                    for out_port in route_table[packet.dst]:
-                        controllers[out_port].on_arrival(port, packet, cycle)
+                    for hook in arrival_hooks[packet.dst]:
+                        hook(port, packet, cycle)
             entry = entries[0]
             if entry.claimed:
                 if not entry.retiring or len(entries) < 2:
@@ -351,10 +383,9 @@ class Router:
         if not output.downstream:
             return False
         single = output._single_lane
-        candidates: List[Candidate] = []
         sources = []
         for head in heads:
-            port, _, entry, mask = head
+            _, _, entry, mask = head
             if not mask & bit or entry.claimed:
                 continue
             packet = entry.packet
@@ -367,20 +398,36 @@ class Router:
                 >= lane.max_packets
             ):
                 continue
-            candidates.append((port, packet))
             sources.append(head)
-        if not candidates:
+        if not sources:
             return False
-        winner = output.controller.pick(candidates, cycle)
-        if winner is None:
-            return False
-        port, packet = winner
-        for head in sources:
-            if head[2].packet is packet:
-                break
+        if len(sources) > 1:
+            winner = output.controller.pick(
+                [(head[0], head[2].packet) for head in sources], cycle
+            )
+            if winner is None:
+                return False
+            packet = winner[1]
+            for head in sources:
+                if head[2].packet is packet:
+                    break
+            else:
+                raise AssertionError(
+                    "controller picked a non-candidate packet"
+                )
         else:
-            raise AssertionError("controller picked a non-candidate packet")
-        _, buffer, entry, _ = head
+            # A lone candidate wins unless it is a memory request whose
+            # scheduler may refuse it right now (Algorithm 1, lines 4-6).
+            head = sources[0]
+            packet = head[2].packet
+            if packet.is_memory_request:
+                memory = output.memory
+                if (
+                    memory is not None and memory.vetoes
+                    and memory.pick([(head[0], packet)], cycle) is None
+                ):
+                    return False
+        port, buffer, entry, _ = head
         lane = single if single is not None else output.lane_for(packet)
         # The claim reserves a packet slot in the lane for its first flit.
         # ``pick`` must not mutate state, so the winner's lane is still
@@ -396,18 +443,27 @@ class Router:
         entry.lane = lane
         entry.dst_entry = None
         self._claimed_entries += 1
-        output.controller.on_scheduled(port, packet, cycle)
-        # Adaptive routing: withdraw the packet from the controllers of the
-        # other admissible outputs.  That can lift an exclusion an output
-        # arbitrated earlier this cycle was refused under, so this router
-        # stays awake for the next cycle.
+        rotation = output.rotation
+        if rotation is not None:
+            rotation.next_port = (port + 1) % 8
+        memory_request = packet.is_memory_request
+        if memory_request:
+            claim = output.claim_hook
+            if claim is not None:
+                claim(port, packet, cycle)
+        # Adaptive routing: withdraw the packet from the memory schedulers
+        # of the other admissible outputs.  That can lift an exclusion an
+        # output arbitrated earlier this cycle was refused under, so this
+        # router stays awake for the next cycle.
         routes = self._route_table[packet.dst]
         if len(routes) > 1:
-            for other_port in routes:
-                if other_port is not output.port:
-                    self._controller_by_port[other_port].on_withdrawn(
-                        packet, cycle
-                    )
+            if memory_request:
+                outputs = self.outputs
+                for other_port in routes:
+                    if other_port is not output.port:
+                        withdraw = outputs[other_port].withdrawal_hook
+                        if withdraw is not None:
+                            withdraw(packet, cycle)
             network = self._network
             if network is not None:
                 network._awake |= self._bit
@@ -424,12 +480,22 @@ class Router:
     # Phase 2: commit
     # ------------------------------------------------------------------ #
 
-    def commit(self, cycle: int) -> None:
-        """Apply the flit moves :func:`plan_moves` planned this cycle."""
-        planned = self._planned_outputs
+    @staticmethod
+    def commit(planned: List[OutputPort], cycle: int) -> None:
+        """Apply the flit moves :func:`plan_moves` planned this cycle.
+
+        One pass over every planned channel, in the (node, output) order
+        of ``planned``, so commits, link-fault draws and ``HOP`` events
+        keep one order.  The channels belong to one network (or one
+        standalone router), whose routers share the tracer and the fault
+        injector.  Always called on the class: ``Router.commit(planned,
+        cycle)``.
+        """
         if not planned:
             return
-        injector = self.fault_injector
+        first = planned[0].router
+        injector = first.fault_injector
+        tracer = first.tracer
         awake = 0
         for output in planned:
             entry = output.transfer
@@ -458,7 +524,9 @@ class Router:
                 tally = lane.entry_tally
                 if tally is not None:
                     tally[0] += 1
-                    lane._arrivals.append(packet)
+                    arrivals = lane._arrivals
+                    if arrivals is not None and packet.is_memory_request:
+                        arrivals.append(packet)
                 target = lane.consumer_router
                 if target is not None:
                     awake |= target._bit
@@ -492,7 +560,9 @@ class Router:
                 if target is not None and target._entry_tally[0]:
                     awake |= target._bit
             if injector is not None:
-                injector.on_link_flit(cycle, self.node, output.port, packet)
+                injector.on_link_flit(
+                    cycle, output.router.node, output.port, packet
+                )
             if sent >= size:
                 # The final flit left: the entry, the head of its lane
                 # (in-order buffers forward only their head), retires.
@@ -500,23 +570,26 @@ class Router:
                 if entries[0] is not entry:
                     raise RuntimeError("retiring an unfinished head entry")
                 entries.popleft()
-                self._entry_tally[0] -= 1
-                self._claimed_entries -= 1
-                output.controller.on_delivered(packet, cycle)
+                router = output.router
+                router._entry_tally[0] -= 1
+                router._claimed_entries -= 1
+                if packet.is_memory_request:
+                    delivery = output.delivery_hook
+                    if delivery is not None:
+                        delivery(packet, cycle)
                 output.packets_sent += 1
                 successor = output._pending_transfer
                 output.transfer = successor
                 if successor is None:
-                    self._channels.remove(output)
+                    router._channels.remove(output)
                 else:
                     output._pending_transfer = None
-                tracer = self.tracer
                 if tracer:
                     request = packet.request
                     tracer.emit(
                         EventType.HOP,
                         cycle,
-                        self._trace_label,
+                        router._trace_label,
                         packet_id=packet.packet_id,
                         request_id=(
                             request.request_id if request is not None else None
@@ -524,9 +597,8 @@ class Router:
                         port=output.port.name,
                         flits=size,
                     )
-        planned.clear()
         if awake:
-            network = self._network
+            network = first._network
             if network is not None:
                 network._awake |= awake
 
@@ -536,9 +608,9 @@ class Router:
         """Single-phase convenience for standalone router tests: plans
         this router's own moves with :func:`plan_moves`, then arbitrates
         and commits."""
-        plan_moves(self._channels)
+        planned, _ = plan_moves(self._channels)
         self.plan(cycle)
-        self.commit(cycle)
+        Router.commit(planned, cycle)
 
     @property
     def queued_packets(self) -> int:

@@ -206,7 +206,7 @@ class InvariantChecker:
         unclaimed: List = []
         for lanes in router.inputs.values():
             for buffer in lanes:
-                for packet in buffer._arrivals:
+                for packet in buffer._arrivals or ():
                     arriving.add(packet.packet_id)
                 for entry in buffer.entries:
                     resident.add(entry.packet.packet_id)

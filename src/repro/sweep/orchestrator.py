@@ -22,7 +22,8 @@ Failure containment is per point, never per sweep:
 * a worker process that dies outright (segfault, ``os._exit``, OOM
   kill) fails exactly the job its slot held, since a slot holds one;
   a fresh process takes the slot for the next job, and no other job
-  runs twice;
+  runs twice.  The death is reported but not stored: it says nothing
+  about the job, so a resumed sweep runs the job again;
 * a parent that dies outright leaves no worker behind: each worker
   watches its parent's sentinel and exits the moment it fires, even
   mid-job.
@@ -327,7 +328,8 @@ class _Slot:
 
     def receive(self) -> Dict[str, object]:
         """The held job's payload.  If the process died running it, the
-        job fails and the slot is left empty for a fresh process."""
+        job fails (marked ``worker_died``) and the slot is left empty
+        for a fresh process."""
         try:
             payload = self.conn.recv()
         except (EOFError, OSError):
@@ -337,6 +339,7 @@ class _Slot:
                 "result": None,
                 "error": "worker process died while running this job",
                 "elapsed_s": 0.0,
+                "worker_died": True,
             }
         self.job = None
         return payload
@@ -422,9 +425,11 @@ def run_sweep(
     the slot (``worker``, 0 to ``workers`` - 1) that ran the job.
 
     Each job runs once.  The store is the only recovery state: every
-    finished job is appended to it, a job whose worker died is recorded
-    failed, and re-running the same sweep against the store runs only
-    what is missing (and, with ``retry_failed``, what failed).  With
+    finished job is appended to it, and re-running the same sweep
+    against the store runs only what is missing (and, with
+    ``retry_failed``, what failed).  A job whose worker died is reported
+    failed but not stored, so a re-run runs it again: the death (OOM
+    killer, ``kill -9``) is a host event, not the job's outcome.  With
     ``handle_signals=True`` a SIGINT/SIGTERM drains gracefully: running
     jobs finish and are stored, queued jobs are skipped, and the report
     says ``interrupted``.  (Signal handlers are process-global: only
@@ -506,7 +511,8 @@ def run_sweep(
             elapsed_s=payload["elapsed_s"],
             traceback=payload.get("traceback"),
         )
-        store.put(record)
+        if not payload.get("worker_died"):
+            store.put(record)
         outcomes[job.key] = JobOutcome(job, record, cached=False)
         done_count += 1
         executed_done += 1

@@ -29,10 +29,11 @@ A runner signals a domain-level failure by raising :class:`JobFailure`
 (optionally with the partial result); any other exception is caught at
 the execution boundary and recorded as a failed job with the exception
 text and traceback.  A job is never retried or resumed mid-run: the
-simulator is deterministic, so a re-run reproduces a failure, and a
-job whose worker died is failed.  The result store is the only
-recovery state: ``repro sweep --resume`` runs the jobs it lacks, and
-``--retry-failed`` the jobs it holds as failed.
+simulator is deterministic, so a re-run reproduces a failure.  A job
+whose worker died is failed but not stored.  The result store is the
+only recovery state: ``repro sweep --resume`` runs the jobs it lacks,
+a dead worker's job among them, and ``--retry-failed`` the jobs it
+holds as failed.
 """
 
 from __future__ import annotations

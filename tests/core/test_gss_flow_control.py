@@ -177,3 +177,44 @@ class TestBaselineVariants:
         rsp = response_packet(1, make_request(), 0, 1, 0)
         rsp.request = None
         controller.on_delivered(rsp, 5)  # must not raise
+
+
+class TestRouterHooks:
+    """What a router reads off a memory scheduler: its hooks, resolved
+    once, and its vetoes, read before each uncontested claim."""
+
+    def test_vetoes_pending_only_while_a_priority_packet_waits(
+        self, ddr2_timing
+    ):
+        controller = GssFlowController(ddr2_timing)
+        arrival, claim, _, withdrawal = controller.hooks()
+        assert arrival == controller.table.on_arrival
+        assert not controller.vetoes
+        first = request_packet(1, make_request(priority=True), 1, 0, 0)
+        second = request_packet(2, make_request(priority=True), 1, 0, 0)
+        arrival(Port.EAST, first, 0)
+        arrival(Port.SOUTH, second, 0)
+        claim(Port.EAST, first, 1)
+        assert controller.vetoes
+        withdrawal(second, 1)
+        assert not controller.vetoes
+
+    def test_priority_equal_schedulers_never_veto(self, ddr2_timing):
+        for controller in (
+            SdramAwareFlowController(ddr2_timing),
+            PfsMemoryFlowController(SdramAwareFlowController(ddr2_timing)),
+        ):
+            arrival = controller.hooks()[0]
+            priority = request_packet(1, make_request(priority=True), 1, 0, 0)
+            arrival(Port.EAST, priority, 0)
+            assert not controller.vetoes
+
+    @pytest.mark.parametrize("sti", [False, True], ids=["sti-off", "sti-on"])
+    def test_delivery_arms_sti_counters_only_with_sti(self, ddr2_timing, sti):
+        """Only the Fig. 4(b) filter reads the per-bank STI counters, so
+        without STI the router gets no delivery hook."""
+        controller = GssFlowController(ddr2_timing, sti_enabled=sti)
+        assert (controller.hooks()[2] is not None) is sti
+        write = request_packet(1, make_request(bank=0, is_read=False), 1, 0, 0)
+        controller.on_delivered(write, 10)
+        assert (0 in controller.state.bank_ready_at) is sti

@@ -10,7 +10,10 @@ import pytest
 from tests.helpers import make_request
 from repro.core.system import build_system
 from repro.noc.buffers import FlitEntry, InputBuffer
-from repro.noc.flow_control import RoundRobinFlowController
+from repro.noc.flow_control import (
+    MemoryFlowController,
+    RoundRobinFlowController,
+)
 from repro.noc.packet import request_packet
 from repro.noc.router import Router
 from repro.noc.topology import Mesh, Port
@@ -58,8 +61,7 @@ class TestCredits:
     def test_credit_exhausted_at_capacity(self):
         upstream, downstream = forward(2, pkt(size_beats=8), 10)
         # The lane filled and the rest of the packet waits upstream.
-        assert not downstream.has_credit()
-        assert downstream.occupancy_flits == 2
+        assert downstream.occupancy_flits == downstream.capacity_flits == 2
         assert upstream.occupancy_flits == 2
 
 
@@ -111,7 +113,8 @@ class TestPacketSlots:
 
     def test_claim_without_a_free_slot_raises(self):
         """A claim never over-reserves a lane: a winner whose lane lost
-        its last slot while the controller picked is refused."""
+        its last slot while the controller picked is refused.  ``pick``
+        runs only for a contest, so two packets want the lane."""
         lane = InputBuffer(32, max_packets=1)
 
         class FillsTheLane(RoundRobinFlowController):
@@ -122,6 +125,7 @@ class TestPacketSlots:
         router = Router(4, Mesh(3, 3), lambda n, p: FillsTheLane(), 8)
         router.connect(Port.WEST, lane)
         router.input_buffer(Port.EAST).push_complete(pkt(pid=1))
+        router.input_buffer(Port.NORTH).push_complete(pkt(pid=2))
         with pytest.raises(RuntimeError, match="without a free slot"):
             router.tick(0)
 
@@ -223,9 +227,8 @@ class TestCandidates:
             router.tick(1)
 
 
-class RecordingController(RoundRobinFlowController):
+class RecordingController(MemoryFlowController):
     def __init__(self):
-        super().__init__()
         self.arrivals = []
 
     def on_arrival(self, port, packet, cycle):
@@ -240,7 +243,8 @@ def test_arrivals_drained_once():
         return controllers[port]
 
     # WEST is left unwired, so the packet stays queued and every tick
-    # plans it again; it is registered with its route's controller once.
+    # plans it again; it is registered with its route's memory
+    # scheduler once.
     router = Router(4, Mesh(3, 3), factory, 8)
     router.input_buffer(Port.EAST).push_complete(pkt(pid=7, size_beats=2))
     for cycle in range(3):

@@ -1,8 +1,7 @@
 """Conventional flow controller tests: RR, PFS, the dual split."""
 
-import pytest
-
 from tests.helpers import make_request
+from repro.noc.buffers import InputBuffer
 from repro.noc.flow_control import (
     DualFlowController,
     MemoryFlowController,
@@ -10,35 +9,43 @@ from repro.noc.flow_control import (
     RoundRobinFlowController,
 )
 from repro.noc.packet import request_packet, response_packet
-from repro.noc.topology import Port
+from repro.noc.router import Router
+from repro.noc.topology import Mesh, Port
 
 
 def req_pkt(pid, priority=False, cycle=0):
     return request_packet(pid, make_request(priority=priority), 1, 0, cycle)
 
 
-def rsp_pkt(pid, priority=False, cycle=0):
-    return response_packet(pid, make_request(priority=priority), 0, 1, cycle)
+def rsp_pkt(pid, priority=False, cycle=0, dst=1):
+    return response_packet(pid, make_request(priority=priority), 0, dst, cycle)
 
 
 class TestRoundRobin:
     def test_rotates_across_ports(self):
-        controller = RoundRobinFlowController()
-        candidates = [(Port.NORTH, req_pkt(1)), (Port.EAST, req_pkt(2)),
-                      (Port.SOUTH, req_pkt(3))]
-        winners = []
-        for _ in range(3):
-            port, packet = controller.pick(candidates, 0)
-            controller.on_scheduled(port, packet, 0)
-            candidates = [c for c in candidates if c[0] is not port]
-            winners.append(port)
-        assert winners == [Port.NORTH, Port.EAST, Port.SOUTH]
+        """Every claim advances the output's rotation past the claimed
+        port, so three inputs contending for WEST take turns."""
+        router = Router(
+            4, Mesh(3, 3), lambda n, p: RoundRobinFlowController(), 8
+        )
+        lane = InputBuffer(64)
+        router.connect(Port.WEST, lane)
+        pid = 0
+        for _ in range(2):
+            for port in (Port.SOUTH, Port.EAST, Port.NORTH):
+                pid += 1
+                router.input_buffer(port).push_complete(req_pkt(pid))
+        for cycle in range(12):
+            router.tick(cycle)
+        # Rotation starts at port 0: NORTH (1), EAST (2), SOUTH (3).
+        assert [entry.packet.packet_id for entry in lane] == [3, 2, 1, 6, 5, 4]
+        assert router.outputs[Port.WEST].controller.next_port == Port.SOUTH + 1
 
     def test_pointer_skips_served_port(self):
         controller = RoundRobinFlowController()
         a = [(Port.NORTH, req_pkt(1)), (Port.EAST, req_pkt(2))]
         port, packet = controller.pick(a, 0)
-        controller.on_scheduled(port, packet, 0)
+        controller.next_port = port + 1  # as the router's claim does
         port2, _ = controller.pick(a, 1)
         assert port2 is not port
 
@@ -69,8 +76,10 @@ class TestPriorityFirst:
 class RecordingMemoryController(MemoryFlowController):
     """Test double: always picks the first memory candidate."""
 
-    def __init__(self):
+    def __init__(self, vetoes=()):
+        self.vetoes = vetoes
         self.arrivals = []
+        self.picks = 0
         self.scheduled = []
         self.delivered = []
 
@@ -78,6 +87,7 @@ class RecordingMemoryController(MemoryFlowController):
         self.arrivals.append(packet.packet_id)
 
     def pick(self, candidates, cycle):
+        self.picks += 1
         return candidates[0]
 
     def on_scheduled(self, port, packet, cycle):
@@ -87,13 +97,38 @@ class RecordingMemoryController(MemoryFlowController):
         self.delivered.append(packet.packet_id)
 
 
+def dual_router(cycles, packets, vetoes=()):
+    """Router 4 of a 3x3 mesh whose outputs each hold a Dual controller
+    over a recording memory scheduler, with WEST (XY: towards nodes 0, 3
+    and 6) wired; ``packets`` maps an input port to the packets pushed
+    there.  Returns the WEST output after ``cycles`` ticks."""
+    schedulers = {}
+
+    def factory(node, port):
+        schedulers[port] = RecordingMemoryController(vetoes)
+        return DualFlowController(schedulers[port])
+
+    router = Router(4, Mesh(3, 3), factory, 8)
+    router.connect(Port.WEST, InputBuffer(64))
+    for port, queued in packets.items():
+        for packet in queued:
+            router.input_buffer(port).push_complete(packet)
+    for cycle in range(cycles):
+        router.tick(cycle)
+    assert not any(
+        scheduler.arrivals for port, scheduler in schedulers.items()
+        if port is not Port.WEST
+    )
+    return router.outputs[Port.WEST]
+
+
 class TestDual:
+    """The router resolves the Dual split once: the memory scheduler's
+    hooks see memory requests only."""
+
     def test_requests_routed_to_memory_controller(self):
-        inner = RecordingMemoryController()
-        dual = DualFlowController(inner)
-        dual.on_arrival(Port.NORTH, req_pkt(1), 0)
-        dual.on_arrival(Port.NORTH, rsp_pkt(2), 0)
-        assert inner.arrivals == [1]
+        west = dual_router(1, {Port.NORTH: [req_pkt(1), rsp_pkt(2, dst=3)]})
+        assert west.memory.arrivals == [1]
 
     def test_memory_winner_competes_with_normals(self):
         inner = RecordingMemoryController()
@@ -103,7 +138,7 @@ class TestDual:
         assert winner is not None
         # both classes reachable: run twice removing winner
         rest = [c for c in candidates if c[1] is not winner[1]]
-        dual.on_scheduled(*winner, 0)
+        dual.normal.next_port = winner[0] + 1  # as the router's claim does
         second = dual.pick(rest, 1)
         assert {winner[1].packet_id, second[1].packet_id} == {1, 2}
 
@@ -111,21 +146,49 @@ class TestDual:
         inner = RecordingMemoryController()
         dual = DualFlowController(inner)
         winner = dual.pick([(Port.EAST, rsp_pkt(5))], 0)
-        assert winner[1].packet_id == 5
+        assert winner[1].packet_id == 5 and inner.picks == 0
 
     def test_delivery_routed_by_kind(self):
-        inner = RecordingMemoryController()
-        dual = DualFlowController(inner)
-        dual.on_delivered(req_pkt(1), 0)
-        dual.on_delivered(rsp_pkt(2), 0)
-        assert inner.delivered == [1]
+        west = dual_router(6, {Port.NORTH: [req_pkt(1), rsp_pkt(2, dst=3)]})
+        assert west.packets_sent == 2
+        assert west.memory.delivered == [1]
 
     def test_scheduled_forwarded_to_memory_controller(self):
-        inner = RecordingMemoryController()
-        dual = DualFlowController(inner)
-        dual.on_scheduled(Port.NORTH, req_pkt(9), 0)
-        assert inner.scheduled == [9]
+        west = dual_router(6, {Port.NORTH: [rsp_pkt(2, dst=3), req_pkt(9)]})
+        assert west.packets_sent == 2
+        assert west.memory.scheduled == [9]
 
     def test_empty_candidates(self):
         dual = DualFlowController(RecordingMemoryController())
         assert dual.pick([], 0) is None
+
+
+class TestPickOnlyWhenItMatters:
+    def test_uncontested_claims_skip_pick(self):
+        """A lone candidate is granted without ``pick`` while the memory
+        scheduler has no veto; a contest calls it."""
+        west = dual_router(6, {Port.NORTH: [req_pkt(1), rsp_pkt(2, dst=3)]})
+        assert west.packets_sent == 2 and west.memory.picks == 0
+        west = dual_router(1, {Port.NORTH: [req_pkt(1)],
+                               Port.EAST: [req_pkt(2)]})
+        assert west.memory.picks == 1
+
+    def test_lone_request_vetted_while_vetoes_pending(self):
+        west = dual_router(1, {Port.NORTH: [req_pkt(1)]}, vetoes=(True,))
+        assert west.memory.picks == 1 and west.memory.scheduled == [1]
+
+    def test_vetted_refusal_leaves_the_channel_idle(self):
+        class Refusing(RecordingMemoryController):
+            def pick(self, candidates, cycle):
+                self.picks += 1
+                return None
+
+        router = Router(
+            4, Mesh(3, 3), lambda n, p: DualFlowController(Refusing((True,))),
+            8,
+        )
+        router.connect(Port.WEST, InputBuffer(64))
+        router.input_buffer(Port.NORTH).push_complete(req_pkt(1))
+        router.tick(0)
+        west = router.outputs[Port.WEST]
+        assert west.transfer is None and west.memory.picks == 1

@@ -3,14 +3,15 @@
 The benchmark fingerprints and the exhibit fixture pin the fabric only
 with XY routing, one virtual channel and 12-flit link buffers.  This
 fixture pins what those leave open — adaptive withdrawals, the priority
-lane and credit stalls in shallow link buffers — for three router
-designs (GSS+SAGM, GSS, CONV) crossed with XY/adaptive routing, 1/2
-virtual channels, 2/12-flit link buffers, the dual_dtv/bluray
-applications and clean/faulty runs, priority on, seed 7.
+lane and credit stalls in shallow link buffers — for all six router
+designs (GSS+SAGM, GSS, CONV, CONV+PFS, [4] and [4]+PFS, so the
+priority-first arbiter and the PFS bypass are pinned too) crossed with
+XY/adaptive routing, 1/2 virtual channels, 2/12-flit link buffers, the
+dual_dtv/bluray applications and clean/faulty runs, priority on, seed 7.
 
-The full cross is 96 configurations.  The suite runs the half fraction
-whose five binary factors have even parity (48 runs, every pair of
-factor levels still meets), so it fits in about ten seconds.
+The full cross is 192 configurations.  The suite runs the half fraction
+whose five binary factors have even parity (96 runs, every pair of
+factor levels still meets), so it fits in about twenty seconds.
 
 Each run pins its :class:`~repro.sim.stats.RunMetrics`, the backend's
 ``scheduler_stats()``, every router input lane's ``highwater_flits`` and
@@ -44,7 +45,10 @@ WARMUP = 500
 SEED = 7
 FAULTS = FaultConfig(link_corrupt_rate=1e-3, sdram_bit_rate=1e-3)
 
-DESIGNS = (NocDesign.GSS_SAGM, NocDesign.GSS, NocDesign.CONV)
+DESIGNS = (
+    NocDesign.GSS_SAGM, NocDesign.GSS, NocDesign.CONV, NocDesign.CONV_PFS,
+    NocDesign.SDRAM_AWARE, NocDesign.SDRAM_AWARE_PFS,
+)
 #: The five two-level factors: (routing, VCs, link flits, app, faults).
 LEVELS = (
     ("xy", "adaptive"),

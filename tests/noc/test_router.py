@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from tests.helpers import make_request
+from repro.core import gss_filter, gss_flow_control, tokens
 from repro.core.system import build_system
-from repro.noc import buffers, router as router_module
+from repro.noc import buffers, flow_control, network as network_module
+from repro.noc import router as router_module
 from repro.noc.buffers import InputBuffer
 from repro.noc.flow_control import RoundRobinFlowController
 from repro.noc.packet import request_packet, response_packet
@@ -129,11 +131,12 @@ class TestBackpressure:
         r0.input_buffer(Port.LOCAL).push_complete(packet)
         cycle = tick(r0, 6)
         # r1 is not stepping yet: its 2-flit lane is full and r0 stalls.
-        assert small.head().received == 2 and not small.has_credit()
+        assert small.head().received == 2
+        assert small.occupancy_flits == small.capacity_flits
         while sink.pop_complete() is None:
-            plan_moves(r0._channels + r1._channels)
+            planned, _ = plan_moves(r0._channels + r1._channels)
             r0.plan(cycle); r1.plan(cycle)
-            r0.commit(cycle); r1.commit(cycle)
+            Router.commit(planned, cycle)
             cycle += 1
             if cycle > 40:
                 pytest.fail("transfer never completed")
@@ -158,38 +161,31 @@ class TestPipelining:
         r0.input_buffer(Port.LOCAL).push_complete(packet)
         cycle = 0
         while sink.pop_complete() is None and cycle < 60:
-            plan_moves(r0._channels + r1._channels)
+            planned, _ = plan_moves(r0._channels + r1._channels)
             r0.plan(cycle); r1.plan(cycle)
-            r0.commit(cycle); r1.commit(cycle)
+            Router.commit(planned, cycle)
             cycle += 1
         # store-and-forward would need ~32+ cycles; cut-through ~19
         assert cycle < 26
 
 
-def test_hop_path_makes_no_buffer_call():
-    """Deterministic cost guard: 2,000 stepped cycles of the
-    gss_prio_dual configuration move thousands of packets hop by hop,
-    and the router's plan and commit make no Python call into
-    ``noc/buffers.py``: claiming, opening, streaming and retiring an
-    entry is attribute work on the entry and its lanes."""
-    system = build_system(SystemConfig(
-        app="dual_dtv", ddr=DdrGeneration.DDR2, clock_mhz=400,
-        design=NocDesign.GSS_SAGM, priority_enabled=True, pct=5,
-        cycles=100_000,
-    ))
-    router_file = router_module.__file__
-    buffers_file = buffers.__file__
-    calls = 0
+#: The benchmark's gss_prio_dual and conv_dual configurations.
+GSS_PRIO_DUAL = SystemConfig(
+    app="dual_dtv", ddr=DdrGeneration.DDR2, clock_mhz=400,
+    design=NocDesign.GSS_SAGM, priority_enabled=True, pct=5, cycles=100_000,
+)
+CONV_DUAL = GSS_PRIO_DUAL.with_(design=NocDesign.CONV, priority_enabled=False)
+
+
+def stepped_hops(config, on_call):
+    """Step ``config`` for 2,000 cycles with ``on_call(callee, caller)``
+    (their file names) seeing every Python-level call; returns the packet
+    hops made."""
+    system = build_system(config)
 
     def profile(frame, event, arg):
-        nonlocal calls
-        if (
-            event == "call"
-            and frame.f_code.co_filename == buffers_file
-            and frame.f_back is not None
-            and frame.f_back.f_code.co_filename == router_file
-        ):
-            calls += 1
+        if event == "call" and frame.f_back is not None:
+            on_call(frame.f_code.co_filename, frame.f_back.f_code.co_filename)
 
     step = system.simulator.step
     sys.setprofile(profile)
@@ -198,10 +194,66 @@ def test_hop_path_makes_no_buffer_call():
             step()
     finally:
         sys.setprofile(None)
-    hops = sum(
+    return sum(
         output.packets_sent
         for node in system.network.routers
         for output in node.outputs.values()
     )
+
+
+def test_hop_path_makes_no_buffer_call():
+    """Deterministic cost guard: 2,000 stepped cycles of the
+    gss_prio_dual configuration move thousands of packets hop by hop,
+    and the router's plan and commit make no Python call into
+    ``noc/buffers.py``: claiming, opening, streaming and retiring an
+    entry is attribute work on the entry and its lanes."""
+    calls = 0
+
+    def on_call(callee, caller):
+        nonlocal calls
+        if callee == buffers.__file__ and caller == router_module.__file__:
+            calls += 1
+
+    hops = stepped_hops(GSS_PRIO_DUAL, on_call)
     assert hops > 1_000
     assert calls == 0, f"{calls} Python calls from the router into buffers"
+
+
+#: The flow-control layer: the conventional arbiters and the Fig. 3 split,
+#: the GSS scheduler, its filter chain and its token table.
+FLOW_CONTROL = {
+    module.__file__
+    for module in (flow_control, gss_flow_control, gss_filter, tokens)
+}
+
+
+@pytest.mark.parametrize("config, from_fabric, in_all", [
+    (GSS_PRIO_DUAL, 1.5, 7.0),
+    (CONV_DUAL, 0.1, None),
+], ids=["gss_prio_dual", "conv_dual"])
+def test_hop_path_calls_flow_control_only_where_it_keeps_state(
+    config, from_fabric, in_all
+):
+    """Deterministic cost guard: a hop calls flow control only where
+    Algorithm 1 keeps state.  The router and the network call a memory
+    scheduler's hooks for memory requests only, advance round-robin
+    rotation in place and call ``pick`` only for a contest or a lone
+    request a scheduler may refuse.  Per hop over 2,000 stepped cycles:
+    gss_prio_dual 1.24 calls from the fabric and 5.6 into flow control
+    in all, conv_dual 0.04 (4.00, 14.0 and 4.01 when every hop called
+    all four hooks through ``DualFlowController``)."""
+    fabric = {router_module.__file__, network_module.__file__}
+    calls = {"fabric": 0, "all": 0}
+
+    def on_call(callee, caller):
+        if callee in FLOW_CONTROL:
+            calls["all"] += 1
+            if caller in fabric:
+                calls["fabric"] += 1
+
+    hops = stepped_hops(config, on_call)
+    assert hops > 1_000
+    per_hop = {key: count / hops for key, count in calls.items()}
+    assert per_hop["fabric"] <= from_fabric, per_hop
+    if in_all is not None:
+        assert per_hop["all"] <= in_all, per_hop

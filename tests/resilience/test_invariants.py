@@ -102,7 +102,8 @@ class TestViolations:
             for router in system.network.routers
             for lanes in router.inputs.values()
             for buffer in lanes
-            if buffer.entries and buffer.has_credit()
+            if buffer.entries
+            and buffer.occupancy_flits < buffer.capacity_flits
         )
         buffer._occupancy += 1  # still within capacity
         with pytest.raises(InvariantViolation) as excinfo:

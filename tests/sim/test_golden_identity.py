@@ -274,7 +274,7 @@ def _withdrawal_claims(event_dispatch: bool) -> list:
         2, make_request(bank=5, beats=8, is_read=False, priority=True),
         src=0, dst=1, cycle=0,
     ))
-    assert not blocker.has_credit()
+    assert blocker.occupancy_flits == blocker.capacity_flits
     best_effort = request_packet(
         3, make_request(bank=2), src=0, dst=4, cycle=0,
     )

@@ -2,8 +2,10 @@
 
 A SIGKILLed worker must not poison the sweep, and re-running with the
 same store must converge to a store bit-identical to an uninterrupted
-run.  A job runs once: a failure is stored with its traceback, never
-retried.  A SIGINT drains the sweep, storing what finished.
+run: the dead worker's job is reported failed but not stored, so the
+re-run runs it.  A job runs once: a failure it raised is stored with
+its traceback, never retried.  A SIGINT drains the sweep, storing what
+finished.
 """
 
 import os
@@ -103,13 +105,12 @@ class TestKillResume:
             assert report.record_for(job)["status"] == "ok"
 
         # Disarm and resume against the same store (what the CLI's
-        # --resume --retry-failed does: reload, repair, re-run failed).
+        # --resume does: reload, repair, run what the store lacks).
         sentinel.unlink()
         resumed_store = ResultStore(store_path)
         assert resumed_store.repair() == 0  # parent-side appends are whole
-        resumed = run_sweep(
-            jobs, store=resumed_store, workers=2, retry_failed=True
-        )
+        assert resumed_store.get(jobs[1].key) is None
+        resumed = run_sweep(jobs, store=resumed_store, workers=2)
         assert resumed.failed == 0
         assert resumed.hits == 2 and resumed.executed == 1
 
@@ -130,16 +131,36 @@ class TestKillResume:
         store_path = tmp_path / "store.jsonl"
         run_sweep(jobs, store=ResultStore(store_path), workers=2)
         sentinel.unlink()
-        run_sweep(
-            jobs, store=ResultStore(store_path), workers=2,
-            retry_failed=True,
-        )
-        # Fresh load: last-write-wins resolves the failed row, nothing
-        # corrupt, all three points served from cache.
+        run_sweep(jobs, store=ResultStore(store_path), workers=2)
+        # Fresh load: nothing corrupt, all three points served from
+        # cache.
         final = ResultStore(store_path)
         assert final.corrupt_lines == 0
         replay = run_sweep(jobs, store=final, workers=2)
         assert replay.all_cached and replay.failed == 0
+
+
+    def test_resume_reruns_a_dead_worker_but_serves_a_raised_failure(
+        self, tmp_path
+    ):
+        """Both failures are reported, but only the one the job raised
+        is its outcome: resuming runs the dead worker's job again and
+        serves the raised failure from the store without running it."""
+        sentinel = tmp_path / "armed"
+        sentinel.touch()
+        counter = tmp_path / "raised"
+        raising = Job(kind="cr-raise", params={"counter": str(counter)})
+        jobs = kill_jobs(sentinel) + [raising]
+        store_path = tmp_path / "store.jsonl"
+        first = run_sweep(jobs, store=ResultStore(store_path), workers=2)
+        assert first.failed == 2
+
+        sentinel.unlink()
+        resumed = run_sweep(jobs, store=ResultStore(store_path), workers=2)
+        assert resumed.executed == 1 and resumed.hits == 3
+        assert resumed.record_for(jobs[1])["status"] == "ok"
+        assert resumed.record_for(raising)["status"] == "failed"
+        assert counter.read_text().count("x") == 1
 
 
 # ---------------------------------------------------------------------- #

@@ -367,9 +367,12 @@ class TestParallel:
         assert report.outcomes[0].ok
         assert "pickle" in report.outcomes[1].record["error"]
 
-    def test_crashed_point_cached_as_failure(self):
+    def test_crashed_point_reported_but_not_stored(self):
+        """A worker death says nothing about its job: the sweep reports
+        the failure, and a re-run against the store runs the job again."""
         store = ResultStore()
         jobs = [Job(kind="crash", params={"x": 2})]
-        run_sweep(jobs, store=store, workers=2)
+        first = run_sweep(jobs, store=store, workers=2)
+        assert first.failed == 1 and store.get(jobs[0].key) is None
         second = run_sweep(jobs, store=store, workers=2)
-        assert second.all_cached and second.failed == 1
+        assert second.executed == 1 and second.failed == 1
