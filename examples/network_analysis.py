@@ -29,11 +29,8 @@ def main() -> None:
         app="single_dtv", design=NocDesign.GSS_SAGM,
         priority_enabled=True, cycles=CYCLES, warmup=2_500,
     )
-    system = build_system(config)
     # keep raw samples so percentiles are available
-    system.stats.keep_samples = True
-    system.stats.all_packets.keep_samples = True
-    system.stats.demand_packets.keep_samples = True
+    system = build_system(config, keep_samples=True)
     metrics = system.run()
 
     print(f"== {config.label}: util={metrics.utilization:.3f}, "

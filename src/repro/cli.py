@@ -222,11 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="tail the stream and redraw until the run/sweep finishes",
     )
     monitor.add_argument(
-        "--once", action="store_true",
-        help="parse the whole stream once and render one snapshot "
-        "(exit 1 if it holds no records) — the CI parse check",
-    )
-    monitor.add_argument(
         "--refresh", type=_seconds, default=1.0, metavar="SECONDS",
         help="redraw period with --follow (default: 1.0)",
     )
@@ -1180,7 +1175,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return run_monitor(
                 args.stream,
                 follow=args.follow,
-                once=args.once,
                 refresh_s=args.refresh,
                 max_seconds=args.max_seconds,
             )

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import count
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from ..dram.address_map import AddressMap
 from ..dram.subsystem import build_memory_subsystem
 from ..dram.timing import DramTiming
 from ..noc.flow_control import FlowController
@@ -177,7 +178,7 @@ class SocSystem:
         design = self.config.design
         if not design.uses_gss_router:
             return set()
-        order = gss_router_order_for(self)
+        order = gss_router_order(self.placement)
         if self.config.num_gss_routers is None:
             return set(order)
         return set(order[: self.config.num_gss_routers])
@@ -213,7 +214,7 @@ class SocSystem:
             else None
         )
         rate_scale = self.RATE_SCALE[self.config.ddr]
-        address_map = _address_map_for(self.timing)
+        address_map = AddressMap(banks=self.timing.banks)
         for index, spec in enumerate(self.app.cores):
             # App models are built fresh per system, so scaling in place is
             # safe and keeps the stream state objects intact.
@@ -386,16 +387,6 @@ class SocSystem:
                 self.invariant_checker.checks_run
             )
         return registry
-
-
-def _address_map_for(timing: DramTiming):
-    from ..dram.address_map import AddressMap
-
-    return AddressMap(banks=timing.banks)
-
-
-def gss_router_order_for(system: SocSystem) -> List[int]:
-    return gss_router_order(system.placement)
 
 
 def build_system(

@@ -1,10 +1,9 @@
-"""Physical-address <-> (bank, row, column) decomposition.
+"""SDRAM geometry for the synthetic cores.
 
-Cores in the workload models address memory through flat byte addresses;
-this module maps them onto SDRAM coordinates with the common
-row:bank:column interleaving, so that consecutive rows of a frame buffer
-naturally spread across banks (bank interleaving) while accesses within a
-row stay row-buffer hits.
+A :class:`~repro.workloads.cores.SyntheticCore` issues SDRAM coordinates
+directly: a bank from its bank set, a row from its private row range and
+a column within the open row.  This map holds the bank, row and column
+counts it lays those streams out over.
 """
 
 from __future__ import annotations
@@ -14,43 +13,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class AddressMap:
-    """Row : bank : column address split over a 2-beats/cycle data bus."""
+    """Bank, row and column counts of the SDRAM behind the memory node."""
 
     banks: int
     rows: int = 8192
     columns: int = 1024          # columns per row, in beats
-    bytes_per_beat: int = 4      # 32-bit data bus (Section V)
 
     def __post_init__(self) -> None:
-        for name in ("banks", "rows", "columns", "bytes_per_beat"):
+        for name in ("banks", "rows", "columns"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    @property
-    def row_bytes(self) -> int:
-        return self.columns * self.bytes_per_beat
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.row_bytes * self.banks * self.rows
-
-    def decode(self, address: int):
-        """Return (bank, row, column-in-beats) for a byte address."""
-        if address < 0:
-            raise ValueError("address must be non-negative")
-        beat = (address // self.bytes_per_beat) % (self.columns * self.banks * self.rows)
-        column = beat % self.columns
-        bank = (beat // self.columns) % self.banks
-        row = (beat // (self.columns * self.banks)) % self.rows
-        return bank, row, column
-
-    def encode(self, bank: int, row: int, column: int) -> int:
-        """Inverse of :meth:`decode` (useful for tests and traces)."""
-        if not 0 <= bank < self.banks:
-            raise ValueError("bank out of range")
-        if not 0 <= row < self.rows:
-            raise ValueError("row out of range")
-        if not 0 <= column < self.columns:
-            raise ValueError("column out of range")
-        beat = (row * self.banks + bank) * self.columns + column
-        return beat * self.bytes_per_beat

@@ -7,15 +7,14 @@ is no ordering requirement *between* threads, and the scheduler freely
 reorders across threads to prevent bank conflict and data contention while
 honouring per-thread quality-of-service settings.
 
-This module implements that behaviour as a *bandwidth-regulated* weighted
-round-robin: MemMax's arbitration is driven by the per-thread QoS
-allocations (threads receive their programmed share in round-robin order),
-with starvation aging and an optional priority-first mode (the paper's
-CONV+PFS configuration).  SDRAM friendliness of the final command stream is
-the job of the Databahn back-end's page lookahead, not of the thread
-arbiter — which is why the paper finds that moving scheduling into the NoC
-routers, where candidates carry explicit (RA, BA, R/W) state, beats the
-conventional split (Table I).  An optional ``sdram_friendly_skip`` mode
+This module gives every thread the same QoS allocation, so the arbiter
+grants threads in round-robin order, with starvation aging and an
+optional priority-first mode (the paper's CONV+PFS configuration).  SDRAM
+friendliness of the final command stream is the job of the Databahn
+back-end's page lookahead, not of the thread arbiter — which is why the
+paper finds that moving scheduling into the NoC routers, where candidates
+carry explicit (RA, BA, R/W) state, beats the conventional split
+(Table I).  An optional ``sdram_friendly_skip`` mode
 (used by ablation benchmarks) lets the arbiter skip threads whose head
 would bank-conflict or turn the bus around.
 """
@@ -42,7 +41,6 @@ class ThreadQueue:
 
     index: int
     capacity_flits: int
-    qos_weight: int = 1
     queue: Deque[MemoryRequest] = field(default_factory=deque)
     data_occupancy_flits: int = 0
     age: int = 0  # arbitration rounds since last win
@@ -153,7 +151,7 @@ class MemMaxScheduler:
         return request
 
     def _select(self, candidates: List[ThreadQueue]) -> ThreadQueue:
-        """Bandwidth-regulated weighted round-robin (see module docstring).
+        """Round-robin over the threads with a queued request.
 
         A starved thread always wins; priority-first mode (CONV+PFS) serves
         priority heads before anything else; otherwise threads are granted

@@ -68,14 +68,6 @@ class MemoryRequest:
     def is_write(self) -> bool:
         return not self.is_read
 
-    @property
-    def is_split(self) -> bool:
-        return self.split_count > 1
-
-    @property
-    def is_last_split(self) -> bool:
-        return self.split_index == self.split_count - 1
-
     # --- scheduling relations the paper defines in Section IV-B --------- #
 
     def bank_conflict_with(self, other: "MemoryRequest") -> bool:
@@ -89,10 +81,6 @@ class MemoryRequest:
     def row_hit_with(self, other: "MemoryRequest") -> bool:
         """(BA_n = BA_n+1) and (RA_n = RA_n+1)."""
         return self.bank == other.bank and self.row == other.row
-
-    def bank_interleaves_with(self, other: "MemoryRequest") -> bool:
-        """(BA_n != BA_n+1)."""
-        return self.bank != other.bank
 
     def __str__(self) -> str:
         op = "RD" if self.is_read else "WR"

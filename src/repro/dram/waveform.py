@@ -45,9 +45,6 @@ class WaveformCapture:
         if command.kind is CommandKind.NOP:
             return
         self.commands.append((cycle, command))
-        if command.kind.is_cas:
-            # reconstruct the burst interval like the device does
-            pass  # filled in by attach() wrapper below
 
     def record_burst(self, start: int, end: int, is_write: bool) -> None:
         self.data_intervals.append((start, end, is_write))

@@ -13,7 +13,7 @@ from .interface import CoreInterface, MemoryInterface, TrafficGenerator
 from .network import MeshNetwork
 from .packet import Packet, PacketKind, flits_for_beats, request_packet, response_packet
 from .router import ControllerFactory, OutputPort, Router
-from .routing import RoutingPolicy, admissible_ports, route_path, xy_route
+from .routing import RoutingPolicy, admissible_ports, xy_route
 from .topology import Mesh, Mesh3D, Port
 
 __all__ = [
@@ -41,6 +41,5 @@ __all__ = [
     "request_packet",
     "response_packet",
     "admissible_ports",
-    "route_path",
     "xy_route",
 ]

@@ -30,7 +30,13 @@ from .packet import Packet, request_packet, response_packet
 
 
 class TrafficGenerator(Protocol):
-    """A core's memory-traffic model (see :mod:`repro.workloads.cores`)."""
+    """A core's memory-traffic model (see :mod:`repro.workloads.cores`).
+
+    The core NI skips :meth:`generate` before ``next_issue_cycle`` and
+    does not wake for it while ``issue_blocked``.  Skipping those calls
+    is bit-identical only because ``generate`` is a strict no-op (no
+    state change, no random draw) before that cycle and while blocked.
+    """
 
     master: int
 
@@ -39,6 +45,15 @@ class TrafficGenerator(Protocol):
 
     def on_complete(self, request_id: int, cycle: int) -> None:
         """A previously issued request finished (frees an outstanding slot)."""
+
+    @property
+    def next_issue_cycle(self) -> Optional[int]:
+        """Earliest cycle :meth:`generate` could issue; ``None`` = never."""
+
+    @property
+    def issue_blocked(self) -> bool:
+        """At the outstanding cap: :meth:`generate` issues nothing until a
+        completion arrives."""
 
 
 class Splitter(Protocol):
@@ -112,30 +127,15 @@ class CoreInterface:
         self.draining = False
         self._wake = None
 
-    @property
-    def generator(self) -> TrafficGenerator:
-        return self._generator
-
-    @generator.setter
-    def generator(self, generator: TrafficGenerator) -> None:
-        # Trace capture/replay swap generators after construction, so the
-        # schedulability flag tick() and event_wake_at() read follows
-        # every assignment.
-        self._generator = generator
-        self._generator_schedulable = hasattr(generator, "next_issue_cycle")
-
     def tick(self, cycle: int) -> None:
         if self.sink.entries:
             self._receive(cycle)
         if not self.draining:
-            # A schedulable generator's generate() is a strict no-op
-            # before next_issue_cycle (and forever once it is None), so
-            # skipping the call entirely is bit-identical.
-            if self._generator_schedulable:
-                next_issue = self._generator.next_issue_cycle
-                if next_issue is not None and next_issue <= cycle:
-                    self._generate(cycle)
-            else:
+            # generate() is a strict no-op before next_issue_cycle (and
+            # forever once it is None), so skipping the call entirely is
+            # bit-identical.
+            next_issue = self.generator.next_issue_cycle
+            if next_issue is not None and next_issue <= cycle:
                 self._generate(cycle)
         if self._pending:
             self._inject(cycle)
@@ -159,10 +159,8 @@ class CoreInterface:
             return cycle + 1
         if self.draining:
             return None
-        if not self._generator_schedulable:
-            return cycle + 1  # unschedulable generator: poll every cycle
-        generator = self._generator
-        if getattr(generator, "issue_blocked", False):
+        generator = self.generator
+        if generator.issue_blocked:
             # Capped at max outstanding: generate() is a strict no-op
             # until a completion arrives — which comes through the sink
             # (wake hook) or a resilience fail_request (explicit wake).
@@ -225,8 +223,6 @@ class CoreInterface:
                     )
 
     def _generate(self, cycle: int) -> None:
-        if self.draining:
-            return
         for request in self.generator.generate(cycle):
             request.issued_cycle = cycle
             if self.splitter is not None:

@@ -96,17 +96,3 @@ def build_route_table(
         tuple(admissible_ports(mesh, node, dst, policy))
         for dst in mesh.nodes()
     ]
-
-
-def route_path(mesh: Mesh, src: int, dst: int):
-    """Full XY path ``src`` -> ``dst`` as a node list (for tests/analysis)."""
-    path = [src]
-    node = src
-    while node != dst:
-        port = xy_route(mesh, node, dst)
-        nxt = mesh.neighbor(node, port)
-        if nxt is None:
-            raise RuntimeError(f"XY routing fell off the mesh at node {node}")
-        path.append(nxt)
-        node = nxt
-    return path

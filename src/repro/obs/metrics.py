@@ -134,20 +134,3 @@ class MetricsRegistry:
             else:
                 snapshot[name] = metric.value
         return snapshot
-
-    def render(self, prefix: str = "") -> str:
-        """Human-readable table of the (optionally filtered) namespace."""
-        lines = [f"{'metric':<44s} {'value':>12s}"]
-        for name in self.names(prefix):
-            metric = self._metrics[name]
-            if isinstance(metric, LatencySeries):
-                value = (
-                    f"n={metric.count} mean={metric.mean:.1f}"
-                    if metric.count else "n=0"
-                )
-                lines.append(f"{name:<44s} {value:>12s}")
-            elif isinstance(metric, Gauge):
-                lines.append(f"{name:<44s} {metric.value:>12.2f}")
-            else:
-                lines.append(f"{name:<44s} {metric.value:>12d}")
-        return "\n".join(lines)

@@ -1,7 +1,7 @@
 """``repro monitor``: render a telemetry stream as a live terminal view.
 
 The monitor consumes the newline-JSON protocol of
-:mod:`repro.obs.stream` — from a finished file (``--once``) or by
+:mod:`repro.obs.stream` — from a finished file (the default) or by
 tailing a live one (``--follow``) — and folds it into one screenful:
 
 * **runs**: current cycle, simulated cycles/second (from successive
@@ -212,24 +212,22 @@ def render(state: MonitorState) -> str:
 def run_monitor(
     path: str,
     follow: bool = False,
-    once: bool = False,
     refresh_s: float = 1.0,
     out: Optional[TextIO] = None,
     max_seconds: Optional[float] = None,
 ) -> int:
     """The ``repro monitor`` entry point.
 
-    ``once`` parses the whole stream and prints the final view (the CI
-    parse check).  ``follow`` tails the stream, redrawing every
-    ``refresh_s``, until the producer signals completion (run_end /
-    sweep_end), the optional ``max_seconds`` budget runs out, or the
-    reader is interrupted.  The default (neither flag) renders whatever
-    the stream holds right now and exits — cheap and scriptable.
+    By default it parses the whole stream once, renders whatever it
+    holds and exits — cheap and scriptable (the CI parse check).
+    ``follow`` tails the stream, redrawing every ``refresh_s``, until the
+    producer signals completion (run_end / sweep_end), the optional
+    ``max_seconds`` budget runs out, or the reader is interrupted.
     Returns 0 if any renderable record was seen, 1 otherwise.
     """
     out = out if out is not None else sys.stdout
     state = MonitorState()
-    if not follow or once:
+    if not follow:
         for record in read_stream(path):
             state.apply(record)
         out.write(render(state))

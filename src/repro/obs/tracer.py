@@ -103,9 +103,6 @@ class MemoryTracer(Tracer):
     def of_type(self, type: EventType) -> List[TraceEvent]:
         return [event for event in self.events if event.type is type]
 
-    def by_request(self, request_id: int) -> List[TraceEvent]:
-        return [e for e in self.events if e.request_id == request_id]
-
     def counts(self) -> Dict[str, int]:
         """Event count per type name (diagnostic summary)."""
         totals: Dict[str, int] = {}

@@ -37,7 +37,7 @@ tests and directed what-if experiments.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.events import EventType
@@ -194,18 +194,6 @@ class FaultConfig:
         if attempt < 1:
             raise ValueError("attempt is 1-based")
         return min(self.retry_backoff_cap, self.retry_backoff_base << (attempt - 1))
-
-    @property
-    def any_faults(self) -> bool:
-        return bool(self.schedule) or any(
-            r > 0.0
-            for r in (
-                self.link_corrupt_rate,
-                self.link_drop_rate,
-                self.buffer_flip_rate,
-                self.sdram_bit_rate,
-            )
-        )
 
 
 class FaultInjector:

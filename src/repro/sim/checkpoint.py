@@ -51,7 +51,7 @@ from typing import Dict, Optional, Tuple, Union
 MAGIC = b"REPROCKP"
 
 #: Bump on any change to the serialized component-graph shape.
-SCHEMA_VERSION = 13
+SCHEMA_VERSION = 14
 
 _HEADER_STRUCT = struct.Struct("<I")
 

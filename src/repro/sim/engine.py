@@ -334,29 +334,26 @@ class Simulator:
         handler turns "checkpoint, then exit" into a clean stop).
         Segmentation keeps event dispatch: each segment jumps its idle
         gaps as one long run would, clamped to the segment end, and only
-        processes its entry cycle in addition.
+        processes its entry cycle in addition.  The run-end hooks fire
+        once, at this call's exit, not per segment, so a segmented run
+        observes what an unsegmented one does.
         """
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        if checkpoint_every is None:
-            return self._run_bracketed(cycles, until)
-        if checkpoint_every <= 0:
+        if checkpoint_every is not None and checkpoint_every <= 0:
             raise ValueError("checkpoint_every must be positive")
-        end = self._cycle + cycles
-        while self._cycle < end:
-            before = self._cycle
-            self._run_bracketed(min(checkpoint_every, end - self._cycle), until)
-            if self._cycle == before:
-                break  # ``until`` already true: nothing left to snapshot
-            if on_checkpoint is not None and on_checkpoint(self._cycle):
-                break
-        return self._cycle
-
-    def _run_bracketed(
-        self, cycles: int, until: Optional[Callable[[], bool]]
-    ) -> int:
         try:
-            return self._run(cycles, until)
+            if checkpoint_every is None:
+                return self._run(cycles, until)
+            end = self._cycle + cycles
+            while self._cycle < end:
+                before = self._cycle
+                self._run(min(checkpoint_every, end - self._cycle), until)
+                if self._cycle == before:
+                    break  # ``until`` already true: nothing left to snapshot
+                if on_checkpoint is not None and on_checkpoint(self._cycle):
+                    break
+            return self._cycle
         finally:
             for run_end in self._run_ends:
                 run_end(self._cycle)

@@ -30,23 +30,10 @@ from typing import Dict, List, Optional, Sequence
 QUANTILES = (("p50", 50.0), ("p95", 95.0), ("p99", 99.0))
 
 
-def percentile(samples: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0-100) of ``samples``, with linear
-    interpolation between closest ranks (the numpy/R-7 default).
-
-    The one estimator behind every reported percentile:
-    :meth:`LatencySeries.percentile` and :func:`quantiles`.
-    """
-    if not 0 <= q <= 100:
-        raise ValueError("percentile must be within [0, 100]")
-    if not samples:
-        raise ValueError("percentile of no samples")
-    return _interpolate(sorted(samples), q)
-
-
 def quantiles(samples: Sequence[float]) -> Dict[str, float]:
-    """The :data:`QUANTILES` of ``samples``, by :func:`percentile`'s
-    estimator, sorting the samples once."""
+    """The :data:`QUANTILES` of ``samples``, with linear interpolation
+    between closest ranks (the numpy/R-7 default), sorting the samples
+    once.  The one estimator behind every reported percentile."""
     if not samples:
         raise ValueError("percentile of no samples")
     ordered = sorted(samples)
@@ -99,39 +86,8 @@ class LatencySeries:
         """Exact observed worst case.  Served from the O(1) running
         maximum, so it is available whether or not samples were kept and
         never under-reports through rank rounding — the WCET column reads
-        this, not ``percentile(100)``."""
+        this, not an interpolated quantile."""
         return float(self.maximum)
-
-    @property
-    def p0(self) -> float:
-        """Exact observed best case (running minimum)."""
-        return float(self.minimum)
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile (0-100) of recorded latencies, by the
-        module's :func:`percentile` estimator (R-7).
-
-        ``q == 0`` and ``q == 100`` are served exactly from the running
-        minimum/maximum — no rank arithmetic, no ``keep_samples``
-        requirement — so the extremes cannot be under-reported.  Interior
-        quantiles need ``keep_samples=True``; the paper reports means, but
-        tail latency is what a real-time core actually provisions for.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be within [0, 100]")
-        if self.count and q == 100:
-            return self.p100
-        if self.count and q == 0:
-            return self.p0
-        if not self.keep_samples:
-            raise RuntimeError("series was created without keep_samples")
-        if not self.samples:
-            raise ValueError(
-                "percentile of an empty series: no latencies recorded "
-                "(check warmup vs. run length, or whether the class ever "
-                "completed)"
-            )
-        return percentile(self.samples, q)
 
 
 class StatsCollector:

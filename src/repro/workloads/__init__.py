@@ -1,4 +1,4 @@
-"""Workload models: synthetic cores, application models, placement, traces."""
+"""Workload models: synthetic cores, application models, placement."""
 
 from .apps import APP_MODELS, AppModel, bluray_model, dual_dtv_model, get_app_model, single_dtv_model
 from .cores import (
@@ -17,7 +17,6 @@ from .cores import (
     pvr_core,
 )
 from .mapping import MEMORY_NODE, Placement, gss_router_order, place
-from .trace import TraceEntry, TraceRecorder, TraceReplayer
 
 __all__ = [
     "APP_MODELS",
@@ -27,9 +26,6 @@ __all__ = [
     "Placement",
     "Stream",
     "SyntheticCore",
-    "TraceEntry",
-    "TraceRecorder",
-    "TraceReplayer",
     "audio_core",
     "bluray_model",
     "cpu_core",

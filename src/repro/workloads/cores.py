@@ -12,15 +12,15 @@ reproduces the *characteristics* the paper's mechanisms key on:
 * request-size mix (beats) — drives the access-granularity mismatch;
 * read/write mix and alternation — drives data contention;
 * address locality — sequential streaming within rows (row-buffer hits,
-  natural bank interleaving through the address map) with occasional jumps
-  (bank conflicts);
+  natural bank interleaving across the core's bank set) with occasional
+  jumps (bank conflicts);
 * issue rate and outstanding-request window — drives congestion;
 * demand/prefetch split for the CPU — drives the priority service.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..dram.address_map import AddressMap

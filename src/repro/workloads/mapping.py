@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from ..noc.topology import Mesh, Mesh3D
 from .apps import AppModel
-from .cores import CoreSpec
 
 #: The memory subsystem's mesh node (upper-left corner, per Fig. 7).
 MEMORY_NODE = 0
@@ -33,10 +32,6 @@ class Placement:
 
     def node_of_core(self, core_index: int) -> int:
         return self.core_nodes[core_index]
-
-    @property
-    def nodes_by_core(self) -> List[int]:
-        return [self.core_nodes[i] for i in sorted(self.core_nodes)]
 
 
 def place(app: AppModel) -> Placement:

@@ -1,67 +1,8 @@
-"""AddressMap decomposition tests, including property-based roundtrips."""
+"""AddressMap geometry tests."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.dram.address_map import AddressMap
-
-
-@pytest.fixture
-def amap():
-    return AddressMap(banks=8)
-
-
-class TestDecode:
-    def test_sequential_addresses_walk_columns_first(self, amap):
-        bank0, row0, col0 = amap.decode(0)
-        bank1, row1, col1 = amap.decode(amap.bytes_per_beat)
-        assert (bank0, row0) == (bank1, row1)
-        assert col1 == col0 + 1
-
-    def test_row_crossing_changes_bank(self, amap):
-        end_of_row = amap.row_bytes - amap.bytes_per_beat
-        bank_a, row_a, _ = amap.decode(end_of_row)
-        bank_b, row_b, col_b = amap.decode(end_of_row + amap.bytes_per_beat)
-        assert bank_b == bank_a + 1
-        assert row_b == row_a
-        assert col_b == 0
-
-    def test_negative_rejected(self, amap):
-        with pytest.raises(ValueError):
-            amap.decode(-4)
-
-    def test_capacity(self, amap):
-        assert amap.capacity_bytes == (
-            amap.banks * amap.rows * amap.columns * amap.bytes_per_beat
-        )
-
-
-class TestEncode:
-    def test_encode_bounds_checked(self, amap):
-        with pytest.raises(ValueError):
-            amap.encode(bank=8, row=0, column=0)
-        with pytest.raises(ValueError):
-            amap.encode(bank=0, row=amap.rows, column=0)
-        with pytest.raises(ValueError):
-            amap.encode(bank=0, row=0, column=amap.columns)
-
-    @given(
-        bank=st.integers(0, 7),
-        row=st.integers(0, 8191),
-        column=st.integers(0, 1023),
-    )
-    def test_roundtrip(self, bank, row, column):
-        amap = AddressMap(banks=8)
-        address = amap.encode(bank, row, column)
-        assert amap.decode(address) == (bank, row, column)
-
-    @given(address=st.integers(0, 2**28))
-    def test_decode_in_bounds(self, address):
-        amap = AddressMap(banks=8)
-        bank, row, column = amap.decode(address)
-        assert 0 <= bank < amap.banks
-        assert 0 <= row < amap.rows
-        assert 0 <= column < amap.columns
 
 
 def test_invalid_geometry_rejected():

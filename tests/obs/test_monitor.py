@@ -111,14 +111,14 @@ class TestRunMonitor:
             writer.emit("job_done", key="k")
             writer.emit("sweep_end", total=1)
         out = io.StringIO()
-        assert run_monitor(str(path), once=True, out=out) == 0
+        assert run_monitor(str(path), out=out) == 0
         assert "sweep done" in out.getvalue()
 
     def test_empty_stream_exits_one(self, tmp_path):
         path = tmp_path / "t.ndjson"
         path.write_text("")
         out = io.StringIO()
-        assert run_monitor(str(path), once=True, out=out) == 1
+        assert run_monitor(str(path), out=out) == 1
 
     def test_follow_exits_on_finish_marker(self, tmp_path):
         path = tmp_path / "t.ndjson"

@@ -66,7 +66,7 @@ class TestMemoryTracer:
         tracer.emit(EventType.HOP, 2, "router0", request_id=7)
         tracer.emit(EventType.INJECT, 3, "core1", request_id=8)
         assert len(tracer.of_type(EventType.INJECT)) == 2
-        assert [e.cycle for e in tracer.by_request(7)] == [1, 2]
+        assert [e.cycle for e in tracer if e.request_id == 7] == [1, 2]
 
     def test_counts(self):
         tracer = MemoryTracer()

@@ -107,13 +107,6 @@ class TestFaultConfigBehavior:
         with pytest.raises(ValueError):
             config.backoff(0)
 
-    def test_any_faults(self):
-        assert not FaultConfig().any_faults
-        assert FaultConfig(link_drop_rate=1e-4).any_faults
-        assert FaultConfig(
-            schedule=(ScheduledFault(5, FaultSite.BUFFER_FLIP),)
-        ).any_faults
-
 
 class TestInjectorStreams:
     def _corrupted_ids(self, config, seed, flits=3000):

@@ -308,6 +308,56 @@ def test_checkpoint_every_preserves_metrics_and_fast_forward():
     )
 
 
+def _sampled_bluray(seen):
+    system = build_system(
+        SystemConfig(app="bluray", cycles=5_000, warmup=WARMUP, seed=2010)
+    )
+    system.attach_sampler(700, on_sample=seen.append)
+    return system
+
+
+def _windows(seen):
+    return [(s.cycle, s.span, s.partial) for s in seen]
+
+
+def test_checkpoint_every_keeps_the_sample_stream():
+    """Segmenting a run at snapshot boundaries leaves its telemetry as a
+    plain run emits it: full windows on the sampling grid and one
+    partial window, at the run's end."""
+    plain = []
+    _sampled_bluray(plain).run(5_000)
+    assert [s.partial for s in plain] == [False] * 7 + [True]
+    segmented = []
+    _sampled_bluray(segmented).run(
+        5_000, checkpoint_every=1_000, on_checkpoint=lambda cycle: False
+    )
+    assert _windows(segmented) == _windows(plain)
+
+
+def test_resume_from_a_segment_boundary_continues_the_windows(tmp_path):
+    """A snapshot taken at a segment boundary holds the sampler
+    mid-window.  The stopped run flushes a partial window at its exit;
+    the resumed run emits the rest of the plain run's windows, so the
+    two streams' full windows are exactly the plain run's."""
+    plain = []
+    _sampled_bluray(plain).run(5_000)
+    stopped = []
+    system = _sampled_bluray(stopped)
+    path = tmp_path / "stop.ckpt"
+
+    def snapshot_and_stop(cycle):
+        save_checkpoint(path, system)
+        return cycle >= 2_500
+
+    system.run(5_000, checkpoint_every=1_000, on_checkpoint=snapshot_and_stop)
+    assert system.simulator.cycle == 3_000 and stopped[-1].partial
+    resumed = []
+    restored = load_checkpoint(path)
+    restored.sampler.on_sample = resumed.append
+    restored.run(2_000)
+    assert _windows(stopped[:-1] + resumed) == _windows(plain)
+
+
 def test_on_checkpoint_true_stops_the_run():
     system = build_system(_config(NocDesign.GSS_SAGM, None))
     system.run(2_000, checkpoint_every=400, on_checkpoint=lambda c: c >= 800)

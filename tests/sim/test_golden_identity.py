@@ -328,13 +328,10 @@ def test_event_matches_naive_with_priority_responses():
 def _scripted_run(config, traffic, naive: bool):
     """Run ``config`` on scripted traffic; returns the admission log and
     the metrics, plus memory-sink observations from the naive run."""
-    from repro.workloads.trace import TraceEntry, replay_into_system
+    from tests.helpers import script_traffic
 
     system = build_system(config)
-    replay_into_system(system, {
-        master: [TraceEntry(cycle, request) for cycle, request in entries]
-        for master, entries in traffic.items()
-    }, max_outstanding=4)
+    script_traffic(system, traffic, max_outstanding=4)
     subsystem = system.subsystem
     admissions = []
     enqueue = subsystem.enqueue

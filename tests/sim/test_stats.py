@@ -1,5 +1,7 @@
 """Stats accounting tests: latency series, warmup filtering, utilization."""
 
+import statistics
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,7 +11,6 @@ from repro.sim.stats import (
     LatencySeries,
     RunMetrics,
     StatsCollector,
-    percentile,
     quantiles,
 )
 
@@ -53,36 +54,31 @@ class TestLatencySeries:
         assert series.mean == pytest.approx(sum(values) / len(values))
         assert series.maximum == max(values)
 
-    def test_p0_p100_without_kept_samples(self):
+    def test_p100_without_kept_samples(self):
         """Extremes are O(1) streaming fields — no keep_samples needed,
         so the WCET column can never under-report the worst case."""
         series = LatencySeries()
         for value in (30, 10, 20):
             series.record(value)
-        assert series.p0 == 10.0
         assert series.p100 == 30.0
         assert series.minimum == 10
-        assert series.percentile(0) == 10.0
-        assert series.percentile(100) == 30.0
 
     def test_minimum_tracks_first_sample(self):
         series = LatencySeries()
         series.record(0)
         series.record(5)
         assert series.minimum == 0
-        assert series.p0 == 0.0
 
     def test_interior_percentile_still_requires_samples(self):
         series = LatencySeries()
         series.record(10)
-        with pytest.raises(RuntimeError):
-            series.percentile(50)
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles(series.samples)
 
     def test_percentile_empty_series_still_rejected(self):
         series = LatencySeries(keep_samples=True)
-        for q in (0, 50, 100):
-            with pytest.raises(ValueError):
-                series.percentile(q)
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles(series.samples)
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1))
     def test_exact_extremes_match_kept_samples(self, values):
@@ -91,10 +87,8 @@ class TestLatencySeries:
         for value in values:
             streaming.record(value)
             kept.record(value)
-        assert streaming.percentile(0) == kept.percentile(0) == min(values)
-        assert (
-            streaming.percentile(100) == kept.percentile(100) == max(values)
-        )
+        assert streaming.minimum == kept.minimum == min(kept.samples)
+        assert streaming.p100 == kept.p100 == max(kept.samples)
 
 
 class TestStatsCollector:
@@ -244,77 +238,73 @@ class TestRunMetrics:
 
 class TestPercentiles:
     def test_percentile_values(self):
-        series = LatencySeries(keep_samples=True)
-        for value in range(1, 101):
-            series.record(value)
-        assert series.percentile(0) == 1
-        assert series.percentile(100) == 100
-        assert 49 <= series.percentile(50) <= 51
-        assert 94 <= series.percentile(95) <= 96
+        summary = quantiles(range(1, 101))
+        assert list(summary) == [name for name, _ in QUANTILES]
+        assert summary == {
+            "p50": pytest.approx(50.5),
+            "p95": pytest.approx(95.05),
+            "p99": pytest.approx(99.01),
+        }
 
     def test_percentile_linear_interpolation_exact(self):
         """R-7 (numpy default) closest-ranks interpolation, exactly."""
-        series = LatencySeries(keep_samples=True)
-        for value in (1, 2, 3, 4):
-            series.record(value)
-        assert series.percentile(50) == pytest.approx(2.5)
-        assert series.percentile(25) == pytest.approx(1.75)
-        assert series.percentile(75) == pytest.approx(3.25)
-        assert series.percentile(10) == pytest.approx(1.3)
+        assert quantiles([1, 2, 3, 4]) == {
+            "p50": pytest.approx(2.5),
+            "p95": pytest.approx(3.85),
+            "p99": pytest.approx(3.97),
+        }
 
     def test_percentile_exact_rank_avoids_interpolation(self):
-        series = LatencySeries(keep_samples=True)
-        for value in (10, 20, 30):
-            series.record(value)
-        # Ranks 0, 1, 2 land exactly on samples.
-        assert series.percentile(0) == 10.0
-        assert series.percentile(50) == 20.0
-        assert series.percentile(100) == 30.0
+        # With 101 samples the ranks of p50/p95/p99 land exactly on
+        # samples 50, 95 and 99.
+        summary = quantiles([10 * i for i in range(101)])
+        assert summary == {"p50": 500.0, "p95": 950.0, "p99": 990.0}
+        assert all(type(value) is float for value in summary.values())
 
     def test_percentile_single_sample(self):
-        series = LatencySeries(keep_samples=True)
-        series.record(7)
-        for q in (0, 13, 50, 99, 100):
-            assert series.percentile(q) == 7.0
+        assert quantiles([7]) == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
 
     def test_percentile_unsorted_input(self):
-        series = LatencySeries(keep_samples=True)
-        for value in (9, 1, 5, 3, 7):
-            series.record(value)
-        assert series.percentile(50) == 5.0
-        assert series.percentile(75) == pytest.approx(7.0)
-        assert series.percentile(90) == pytest.approx(8.2)
+        assert quantiles([9, 1, 5, 3, 7]) == quantiles([1, 3, 5, 7, 9])
+        assert quantiles([9, 1, 5, 3, 7]) == {
+            "p50": 5.0,
+            "p95": pytest.approx(8.6),
+            "p99": pytest.approx(8.92),
+        }
+
+    @given(st.lists(
+        st.integers(min_value=0, max_value=10_000), min_size=2, max_size=60,
+    ))
+    def test_agrees_with_stdlib_r7(self, samples):
+        """An independent R-7: the stdlib's inclusive method, whose cut
+        points 49, 94 and 98 are the 50th, 95th and 99th percentiles."""
+        cuts = statistics.quantiles(samples, n=100, method="inclusive")
+        assert quantiles(samples) == {
+            "p50": pytest.approx(cuts[49]),
+            "p95": pytest.approx(cuts[94]),
+            "p99": pytest.approx(cuts[98]),
+        }
 
     def test_percentile_requires_samples(self):
-        series = LatencySeries()
-        series.record(5)
-        with pytest.raises(RuntimeError):
-            series.percentile(50)
-
-    def test_percentile_bounds(self):
-        series = LatencySeries(keep_samples=True)
-        with pytest.raises(ValueError):
-            series.percentile(101)
+        """Quantiles read kept samples: a collector keeps them only when
+        asked, and summarising one that did not raises."""
+        dropped = StatsCollector()
+        dropped.record_completion(10, 0, master=0, is_demand=False)
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles(dropped.all_packets.samples)
+        kept = StatsCollector(keep_samples=True)
+        kept.record_completion(10, 0, master=0, is_demand=False)
+        assert quantiles(kept.all_packets.samples)["p50"] == 10.0
+        assert quantiles(kept.per_master[0].samples)["p99"] == 10.0
 
     def test_empty_percentile_raises(self):
-        with pytest.raises(ValueError, match="empty series"):
-            LatencySeries(keep_samples=True).percentile(99)
-
-    @pytest.mark.parametrize(
-        "values", [[10, 20], list(range(1, 101))], ids=["two", "1..100"]
-    )
-    def test_every_reported_percentile_agrees(self, values):
-        """`run --percentiles`, `--prom`, the registry snapshot, the
-        sampler's windows and the tail report all read one summary,
-        which agrees with the series' own percentiles."""
-        series = LatencySeries(keep_samples=True)
-        for value in reversed(values):
-            series.record(value)
-        summary = quantiles(series.samples)
-        assert list(summary) == [name for name, _ in QUANTILES]
-        for name, q in QUANTILES:
-            assert summary[name] == series.percentile(q)
-            assert summary[name] == percentile(values, q)
+        """A class whose every completion fell inside the warmup has no
+        samples to summarise, even with samples kept."""
+        stats = StatsCollector(warmup=100, keep_samples=True)
+        stats.record_completion(150, 50, master=0, is_demand=True)
+        assert stats.demand_packets.count == 0
+        with pytest.raises(ValueError, match="no samples"):
+            quantiles(stats.demand_packets.samples)
 
     def test_quantiles_of_no_samples_raise(self):
         with pytest.raises(ValueError, match="no samples"):

@@ -107,7 +107,7 @@ class TestParallelTelemetry:
         assert "4/4 done" in text
         assert "workers" in text
 
-        assert main(["monitor", str(path), "--once"]) == 0
+        assert main(["monitor", str(path)]) == 0
         assert "workers   : 2 seen" in capsys.readouterr().out
 
 

@@ -650,7 +650,7 @@ class TestTelemetryCommands:
             ["monitor", "s.ndjson", "--follow", "--refresh", "0.5"]
         )
         assert args.stream == "s.ndjson"
-        assert args.follow and not args.once
+        assert args.follow
         assert args.refresh == 0.5
 
     def test_monitor_once_renders_run_stream(self, capsys, tmp_path):
@@ -660,7 +660,7 @@ class TestTelemetryCommands:
             "--telemetry", str(path),
         ])
         capsys.readouterr()
-        assert main(["monitor", str(path), "--once"]) == 0
+        assert main(["monitor", str(path)]) == 0
         out = capsys.readouterr().out
         assert "run done" in out
         assert "cycle" in out
@@ -668,7 +668,7 @@ class TestTelemetryCommands:
     def test_monitor_empty_stream_exits_one(self, capsys, tmp_path):
         path = tmp_path / "empty.ndjson"
         path.write_text("")
-        assert main(["monitor", str(path), "--once"]) == 1
+        assert main(["monitor", str(path)]) == 1
 
     def test_monitor_missing_stream_is_one_error_line(self, tmp_path):
         path = tmp_path / "missing.ndjson"
@@ -695,5 +695,5 @@ class TestTelemetryCommands:
         assert counts["job_done"] == 2
         assert counts["sweep_end"] == 1
         capsys.readouterr()
-        assert main(["monitor", str(path), "--once"]) == 0
+        assert main(["monitor", str(path)]) == 0
         assert "2/2 done" in capsys.readouterr().out

@@ -3,6 +3,7 @@
 from itertools import count
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.dram.address_map import AddressMap
 from repro.workloads.cores import (
@@ -10,6 +11,7 @@ from repro.workloads.cores import (
     Stream,
     SyntheticCore,
     cpu_core,
+    display_core,
     enhancer_core,
     h264_codec_core,
 )
@@ -157,3 +159,38 @@ class TestRunBehaviour:
         core = build_core()
         with pytest.raises(RuntimeError):
             core.on_complete(0, 0)
+
+
+class TestIssueContract:
+    """The core NI calls generate() only from next_issue_cycle on and
+    sleeps while issue_blocked.  Skipping the other calls is
+    bit-identical only because each of them is a strict no-op: it issues
+    nothing and draws no random number."""
+
+    @given(
+        factory=st.sampled_from(
+            [cpu_core, h264_codec_core, enhancer_core, display_core]
+        ),
+        seed=st.integers(0, 2**16),
+        schedule=st.lists(
+            st.tuples(st.integers(0, 60), st.booleans()),
+            min_size=1, max_size=80,
+        ),
+    )
+    def test_generate_is_a_no_op_until_it_may_issue(
+        self, factory, seed, schedule
+    ):
+        core = build_core(factory(), seed=seed)
+        outstanding = []
+        cycle = 0
+        for advance, complete in schedule:
+            cycle += advance
+            if complete and outstanding:
+                core.on_complete(outstanding.pop(0).request_id, cycle)
+            idle = cycle < core.next_issue_cycle or core.issue_blocked
+            state = core.rng.getstate()
+            issued = core.generate(cycle)
+            if idle:
+                assert issued == []
+                assert core.rng.getstate() == state
+            outstanding.extend(issued)

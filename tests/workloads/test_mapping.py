@@ -31,12 +31,6 @@ class TestPlacement:
         d_light = mesh.hop_distance(MEMORY_NODE, placement.node_of_core(lightest))
         assert d_heavy <= d_light
 
-    def test_nodes_by_core_ordering(self):
-        placement = place(bluray_model())
-        assert placement.nodes_by_core == [
-            placement.core_nodes[i] for i in range(8)
-        ]
-
 
 class TestGssOrder:
     def test_order_monotonic_in_distance(self):
